@@ -17,6 +17,7 @@ from .errors import (
     BijectionFailure,
     EmptyLevel,
     InternalParity,
+    InvariantViolation,
     InvalidType,
     IrreducibilityMismatch,
     LieInductError,

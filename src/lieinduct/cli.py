@@ -91,10 +91,6 @@ def weight_label(w: Sequence[int]) -> str:
     return "[" + ",".join(str(x) for x in w) + "]"
 
 
-def _qty(n: int) -> str:
-    return str(n)
-
-
 def _emit(ns, payload: dict, text_lines: list[str]) -> None:
     if ns.format == "json":
         doc = {
@@ -121,9 +117,9 @@ def _cmd_roots(ns) -> int:
     payload = {
         "type": str(rs.type),
         "rank": rs.rank,
-        "num_roots": _qty(rs.num_roots),
-        "dimension": _qty(rs.dimension),
-        "coxeter_number": _qty(coxeter_number(rs)),
+        "num_roots": str(rs.num_roots),
+        "dimension": str(rs.dimension),
+        "coxeter_number": str(coxeter_number(rs)),
         "positive_roots": pos,
     }
     lines = [f"{rs.type}: {rs.num_roots} roots, dim {rs.dimension}, h = {coxeter_number(rs)}"]
@@ -138,7 +134,7 @@ def _cmd_highest_root(ns) -> int:
     payload = {
         "type": str(rs.type),
         "coordinates": list(rs.highest_root),
-        "height": _qty(st.height),
+        "height": str(st.height),
         "adjoint_weight": list(rs.root_to_weight(rs.highest_root)),
     }
     lines = [
@@ -155,7 +151,7 @@ def _cmd_automorphisms(ns) -> int:
     autos = diagram_automorphisms(t)
     payload = {
         "type": str(t),
-        "order": _qty(len(autos)),
+        "order": str(len(autos)),
         "permutations": [list(p) for p in autos],
     }
     lines = [f"Aut({t}) has order {len(autos)}"]
@@ -168,7 +164,7 @@ def _cmd_dim(ns) -> int:
     rs = _rs(ns.type)
     w = parse_weight(ns.weight, rs.rank)
     d = rep.weyl_dim(rs, w)
-    payload = {"type": str(rs.type), "weight": list(w), "dimension": _qty(d)}
+    payload = {"type": str(rs.type), "weight": list(w), "dimension": str(d)}
     _emit(ns, payload, [str(d)])
     return EXIT_OK
 
@@ -181,12 +177,12 @@ def _cmd_character(ns) -> int:
     payload = {
         "type": str(rs.type),
         "weight": list(w),
-        "dimension": _qty(rep.weyl_dim(rs, w)),
+        "dimension": str(rep.weyl_dim(rs, w)),
         "dominant_weights": [
             {
                 "weight": list(wt),
-                "multiplicity": _qty(m),
-                "orbit_size": _qty(rep.orbit_size(rs, wt)),
+                "multiplicity": str(m),
+                "orbit_size": str(rep.orbit_size(rs, wt)),
             }
             for wt, m in rows
         ],
@@ -207,7 +203,7 @@ def _cmd_orbit(ns) -> int:
     payload = {
         "type": str(rs.type),
         "weight": list(w),
-        "size": _qty(len(orb)),
+        "size": str(len(orb)),
         "orbit": [list(v) for v in orb],
     }
     lines = [f"orbit size {len(orb)}"] + [
@@ -223,7 +219,7 @@ def _cmd_defining(ns) -> int:
     payload = {
         "type": str(rs.type),
         "modules": [
-            {"weight": list(md.highest_weight), "dimension": _qty(md.dimension)}
+            {"weight": list(md.highest_weight), "dimension": str(md.dimension)}
             for md in mods
         ],
     }
@@ -235,12 +231,12 @@ def _cmd_defining(ns) -> int:
 
 def _decomposition_payload(dec: tens.DecompositionResult) -> dict:
     return {
-        "source_dimension": _qty(dec.source_dimension),
+        "source_dimension": str(dec.source_dimension),
         "summands": [
             {
                 "weight": list(md.highest_weight),
-                "dimension": _qty(md.dimension),
-                "multiplicity": _qty(m),
+                "dimension": str(md.dimension),
+                "multiplicity": str(m),
             }
             for md, m in dec.summands
         ],
@@ -297,15 +293,15 @@ def _cmd_delete(ns) -> int:
             {
                 "level": c.level,
                 "weight": list(c.highest_weight),
-                "dimension": _qty(c.dimension),
+                "dimension": str(c.dimension),
                 "roots": [list(r) for r in c.roots],
             }
             for c in d.levels
         ],
         "zero_level": {
-            "roots": _qty(d.zero_level.root_count),
-            "dimension": _qty(d.zero_level.residual_dimension),
-            "center": _qty(d.zero_level.center_dimension),
+            "roots": str(d.zero_level.root_count),
+            "dimension": str(d.zero_level.residual_dimension),
+            "center": str(d.zero_level.center_dimension),
         },
     }
     res = " + ".join(str(t) for t in d.residual) if d.residual else "(empty)"
@@ -330,10 +326,10 @@ def _cmd_equivalences(ns) -> int:
     payload = {
         "ambient": str(ec.ambient),
         "residual": str(ec.residual),
-        "size": _qty(ec.size),
-        "aut_ambient": _qty(ec.aut_ambient_order),
-        "aut_residual": _qty(ec.aut_residual_order),
-        "stabilizer": _qty(ec.stabilizer_order),
+        "size": str(ec.size),
+        "aut_ambient": str(ec.aut_ambient_order),
+        "aut_residual": str(ec.aut_residual_order),
+        "stabilizer": str(ec.stabilizer_order),
         "members": [
             {"node": node, "iota": list(emb)} for node, emb in ec.members
         ],
@@ -401,7 +397,7 @@ def _cmd_induct(ns) -> int:
             {
                 "levels": [list(x) for x in s.weights],
                 "terminated": s.terminated,
-                "dimension": _qty(s.dbos_dimension),
+                "dimension": str(s.dbos_dimension),
             }
             for s in states
         ],
@@ -423,9 +419,9 @@ def _cmd_report(ns) -> int:
         "max_depth": rep_doc.max_depth,
         "consistent": rep_doc.consistent,
         "verdict": rep_doc.verdict,
-        "common_dimensions": [_qty(d) for d in rep_doc.common_dims],
+        "common_dimensions": [str(d) for d in rep_doc.common_dims],
         "base_dimensions": {
-            base: [_qty(d) for d in dims] for base, dims in rep_doc.base_dims
+            base: [str(d) for d in dims] for base, dims in rep_doc.base_dims
         },
         "routes": [
             {
@@ -436,8 +432,8 @@ def _cmd_report(ns) -> int:
                 "required_b1": list(r.required_weight),
                 "row_matches": r.row_matches,
                 "b1_defining": r.b1_defining,
-                "b1_dimension": _qty(r.b1_dimension),
-                "dimensions": [_qty(d) for d in r.terminated_dims],
+                "b1_dimension": str(r.b1_dimension),
+                "dimensions": [str(d) for d in r.terminated_dims],
                 "open_chains": r.non_terminated,
             }
             for r in rep_doc.routes
@@ -468,7 +464,7 @@ def _jsonable(obj):
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, int):
-        return _qty(obj)
+        return str(obj)
     return obj
 
 

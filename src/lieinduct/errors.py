@@ -26,11 +26,15 @@ class NotDominant(LieInductError):
 
 
 class NotACharacter(LieInductError):
-    """Peeling found the input is not a non-negative sum of irreducibles."""
+    """The input is not a non-negative sum of irreducibles."""
 
 
-class InternalParity(LieInductError):
-    """Half-convolution produced a non-integral multiplicity (convention bug)."""
+class InvariantViolation(LieInductError):
+    """An exact identity the engine relies on failed (convention or arithmetic bug)."""
+
+
+class InternalParity(InvariantViolation):
+    """Halving V(x)V -/+ psi^2 V gave a non-integral multiplicity (convention bug)."""
 
 
 class IrreducibilityMismatch(LieInductError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .errors import NotACharacter, NotDominant
+from .errors import InvariantViolation, NotACharacter, NotDominant
 from .root_system import (
     DynkinType,
     RootSystem,
@@ -136,7 +136,8 @@ def weyl_dim(rs: RootSystem, weight: Sequence[int]) -> int:
         num *= rs.form_weight_root(lam_rho, alpha)
         den *= rs.form_weight_root(rs.rho, alpha)
     q, r = divmod(num, den)
-    assert r == 0, "Weyl dimension product must divide exactly"
+    if r:
+        raise InvariantViolation(f"Weyl dimension product of {lam} does not divide exactly")
     return q
 
 
@@ -221,7 +222,8 @@ def _freudenthal_core(rs: RootSystem, lam: Vector) -> tuple[tuple[Vector, int], 
         lam_mu_2rho = tuple(a + b + 2 for a, b in zip(lam, mu))
         den = rs.form_weight_root(lam_mu_2rho, diff_int)
         q, r = divmod(2 * acc, den)
-        assert r == 0 and q > 0, "Freudenthal recursion must yield positive integers"
+        if r or q <= 0:
+            raise InvariantViolation(f"Freudenthal recursion gave {2 * acc}/{den} at {mu}")
         mult[mu] = q
     return tuple(sorted(mult.items()))
 
@@ -266,7 +268,8 @@ def orbit_size(rs: RootSystem, weight: Sequence[int]) -> int:
         for comp in comps:
             stab *= weyl_order(comp.type)
     q, r = divmod(weyl_order(rs.type), stab)
-    assert r == 0
+    if r:
+        raise InvariantViolation(f"stabilizer order {stab} does not divide |W({rs.type})|")
     return q
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .errors import InvalidType, NonIntegral, NotARoot
+from .errors import InvalidType, InvariantViolation, NonIntegral, NotARoot
 
 Vector = tuple[int, ...]
 
@@ -414,8 +414,8 @@ def diagram_automorphisms(t: DynkinType) -> tuple[tuple[int, ...], ...]:
 def coxeter_number(rs: RootSystem) -> int:
     """h = |R| / rank, with the height identity ht(highest root) = h - 1."""
     h, rem = divmod(rs.num_roots, rs.rank)
-    assert rem == 0, "root count is not divisible by the rank"
-    assert sum(rs.highest_root) == h - 1, "height of highest root must be h - 1"
+    if rem or sum(rs.highest_root) != h - 1:
+        raise InvariantViolation(f"{rs.type}: |R| / rank and highest-root height disagree")
     return h
 
 

@@ -1,16 +1,25 @@
 """Decomposition of characters, tensor products and exterior/symmetric squares.
 
-One engine serves all four operations: build a (full) weight table, restrict
-to the dominant chamber and greedily peel maximal highest weights.  Exterior
-and symmetric squares use the signed half-convolution: the square of the
-character plus/minus its doubled-weight table, halved.
+One engine serves all four operations: dot-action straightening.  A
+Weyl-invariant sum of weights nu (with multiplicities), shifted by a dominant
+weight, is straightened term by term: nu + shift + rho is reflected into the
+dominant chamber, terms landing on a wall cancel, and the rest contribute
+(-1)^l(w) times V(w(nu + shift + rho) - rho).  With the full weights of one
+factor and the other factor's highest weight as shift this is the
+Brauer-Klimyk formula for tensor products; with shift zero it decomposes a
+character table.  Exterior and symmetric squares come from the Adams
+operation: Lambda^2 V = (V (x) V - psi^2 V) / 2 and S^2 V = (V (x) V + psi^2 V) / 2,
+where psi^2 V carries the doubled weights 2 nu.
+
+Summands are listed by root-coordinate height of the highest weight, then by
+the weight itself, both descending.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import InternalParity, NotACharacter
 from .rep_theory import (
@@ -65,39 +74,53 @@ def _full_table(t: DynkinType, lam: Vector) -> dict[Vector, int]:
     return freudenthal_character(rs, lam).expand(rs)
 
 
-def _peel(rs: RootSystem, dominant: dict[Vector, int], source_dim: int) -> DecompositionResult:
-    """Greedy highest-weight peeling on dominant-chamber entries.
+def _straighten(
+    rs: RootSystem, weights: Mapping[Vector, int], shift: Vector
+) -> dict[Vector, int]:
+    """Highest weight -> signed coefficient of sum_nu m(nu) * chi(nu + shift).
 
-    Tie-break among maximal weights: largest height of the root-coordinate
-    image, then lexicographically largest coordinates.
+    chi(v) is the Weyl numerator ratio A(v + rho) / A(rho): reflecting
+    v + rho into the dominant chamber with w gives (-1)^l(w) V(w(v + rho) - rho),
+    and v + rho on a wall gives zero.
     """
-    work = {w: m for w, m in dominant.items() if m != 0}
-    out: list[tuple[ModuleDescriptor, int]] = []
-    while work:
-        w = max(work, key=lambda v: (sum(rs.weight_to_root(v)), v))
-        m = work[w]
-        if m < 0:
-            raise NotACharacter(f"multiplicity of {w} driven to {m} during peeling")
-        out.append((module_descriptor(rs, w), m))
-        for w2, m2 in freudenthal_character(rs, w).entries.items():
-            nv = work.get(w2, 0) - m * m2
-            if nv:
-                if nv < 0:
-                    raise NotACharacter(
-                        f"multiplicity of {w2} driven to {nv} during peeling"
-                    )
-                work[w2] = nv
-            else:
-                work.pop(w2, None)
-    return DecompositionResult(tuple(out), source_dim)
+    rows = rs.cartan.entries
+    out: dict[Vector, int] = {}
+    for nu, m in weights.items():
+        p = [a + b + 1 for a, b in zip(nu, shift)]
+        while True:
+            i = next((j for j, x in enumerate(p) if x <= 0), None)
+            if i is None:
+                key = tuple(x - 1 for x in p)
+                out[key] = out.get(key, 0) + m
+                break
+            x = p[i]
+            if x == 0:
+                break
+            p = [a - x * r for a, r in zip(p, rows[i])]
+            m = -m
+    return out
+
+
+def _result(rs: RootSystem, coeffs: Mapping[Vector, int], source_dim: int) -> DecompositionResult:
+    order = sorted(
+        (w for w, m in coeffs.items() if m),
+        key=lambda v: (sum(rs.weight_to_root(v)), v),
+        reverse=True,
+    )
+    summands = []
+    for w in order:
+        if coeffs[w] < 0:
+            raise NotACharacter(f"V({list(w)}) occurs with multiplicity {coeffs[w]}")
+        summands.append((module_descriptor(rs, w), coeffs[w]))
+    return DecompositionResult(tuple(summands), source_dim)
 
 
 def decompose_character(rs: RootSystem, ch: CharacterTable) -> DecompositionResult:
     """Write a genuine character as a sum of irreducibles."""
     if ch.algebra != rs.type:
         raise NotACharacter(f"character over {ch.algebra}, root system is {rs.type}")
-    dominant = dict(ch.entries)
-    return _peel(rs, dominant, ch.total_dimension(rs))
+    coeffs = _straighten(rs, ch.expand(rs), (0,) * rs.rank)
+    return _result(rs, coeffs, ch.total_dimension(rs))
 
 
 def tensor_decompose(
@@ -113,74 +136,32 @@ def tensor_decompose(
 @lru_cache(maxsize=None)
 def _tensor_cached(t: DynkinType, lam: Vector, mu: Vector) -> DecompositionResult:
     rs = build_root_system(t)
-    ta = _full_table(t, lam)
-    tb = _full_table(t, mu)
-    if len(ta) > len(tb):
-        ta, tb = tb, ta
-    conv: dict[Vector, int] = {}
-    for w1, m1 in ta.items():
-        for w2, m2 in tb.items():
-            key = tuple(a + b for a, b in zip(w1, w2))
-            conv[key] = conv.get(key, 0) + m1 * m2
-    dominant = {w: m for w, m in conv.items() if all(x >= 0 for x in w)}
-    dim = weyl_dim(rs, lam) * weyl_dim(rs, mu)
-    return _peel(rs, dominant, dim)
-
-
-def _square_tables(t: DynkinType, lam: Vector) -> tuple[dict[Vector, int], dict[Vector, int]]:
-    table = _full_table(t, lam)
-    conv: dict[Vector, int] = {}
-    items = list(table.items())
-    for i, (w1, m1) in enumerate(items):
-        # diagonal once, off-diagonal pairs doubled
-        key = tuple(2 * a for a in w1)
-        conv[key] = conv.get(key, 0) + m1 * m1
-        for w2, m2 in items[i + 1 :]:
-            key = tuple(a + b for a, b in zip(w1, w2))
-            conv[key] = conv.get(key, 0) + 2 * m1 * m2
-    psi2 = {tuple(2 * a for a in w): m for w, m in table.items()}
-    return conv, psi2
-
-
-def _half_convolution(rs: RootSystem, lam: Vector, sign: int) -> dict[Vector, int]:
-    # every doubled weight also occurs in the squared character (the (u, u)
-    # pair), so iterating the convolution covers all keys
-    conv, psi2 = _square_tables(rs.type, lam)
-    out: dict[Vector, int] = {}
-    for w, m in conv.items():
-        if not all(x >= 0 for x in w):
-            continue
-        val = m + sign * psi2.get(w, 0)
-        if val % 2:
-            raise InternalParity(
-                f"non-integral multiplicity at {w} in the half-convolution"
-            )
-        if val:
-            out[w] = val // 2
-    return out
+    dl, dm = weyl_dim(rs, lam), weyl_dim(rs, mu)
+    small, big = (lam, mu) if dl <= dm else (mu, lam)
+    return _result(rs, _straighten(rs, _full_table(t, small), big), dl * dm)
 
 
 def wedge2_decompose(rs: RootSystem, lam: Sequence[int]) -> DecompositionResult:
     """Exterior square of V(lam)."""
-    lam = _require_dominant(rs, lam)
-    return _wedge2_cached(rs.type, lam)
-
-
-@lru_cache(maxsize=None)
-def _wedge2_cached(t: DynkinType, lam: Vector) -> DecompositionResult:
-    rs = build_root_system(t)
-    d = weyl_dim(rs, lam)
-    return _peel(rs, _half_convolution(rs, lam, -1), d * (d - 1) // 2)
+    return _square_cached(rs.type, _require_dominant(rs, lam), -1)
 
 
 def sym2_decompose(rs: RootSystem, lam: Sequence[int]) -> DecompositionResult:
     """Symmetric square of V(lam)."""
-    lam = _require_dominant(rs, lam)
-    return _sym2_cached(rs.type, lam)
+    return _square_cached(rs.type, _require_dominant(rs, lam), +1)
 
 
 @lru_cache(maxsize=None)
-def _sym2_cached(t: DynkinType, lam: Vector) -> DecompositionResult:
+def _square_cached(t: DynkinType, lam: Vector, sign: int) -> DecompositionResult:
     rs = build_root_system(t)
+    table = _full_table(t, lam)
+    coeffs = _straighten(rs, table, lam)
+    doubled = {tuple(2 * a for a in w): m for w, m in table.items()}
+    for w, m in _straighten(rs, doubled, (0,) * rs.rank).items():
+        coeffs[w] = coeffs.get(w, 0) + sign * m
+    for w, m in coeffs.items():
+        if m % 2:
+            raise InternalParity(f"odd coefficient {m} of V({list(w)}) before halving")
+        coeffs[w] = m // 2
     d = weyl_dim(rs, lam)
-    return _peel(rs, _half_convolution(rs, lam, +1), d * (d + 1) // 2)
+    return _result(rs, coeffs, d * (d + sign) // 2)

@@ -2,9 +2,12 @@
 
 Multiplicities here come from the alternating Weyl sum over a partition-count
 (no Freudenthal recursion), orbits from explicit group matrices, dominance
-tests from a local rational inverse, and the tensor oracle peels full weight
-tables rather than dominant restrictions.  Nothing in this module calls the
-engine's character, orbit or decomposition code.
+tests from a local rational inverse, and the tensor, exterior-square and
+symmetric-square oracles convolve full weight tables and peel them greedily
+rather than straightening.  Nothing in this module calls the engine's
+character, orbit or decomposition code; the decomposition oracles accept a
+full-table character function so that cases too large for the Weyl-group sum
+can be fed characters from elsewhere.
 """
 
 from __future__ import annotations
@@ -101,11 +104,6 @@ class WeylOracle:
         return tuple(
             sum(weight[j] * self._adj[j][i] for j in range(n)) for i in range(n)
         )
-
-    def dominates(self, higher, lower):
-        """higher - lower a non-negative integer combination of simple roots."""
-        diff = self.weight_to_root(tuple(a - b for a, b in zip(higher, lower)))
-        return all(x.denominator == 1 and x >= 0 for x in diff)
 
 
 @lru_cache(maxsize=None)
@@ -222,38 +220,88 @@ def kostant_full_character(rs: RootSystem, lam) -> dict:
     return full
 
 
-def brute_tensor_decompose(rs: RootSystem, lam, mu) -> dict:
-    """Tensor product decomposition by full-table convolution and full-table
-    peeling; returns highest weight -> multiplicity."""
-    gp = weyl_oracle(rs)
-    ta = kostant_full_character(rs, tuple(lam))
-    tb = kostant_full_character(rs, tuple(mu))
-    conv: dict[tuple, int] = {}
-    for w1, m1 in ta.items():
-        for w2, m2 in tb.items():
-            key = tuple(a + b for a, b in zip(w1, w2))
-            conv[key] = conv.get(key, 0) + m1 * m2
+@lru_cache(maxsize=None)
+def _inverse_cartan(entries):
+    return invert_rational(entries)
+
+
+def _dominates(rs: RootSystem, higher, lower) -> bool:
+    """higher - lower a non-negative integer combination of simple roots;
+    needs only the Cartan inverse, not the Weyl group."""
+    inv = _inverse_cartan(rs.cartan.entries)
+    diff = [a - b for a, b in zip(higher, lower)]
+    n = len(diff)
+    coords = (sum(diff[j] * inv[j][i] for j in range(n)) for i in range(n))
+    return all(x.denominator == 1 and x >= 0 for x in coords)
+
+
+def _add(table: dict, key, m) -> None:
+    if m:
+        table[key] = table.get(key, 0) + m
+
+
+def _peel_full_table(rs: RootSystem, table: dict, character) -> dict:
+    """Greedy full-table peeling: remove the full character of a
+    dominance-maximal dominant entry until nothing is left; returns highest
+    weight -> multiplicity.  character(rs, lam) gives the full weight table of
+    V(lam)."""
+    conv = {w: m for w, m in table.items() if m}
     result: dict[tuple, int] = {}
     while conv:
-        dominant = [w for w, m in conv.items() if m and all(x >= 0 for x in w)]
+        dominant = [w for w in conv if all(x >= 0 for x in w)]
         if not dominant:
             raise AssertionError("leftover table with no dominant entry")
-        top = None
-        for w in dominant:
-            if all(w == v or not gp.dominates(v, w) for v in dominant):
-                top = w
-                break
+        top = next(
+            (w for w in dominant
+             if all(w == v or not _dominates(rs, v, w) for v in dominant)),
+            None,
+        )
         assert top is not None, "no dominance-maximal entry"
         mult = conv[top]
         assert mult > 0, f"negative multiplicity {mult} at {top}"
-        result[top] = result.get(top, 0) + mult
-        for w, m in kostant_full_character(rs, top).items():
-            nv = conv.get(w, 0) - mult * m
-            if nv:
-                conv[w] = nv
-            else:
-                conv.pop(w, None)
+        result[top] = mult
+        for w, m in character(rs, top).items():
+            _add(conv, w, -mult * m)
+            if conv.get(w) == 0:
+                del conv[w]
         assert all(m > 0 for m in conv.values()), (
             "peeling drove a multiplicity negative"
         )
     return result
+
+
+def brute_tensor_decompose(rs: RootSystem, lam, mu, character=None) -> dict:
+    """Tensor product decomposition by full-table convolution and full-table
+    peeling; returns highest weight -> multiplicity.  Characters come from the
+    Kostant oracle unless another full-table function is passed."""
+    character = character or kostant_full_character
+    ta = character(rs, tuple(lam))
+    tb = character(rs, tuple(mu))
+    conv: dict[tuple, int] = {}
+    for w1, m1 in ta.items():
+        for w2, m2 in tb.items():
+            _add(conv, tuple(a + b for a, b in zip(w1, w2)), m1 * m2)
+    return _peel_full_table(rs, conv, character)
+
+
+def _brute_square(rs: RootSystem, lam, sign: int, character) -> dict:
+    """Signed half-convolution over pairs of weight-basis vectors: weight
+    spaces u < v contribute m_u m_v at u + v, and a weight space u of
+    dimension m contributes m (m + sign) / 2 at 2u (sign -1 for the exterior
+    square, +1 for the symmetric square)."""
+    character = character or kostant_full_character
+    items = sorted(character(rs, tuple(lam)).items())
+    half: dict[tuple, int] = {}
+    for i, (w1, m1) in enumerate(items):
+        _add(half, tuple(2 * a for a in w1), m1 * (m1 + sign) // 2)
+        for w2, m2 in items[i + 1 :]:
+            _add(half, tuple(a + b for a, b in zip(w1, w2)), m1 * m2)
+    return _peel_full_table(rs, half, character)
+
+
+def brute_wedge2_decompose(rs: RootSystem, lam, character=None) -> dict:
+    return _brute_square(rs, lam, -1, character)
+
+
+def brute_sym2_decompose(rs: RootSystem, lam, character=None) -> dict:
+    return _brute_square(rs, lam, +1, character)

@@ -139,6 +139,35 @@ def test_console_entry_point():
     assert proc.stdout.strip() == "56"
 
 
+def test_optimized_interpreter_gives_same_output():
+    # invariant checks are typed errors, not asserts, so -O changes nothing
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "lieinduct.cli", "tensor", "E6", "w1", "w6"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert "V([1,0,0,0,0,1]) dim 650" in outs[0]
+
+
+def test_library_has_no_assert_statements():
+    import ast
+    import lieinduct
+
+    pkg = os.path.dirname(lieinduct.__file__)
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read())
+            assert not any(isinstance(n, ast.Assert) for n in ast.walk(tree)), name
+
+
 GOLDEN_COMMANDS = {
     "highest_root_e8.json": ["highest-root", "E8"],
     "dim_a5_w3.json": ["dim", "A5", "w3"],

@@ -1,8 +1,10 @@
 """Root system construction, conversions, reflections and automorphisms."""
 
+import dataclasses
+
 import pytest
 
-from lieinduct.errors import InvalidType, NonIntegral, NotARoot
+from lieinduct.errors import InvalidType, InvariantViolation, NonIntegral, NotARoot
 from lieinduct.root_system import (
     DynkinType,
     build_root_system,
@@ -190,6 +192,13 @@ def test_automorphisms_preserve_cartan():
         for i in range(4):
             for j in range(4):
                 assert c[p[i] - 1][p[j] - 1] == c[i][j]
+
+
+def test_coxeter_number_invariant_is_a_typed_error():
+    rs = rsys("E8")
+    broken = dataclasses.replace(rs, highest_root=(1,) * 8)
+    with pytest.raises(InvariantViolation):
+        coxeter_number(broken)
 
 
 def test_coxeter_numbers():

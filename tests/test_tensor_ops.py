@@ -1,4 +1,4 @@
-"""Decomposition engine: peeling, tensor products, exterior/symmetric squares."""
+"""Decomposition engine: straightening, tensor products, exterior/symmetric squares."""
 
 import os
 import random
@@ -8,7 +8,11 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from oracles import brute_tensor_decompose
+from oracles import (
+    brute_sym2_decompose,
+    brute_tensor_decompose,
+    brute_wedge2_decompose,
+)
 
 from lieinduct.errors import NotACharacter
 from lieinduct.rep_theory import CharacterTable, freudenthal_character, weyl_dim
@@ -211,7 +215,7 @@ def test_tensor_against_brute_oracle_spot():
 
 
 def test_decompose_rebuild_identity():
-    # summing the characters of a decomposition's own output and peeling again
+    # summing the characters of a decomposition's own output and decomposing again
     # returns the same multiset
     rs = rsys("B3")
     dec = tensor_decompose(rs, (1, 0, 0), (0, 0, 1))
@@ -228,3 +232,87 @@ def test_peeling_is_deterministic():
     d1 = tensor_decompose(rs, (1, 1, 0), (0, 1, 1))
     d2 = tensor_decompose(rs, (0, 1, 1), (1, 1, 0))
     assert d1.summands == d2.summands
+
+
+def _engine_full_character(rs, lam):
+    return freudenthal_character(rs, lam).expand(rs)
+
+
+def _check_against_oracle(rs, op, lam, mu=None, character=None):
+    if op == "tensor":
+        got = tensor_decompose(rs, lam, mu)
+        want = brute_tensor_decompose(rs, lam, mu, character)
+    elif op == "wedge2":
+        got = wedge2_decompose(rs, lam)
+        want = brute_wedge2_decompose(rs, lam, character)
+    else:
+        got = sym2_decompose(rs, lam)
+        want = brute_sym2_decompose(rs, lam, character)
+    assert got.as_multiset() == want, (str(rs.type), op, lam, mu)
+
+
+def test_straightening_against_oracles_randomized():
+    # every family with a member of rank <= 4; E is covered by the pinned
+    # E6 case below.  Oracle characters come from the Kostant formula.
+    rng = random.Random(20261017)
+    labels = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]
+
+    def draw(rs):
+        while True:
+            lam = tuple(rng.randint(0, 2) for _ in range(rs.rank))
+            if weyl_dim(rs, lam) <= 200:
+                return lam
+
+    for label in labels:
+        rs = rsys(label)
+        for op in ("tensor", "wedge2", "sym2") * 2:
+            _check_against_oracle(rs, op, draw(rs), draw(rs))
+
+
+@pytest.mark.parametrize(
+    "label, op, lam, mu",
+    [
+        ("D8", "wedge2", w(8, 7), None),
+        ("A8", "tensor", w(8, 3), w(8, 6)),
+        ("F4", "sym2", w(4, 4), None),
+        ("E6", "tensor", w(6, 1), w(6, 6)),
+    ],
+)
+def test_straightening_against_oracles_pinned(label, op, lam, mu):
+    # the Weyl-group sum is out of reach at these ranks, so the oracle
+    # convolves and peels Freudenthal characters instead
+    _check_against_oracle(rsys(label), op, lam, mu, _engine_full_character)
+
+
+def test_summand_order_contract():
+    cases = [
+        ("A2", tensor_decompose, ((1, 1), (1, 1))),  # V(1,1) twice
+        ("A8", tensor_decompose, (w(8, 3), w(8, 6))),  # trivial summand
+        ("B3", tensor_decompose, ((1, 0, 1), (0, 1, 0))),
+        ("E7", wedge2_decompose, (w(7, 6),)),
+        ("F4", sym2_decompose, (w(4, 4),)),
+        ("G2", sym2_decompose, ((1, 1),)),
+    ]
+    for label, fn, args in cases:
+        rs = rsys(label)
+        weights = fn(rs, *args).weights()
+        assert weights == sorted(
+            weights, key=lambda v: (sum(rs.weight_to_root(v)), v), reverse=True
+        ), label
+    dec = tensor_decompose(rsys("A2"), (1, 1), (1, 1))
+    assert [(md.highest_weight, m) for md, m in dec.summands] == [
+        ((2, 2), 1), ((3, 0), 1), ((0, 3), 1), ((1, 1), 2), ((0, 0), 1)
+    ]
+    assert tensor_decompose(rsys("A8"), w(8, 3), w(8, 6)).weights()[-1] == w(8, 0)
+
+
+def test_decompose_character_rejects_virtual_and_partial_tables():
+    rs = rsys("A2")
+    with pytest.raises(NotACharacter):
+        decompose_character(rs, CharacterTable(rs.type, {(1, 0): -1}, virtual=True))
+    virtual = CharacterTable(rs.type, {(1, 1): 1, (0, 0): 2, (3, 0): -1}, virtual=True)
+    with pytest.raises(NotACharacter):
+        decompose_character(rs, virtual)
+    # the adjoint with one copy of the zero weight missing: V(1,1) - V(0,0)
+    with pytest.raises(NotACharacter):
+        decompose_character(rs, CharacterTable(rs.type, {(1, 1): 1, (0, 0): 1}))
