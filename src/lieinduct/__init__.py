@@ -15,6 +15,7 @@ from .deletion import (
 from .errors import (
     BadEmbedding,
     BijectionFailure,
+    BudgetExceeded,
     EmptyLevel,
     InternalParity,
     InvariantViolation,

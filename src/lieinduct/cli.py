@@ -388,7 +388,7 @@ def _cmd_induct(ns) -> int:
     rs = _rs(ns.type)
     w = parse_weight(ns.weight, rs.rank)
     depth = _default_depth(ns)
-    states = ind_mod.induction_search(rs, w, max_depth=depth, threads=ns.threads)
+    states = ind_mod.induction_search(rs, w, max_depth=depth)
     payload = {
         "base": str(rs.type),
         "b1": list(w),
@@ -413,7 +413,7 @@ def _cmd_induct(ns) -> int:
 
 def _cmd_report(ns) -> int:
     depth = _default_depth(ns)
-    rep_doc = ind_mod.exceptional_report(ns.target, max_depth=depth, threads=ns.threads)
+    rep_doc = ind_mod.exceptional_report(ns.target, max_depth=depth)
     payload = {
         "target": rep_doc.name,
         "max_depth": rep_doc.max_depth,
@@ -534,12 +534,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--depth", type=int, default=None,
                     help="maximum chain depth (default LIE_INDUCT_MAX_DEPTH or 12)")
     sp.add_argument("--threads", type=int, default=1,
-                    help="worker threads for the search; results are order-independent")
+                    help="accepted for compatibility; the search is sequential")
 
     sp = sub.add_parser("report", help="obstruction report for E9, F5 or G3")
     sp.add_argument("target", choices=["E9", "F5", "G3", "e9", "f5", "g3"])
     sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--threads", type=int, default=1,
+                    help="accepted for compatibility; the search is sequential")
     common(sp)
 
     return p

@@ -37,6 +37,10 @@ class InternalParity(InvariantViolation):
     """Halving V(x)V -/+ psi^2 V gave a non-integral multiplicity (convention bug)."""
 
 
+class BudgetExceeded(LieInductError):
+    """A request would enumerate more weights than the engine's fixed cap."""
+
+
 class IrreducibilityMismatch(LieInductError):
     """A graded level's root count differs from its module dimension."""
 

@@ -21,7 +21,6 @@ and its dual.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -231,7 +230,10 @@ def induction_search(
     """All admissible chains starting from b1, to the given depth.
 
     Chains that reach max_depth with every level nonzero are flagged
-    non-terminated.  A non-defining b1 admits no chains at all.
+    non-terminated.  A non-defining b1 admits no chains at all.  The search
+    runs on an explicit stack, so its depth is not bounded by Python's
+    recursion limit.  threads is accepted for compatibility and ignored: the
+    search is sequential.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
@@ -243,28 +245,19 @@ def induction_search(
     if not is_defining(rs, first.highest_weight).ok:
         return []
 
-    def make_state(prefix: tuple[ModuleDescriptor, ...], terminated: bool) -> InductionState:
-        return InductionState(rs.type, prefix, terminated, dbos_dimension(rs, prefix))
-
-    def explore(prefix: tuple[ModuleDescriptor, ...]) -> list[InductionState]:
-        if len(prefix) == max_depth:
-            return [make_state(prefix, terminated=False)]
-        out = [make_state(prefix, terminated=True)]
-        level = -(len(prefix) + 1)
-        for cand in next_level_candidates(rs, prefix, level):
-            if cand is not None:
-                out.extend(explore(prefix + (cand,)))
-        return out
-
-    if threads > 1 and max_depth > 1:
-        root = (first,)
-        states = [make_state(root, terminated=True)]
-        branches = [c for c in next_level_candidates(rs, root, -2) if c is not None]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(lambda c: explore(root + (c,)), branches):
-                states.extend(part)
-    else:
-        states = explore((first,))
+    states: list[InductionState] = []
+    stack: list[tuple[ModuleDescriptor, ...]] = [(first,)]
+    while stack:
+        prefix = stack.pop()
+        open_ended = len(prefix) == max_depth
+        states.append(
+            InductionState(rs.type, prefix, not open_ended, dbos_dimension(rs, prefix))
+        )
+        if not open_ended:
+            level = -(len(prefix) + 1)
+            for cand in next_level_candidates(rs, prefix, level):
+                if cand is not None:
+                    stack.append(prefix + (cand,))
     states.sort(key=lambda s: s.weights)
     return states
 
@@ -333,7 +326,6 @@ def _route_report(
     node: int,
     iota: tuple[int, ...],
     max_depth: int,
-    threads: int,
 ) -> RouteReport:
     rs = build_root_system(base)
     c = target.entries
@@ -345,7 +337,7 @@ def _route_report(
     dims: tuple[int, ...] = ()
     non_term = 0
     if defining:
-        states = induction_search(rs, required, max_depth=max_depth, threads=threads)
+        states = induction_search(rs, required, max_depth=max_depth)
         chains = tuple(s.weights for s in states if s.terminated)
         dims = tuple(sorted({s.dbos_dimension for s in states if s.terminated}))
         non_term = sum(1 for s in states if not s.terminated)
@@ -376,16 +368,14 @@ def _modules_up_to_dim(rs: RootSystem, bound: int) -> list[tuple[Vector, int]]:
     return sorted(found.items(), key=lambda kv: (kv[1], kv[0]))
 
 
-def exceptional_report(
-    name: str, max_depth: int = DEFAULT_MAX_DEPTH, threads: int = 1
-) -> ExceptionalReport:
+def exceptional_report(name: str, max_depth: int = DEFAULT_MAX_DEPTH) -> ExceptionalReport:
     """Run the induction programme for E9, F5 or G3 and summarize the outcome."""
     key = name.upper()
     if key not in _ROUTES:
         raise ValueError(f"no exceptional analysis for {name!r}; expected E9, F5 or G3")
 
     routes = tuple(
-        _route_report(parse_dynkin(b), tgt, node, iota, max_depth, threads)
+        _route_report(parse_dynkin(b), tgt, node, iota, max_depth)
         for b, tgt, node, iota in _ROUTES[key]
     )
 

@@ -1,9 +1,14 @@
 """Weight-level representation theory over exact integers.
 
-Dimensions come from the Weyl product formula, multiplicities from the
-Freudenthal recursion over dominant weights, orbits from closure under simple
-reflections.  Character tables store dominant entries only; full tables are
-recovered by orbit expansion on demand.
+Dimensions come from the Weyl product formula and orbits from closure under
+simple reflections.  Multiplicities come from the Freudenthal recursion run
+over the dominant weights alone, with root-string weights looked up through
+their dominant representative; no full weight system is built.
+
+Character tables store dominant entries only; full tables are recovered by
+orbit expansion on demand.  Orbit enumeration and expansion refuse, with
+BudgetExceeded, any request of more than MAX_WEIGHTS weights, judged up front
+from exact orbit sizes.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InvariantViolation, NotACharacter, NotDominant
+from .errors import BudgetExceeded, InvariantViolation, NotACharacter, NotDominant
 from .root_system import (
     DynkinType,
     RootSystem,
@@ -22,6 +27,11 @@ from .root_system import (
     to_dominant,
     weyl_order,
 )
+
+# Most weights one orbit enumeration or orbit expansion may build.  Orbit
+# sizes are known exactly up front, so an oversized request fails before any
+# weight is enumerated.
+MAX_WEIGHTS = 2_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -99,6 +109,11 @@ class CharacterTable:
 
     def expand(self, rs: RootSystem) -> dict[Vector, int]:
         """Full weight -> multiplicity map via orbit expansion."""
+        size = sum(orbit_size(rs, w) for w in self.entries)
+        if size > MAX_WEIGHTS:
+            raise BudgetExceeded(
+                f"expanding this table gives {size} weights, more than {MAX_WEIGHTS}"
+            )
         full: dict[Vector, int] = {}
         for w, m in self.entries.items():
             for v in weyl_orbit(rs, w):
@@ -141,34 +156,30 @@ def weyl_dim(rs: RootSystem, weight: Sequence[int]) -> int:
     return q
 
 
-@lru_cache(maxsize=None)
-def _weight_system(t: DynkinType, lam: Vector) -> frozenset[Vector]:
-    """All weights of V(lam): closure of lam under root strings downwards."""
-    rs = build_root_system(t)
-    c = rs.cartan.entries
-    n = rs.rank
-    seen = {lam}
+def _dominant_weights(
+    rs: RootSystem, lam: Vector, alpha_weight: Sequence[Vector]
+) -> dict[Vector, Vector]:
+    """Dominant weights mu of V(lam), each mapped to lam - mu in root
+    coordinates, ordered by depth (the height of lam - mu) and then by mu.
+
+    This is the closure of lam under subtracting positive roots (given in
+    weight coordinates, in the order of rs.positive_roots) while staying
+    dominant; covers among dominant weights differ by a positive root
+    (Stembridge), so no dominant weight is missed.
+    """
+    below = {lam: (0,) * rs.rank}
     frontier = [lam]
     while frontier:
         nxt = []
         for w in frontier:
-            for i in range(n):
-                p = w[i]
-                if p <= 0:
-                    continue
-                cur = w
-                for _ in range(p):
-                    cur = tuple(cur[j] - c[i][j] for j in range(n))
-                    if cur not in seen:
-                        seen.add(cur)
-                        nxt.append(cur)
+            above = below[w]
+            for alpha, aw in zip(rs.positive_roots, alpha_weight):
+                v = tuple(a - b for a, b in zip(w, aw))
+                if min(v) >= 0 and v not in below:
+                    below[v] = tuple(a + b for a, b in zip(above, alpha))
+                    nxt.append(v)
         frontier = nxt
-    return frozenset(seen)
-
-
-def _depth_key(rs: RootSystem, lam: Vector, mu: Vector):
-    diff = rs.weight_to_root(tuple(a - b for a, b in zip(lam, mu)))
-    return (sum(diff), mu)
+    return dict(sorted(below.items(), key=lambda it: (sum(it[1]), it[0])))
 
 
 @lru_cache(maxsize=None)
@@ -178,12 +189,15 @@ def _freudenthal_entries(t: DynkinType, lam: Vector) -> tuple[tuple[Vector, int]
 
 def _freudenthal_core(rs: RootSystem, lam: Vector) -> tuple[tuple[Vector, int], ...]:
     """Uncached recursion; takes the root system explicitly so the bilinear
-    form's scale-homogeneity is testable with a rescaled symmetrizer."""
-    weights = _weight_system(rs.type, lam)
-    dominant = sorted(
-        (w for w in weights if all(x >= 0 for x in w)),
-        key=lambda mu: _depth_key(rs, lam, mu),
-    )
+    form's scale-homogeneity is testable with a rescaled symmetrizer.
+
+    Only dominant weights are visited.  A weight nu = mu + k*alpha on a root
+    string is looked up through its dominant representative, which lies
+    strictly above mu and so is already known; a miss means nu is not a
+    weight.  Since every weight has (nu, nu) <= (lam, lam), the walk stops
+    before any lookup once 2k(mu, alpha) + k^2(alpha, alpha) exceeds
+    (lam + mu, lam - mu).
+    """
     n = rs.rank
     d = rs.cartan.symmetrizer
     # (nu, alpha) = dot(nu_weight, alpha_root * d); precompute both vectors
@@ -203,24 +217,23 @@ def _freudenthal_core(rs: RootSystem, lam: Vector) -> tuple[tuple[Vector, int], 
             dom_cache[v] = r
         return r
 
-    for mu in dominant:
+    for mu, diff in _dominant_weights(rs, lam, alpha_weight).items():
         if mu == lam:
             continue
+        gap = rs.form_weight_root(tuple(a + b for a, b in zip(lam, mu)), diff)
         acc = 0
         for aw, ap, norm in zip(alpha_weight, alpha_pair, alpha_norm):
             base = sum(mu[j] * ap[j] for j in range(n))
             nu = mu
-            k = 0
-            while True:
+            k = 1
+            while 2 * k * base + k * k * norm <= gap:
                 nu = tuple(a + b for a, b in zip(nu, aw))
-                k += 1
-                if nu not in weights:
+                m = mult.get(dom_rep(nu))
+                if m is None:
                     break
-                acc += mult[dom_rep(nu)] * (base + k * norm)
-        diff = rs.weight_to_root(tuple(a - b for a, b in zip(lam, mu)))
-        diff_int = tuple(int(x) for x in diff)
-        lam_mu_2rho = tuple(a + b + 2 for a, b in zip(lam, mu))
-        den = rs.form_weight_root(lam_mu_2rho, diff_int)
+                acc += m * (base + k * norm)
+                k += 1
+        den = gap + 2 * rs.form_weight_root(rs.rho, diff)
         q, r = divmod(2 * acc, den)
         if r or q <= 0:
             raise InvariantViolation(f"Freudenthal recursion gave {2 * acc}/{den} at {mu}")
@@ -242,6 +255,11 @@ def weyl_orbit(rs: RootSystem, weight: Sequence[int]) -> frozenset[Vector]:
 @lru_cache(maxsize=None)
 def _weyl_orbit_cached(t: DynkinType, w: Vector) -> frozenset[Vector]:
     rs = build_root_system(t)
+    size = orbit_size(rs, w)
+    if size > MAX_WEIGHTS:
+        raise BudgetExceeded(
+            f"the orbit of {list(w)} has {size} weights, more than {MAX_WEIGHTS}"
+        )
     seen = {w}
     frontier = [w]
     while frontier:
@@ -259,17 +277,19 @@ def _weyl_orbit_cached(t: DynkinType, w: Vector) -> frozenset[Vector]:
 def orbit_size(rs: RootSystem, weight: Sequence[int]) -> int:
     """|W| / |W_J| where J is the set of nodes fixing the dominant conjugate."""
     dom = to_dominant(rs, tuple(weight))[0]
-    zero_nodes = [i + 1 for i, x in enumerate(dom) if x == 0]
+    return _orbit_size_cached(rs.type, tuple(i + 1 for i, x in enumerate(dom) if x == 0))
+
+
+@lru_cache(maxsize=None)
+def _orbit_size_cached(t: DynkinType, zero_nodes: tuple[int, ...]) -> int:
     stab = 1
     if zero_nodes:
-        comps = classify_subdiagram(
-            rs.cartan.entries, rs.cartan.symmetrizer, zero_nodes
-        )
-        for comp in comps:
+        cartan = build_root_system(t).cartan
+        for comp in classify_subdiagram(cartan.entries, cartan.symmetrizer, zero_nodes):
             stab *= weyl_order(comp.type)
-    q, r = divmod(weyl_order(rs.type), stab)
+    q, r = divmod(weyl_order(t), stab)
     if r:
-        raise InvariantViolation(f"stabilizer order {stab} does not divide |W({rs.type})|")
+        raise InvariantViolation(f"stabilizer order {stab} does not divide |W({t})|")
     return q
 
 

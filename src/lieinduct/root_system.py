@@ -369,13 +369,16 @@ def root_weight_convert(
 
 def to_dominant(rs: RootSystem, w: Sequence[int]) -> tuple[Vector, int]:
     """Dominant Weyl-conjugate of w and the number of simple reflections used."""
-    m = tuple(w)
+    m = list(w)
+    rows = rs.cartan.entries
     count = 0
     while True:
-        neg = next((i for i, x in enumerate(m) if x < 0), None)
-        if neg is None:
-            return m, count
-        m = rs.reflect(m, neg + 1)
+        for i, x in enumerate(m):
+            if x < 0:
+                break
+        else:
+            return tuple(m), count
+        m = [a - x * r for a, r in zip(m, rows[i])]  # s_i, as in reflect
         count += 1
 
 

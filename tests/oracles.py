@@ -1,8 +1,9 @@
 """Independent oracles for cross-checking the engine.
 
 Multiplicities here come from the alternating Weyl sum over a partition-count
-(no Freudenthal recursion), orbits from explicit group matrices, dominance
-tests from a local rational inverse, and the tensor, exterior-square and
+or from the Freudenthal recursion run over the full weight system (every
+weight of the module, not just the dominant ones), orbits from explicit group
+matrices, dominance tests from a local rational inverse, and the tensor, exterior-square and
 symmetric-square oracles convolve full weight tables and peel them greedily
 rather than straightening.  Nothing in this module calls the engine's
 character, orbit or decomposition code; the decomposition oracles accept a
@@ -225,14 +226,84 @@ def _inverse_cartan(entries):
     return invert_rational(entries)
 
 
+def _root_coords(rs: RootSystem, weight) -> list:
+    """Simple-root coordinates of a weight, as Fractions."""
+    inv = _inverse_cartan(rs.cartan.entries)
+    n = len(weight)
+    return [sum(weight[j] * inv[j][i] for j in range(n)) for i in range(n)]
+
+
 def _dominates(rs: RootSystem, higher, lower) -> bool:
     """higher - lower a non-negative integer combination of simple roots;
     needs only the Cartan inverse, not the Weyl group."""
-    inv = _inverse_cartan(rs.cartan.entries)
-    diff = [a - b for a, b in zip(higher, lower)]
-    n = len(diff)
-    coords = (sum(diff[j] * inv[j][i] for j in range(n)) for i in range(n))
+    coords = _root_coords(rs, [a - b for a, b in zip(higher, lower)])
     return all(x.denominator == 1 and x >= 0 for x in coords)
+
+
+def full_weight_system(rs: RootSystem, lam) -> frozenset:
+    """Every weight of V(lam): the closure of lam under root strings downwards
+    (a weight w with w_i = p > 0 has w - alpha_i, ..., w - p alpha_i too)."""
+    c = rs.cartan.entries
+    n = rs.rank
+    lam = tuple(lam)
+    seen = {lam}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in range(n):
+                cur = w
+                for _ in range(w[i]):
+                    cur = tuple(cur[j] - c[i][j] for j in range(n))
+                    if cur not in seen:
+                        seen.add(cur)
+                        nxt.append(cur)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def _dominant_conjugate(rs: RootSystem, v) -> tuple:
+    rows = rs.cartan.entries
+    v = tuple(v)
+    while True:
+        i = next((j for j, x in enumerate(v) if x < 0), None)
+        if i is None:
+            return v
+        v = tuple(a - v[i] * r for a, r in zip(v, rows[i]))
+
+
+def weight_system_freudenthal(rs: RootSystem, lam) -> dict:
+    """Dominant weight -> multiplicity by the Freudenthal recursion over the
+    full weight system: the dominant weights come from that system, processed
+    by depth below lam, and a root string mu + k alpha is walked for as long
+    as it stays inside the system."""
+    lam = tuple(lam)
+    n = rs.rank
+    d = rs.cartan.symmetrizer
+    weights = full_weight_system(rs, lam)
+    dominant = sorted(
+        (w for w in weights if min(w) >= 0),
+        key=lambda w: (sum(_root_coords(rs, [a - b for a, b in zip(lam, w)])), w),
+    )
+
+    def form(weight, root) -> int:
+        return sum(weight[j] * root[j] * d[j] for j in range(n))
+
+    mult = {lam: 1}
+    for mu in dominant[1:]:
+        acc = 0
+        for alpha in rs.positive_roots:
+            aw = rs.root_to_weight(alpha)
+            nu = tuple(a + b for a, b in zip(mu, aw))
+            while nu in weights:
+                acc += mult[_dominant_conjugate(rs, nu)] * form(nu, alpha)
+                nu = tuple(a + b for a, b in zip(nu, aw))
+        diff = [int(x) for x in _root_coords(rs, [a - b for a, b in zip(lam, mu)])]
+        den = form([a + b + 2 for a, b in zip(lam, mu)], diff)
+        q, r = divmod(2 * acc, den)
+        assert r == 0 and q > 0, f"Freudenthal oracle gave {2 * acc}/{den} at {mu}"
+        mult[mu] = q
+    return mult
 
 
 def _add(table: dict, key, m) -> None:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -154,6 +155,14 @@ def test_optimized_interpreter_gives_same_output():
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
     assert "V([1,0,0,0,0,1]) dim 650" in outs[0]
+
+
+def test_oversized_orbit_fails_fast(capsys):
+    # 696,729,600 weights: refused up front from the exact orbit size
+    start = time.perf_counter()
+    assert run(["orbit", "E8", "[1,1,1,1,1,1,1,1]"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert "BudgetExceeded" in capsys.readouterr().err
 
 
 def test_library_has_no_assert_statements():

@@ -1,6 +1,9 @@
 """Forward induction: new-row checks, candidate sets, searches, obstruction
 reports and the deletion round trip."""
 
+import inspect
+import sys
+
 import pytest
 
 from lieinduct.deletion import _summary_rows, delete_node
@@ -222,6 +225,19 @@ def test_threaded_search_matches_sequential():
     seq = induction_search(rs, (1, 0), max_depth=7, threads=1)
     par = induction_search(rs, (1, 0), max_depth=7, threads=4)
     assert seq == par
+
+
+def test_search_depth_is_not_bounded_by_recursion_limit():
+    # a recursive search needs a stack frame per level; leave room for
+    # ordinary calls only, well short of the 64 levels searched
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        states = induction_search(rsys("G2"), (1, 0), max_depth=64)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert max(len(s.chain) for s in states) == 64
+    assert any(not s.terminated for s in states)
 
 
 def test_target_diagram_from_dynkin():

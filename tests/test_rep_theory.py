@@ -1,17 +1,20 @@
 """Dimensions, multiplicities, orbits and the defining-module classifier."""
 
 import os
+import random
 import sys
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from oracles import kostant_dominant_character
+from oracles import full_weight_system, kostant_dominant_character, weight_system_freudenthal
 
-from lieinduct.errors import NotDominant
+from lieinduct.errors import BudgetExceeded, NotDominant
 from lieinduct.rep_theory import (
+    MAX_WEIGHTS,
     CharacterTable,
+    _dominant_weights,
     _freudenthal_core,
     classify_weight,
     defining_modules,
@@ -155,6 +158,34 @@ def test_freudenthal_scale_invariance():
         assert cls == classify_weight(rs, lam)
 
 
+def _check_against_weight_system_oracle(rs, lam):
+    alpha_weight = [rs.root_to_weight(a) for a in rs.positive_roots]
+    below = _dominant_weights(rs, lam, alpha_weight)
+    assert set(below) == {v for v in full_weight_system(rs, lam) if min(v) >= 0}
+    for mu, diff in below.items():
+        assert rs.root_to_weight(diff) == tuple(a - b for a, b in zip(lam, mu))
+    keys = [(sum(diff), mu) for mu, diff in below.items()]
+    assert keys == sorted(keys)
+    assert freudenthal_character(rs, lam).entries == weight_system_freudenthal(rs, lam)
+
+
+def test_dominant_freudenthal_matches_weight_system_oracle_randomized():
+    rng = random.Random(20261018)
+    labels = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "F4", "G2"]
+    for label in labels:
+        rs = rsys(label)
+        for _ in range(6):
+            lam = tuple(rng.randint(0, 2) for _ in range(rs.rank))
+            while weyl_dim(rs, lam) > 5000:
+                lam = tuple(rng.randint(0, 1) for _ in range(rs.rank))
+            _check_against_weight_system_oracle(rs, lam)
+
+
+def test_dominant_freudenthal_matches_weight_system_oracle_pinned():
+    for label, lam in [("E6", w(6, 2)), ("E7", w(7, 1, 2)), ("D8", (1, 0, 0, 0, 0, 0, 1, 1))]:
+        _check_against_weight_system_oracle(rsys(label), lam)
+
+
 def test_weyl_orbit_basics():
     rs = rsys("D4")
     assert weyl_orbit(rs, (0, 0, 0, 0)) == {(0, 0, 0, 0)}
@@ -170,6 +201,16 @@ def test_orbit_size_formula_matches_enumeration():
     ]:
         rs = rsys(label)
         assert orbit_size(rs, weight) == len(weyl_orbit(rs, weight))
+
+
+def test_expand_work_budget():
+    rs = rsys("E8")
+    # three orbits of 967,680 weights each: every orbit fits, their sum does not
+    big = [(1, 1, 1, 0, 0, 0, 0, 0), (2, 1, 1, 0, 0, 0, 0, 0), (1, 2, 1, 0, 0, 0, 0, 0)]
+    assert all(orbit_size(rs, v) < MAX_WEIGHTS for v in big)
+    assert sum(orbit_size(rs, v) for v in big) > MAX_WEIGHTS
+    with pytest.raises(BudgetExceeded):
+        CharacterTable(rs.type, dict.fromkeys(big, 1)).expand(rs)
 
 
 def test_c3_long_root_module_has_two_orbits_and_no_zero_weight():
