@@ -17,13 +17,20 @@ from typing import Mapping, Sequence
 from .errors import (
     BadEmbedding,
     BijectionFailure,
+    BudgetExceeded,
     EmptyLevel,
     InvalidType,
     IrreducibilityMismatch,
     NonUniquePrimitive,
     Table2Mismatch,
 )
-from .rep_theory import ModuleDescriptor, freudenthal_character, module_descriptor
+from .rep_theory import (
+    MAX_WEIGHTS,
+    ModuleDescriptor,
+    freudenthal_character,
+    module_descriptor,
+    orbit_size,
+)
 from .root_system import (
     DynkinType,
     RootSystem,
@@ -208,11 +215,23 @@ def _component_factors(
 
 def _module_weight_multiset(factors: tuple[ModuleDescriptor, ...]) -> dict[Vector, int]:
     """Full weight multiset of a product-algebra module (outer product of the
-    factors' weight tables)."""
-    acc: dict[Vector, int] = {(): 1}
+    factors' weight tables).  The product of the factors' expansion sizes is
+    checked against MAX_WEIGHTS before any weight is built."""
+    characters = []
+    size = 1
     for f in factors:
         frs = build_root_system(f.algebra)
-        table = freudenthal_character(frs, f.highest_weight).expand(frs)
+        ch = freudenthal_character(frs, f.highest_weight)
+        size *= sum(orbit_size(frs, w) for w in ch.entries)
+        characters.append((frs, ch))
+    if size > MAX_WEIGHTS:
+        raise BudgetExceeded(
+            f"the outer product of these factors has {size} weights, "
+            f"more than {MAX_WEIGHTS}"
+        )
+    acc: dict[Vector, int] = {(): 1}
+    for frs, ch in characters:
+        table = ch.expand(frs)
         nxt: dict[Vector, int] = {}
         for w0, m0 in acc.items():
             for w1, m1 in table.items():

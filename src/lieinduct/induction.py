@@ -22,6 +22,7 @@ and its dual.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import BadEmbedding, TrivialFirstLevel
@@ -177,8 +178,20 @@ def _as_descriptor(rs: RootSystem, b) -> ModuleDescriptor:
     return module_descriptor(rs, b)
 
 
-def _defining_summands(rs: RootSystem, dec) -> set[Vector]:
-    return {w for w in set(dec.weights()) if is_defining(rs, w).ok}
+@lru_cache(maxsize=None)
+def _bracket_summands(
+    t: DynkinType, a: Vector, b: Vector | None
+) -> frozenset[ModuleDescriptor]:
+    """Defining summands of V(a) (x) V(b), or of Lambda^2 V(a) when b is None.
+
+    Every state of a search asks for the same few brackets, so each is
+    decomposed and filtered once and later states only intersect the sets.
+    """
+    rs = build_root_system(t)
+    dec = wedge2_decompose(rs, a) if b is None else tensor_decompose(rs, a, b)
+    return frozenset(
+        md for md, _ in dec.summands if is_defining(rs, md.highest_weight).ok
+    )
 
 
 def next_level_candidates(
@@ -195,7 +208,7 @@ def next_level_candidates(
     def entry(lv: int) -> ModuleDescriptor | None:
         return chain[-lv - 1]
 
-    required: list[set[Vector]] = []
+    required: list[frozenset[ModuleDescriptor]] = []
     for i in range(-1, level, -1):
         j = level - i
         if j > i:
@@ -203,22 +216,15 @@ def next_level_candidates(
         bi, bj = entry(i), entry(j)
         if bi is None or bj is None:
             return (None,)  # a zero factor forces zero from here on
-        if i == j:
-            if bi.dimension == 1:
-                continue  # the square of a line is zero: no constraint, no producer
-            dec = wedge2_decompose(rs, bi.highest_weight)
-        else:
-            dec = tensor_decompose(rs, bi.highest_weight, bj.highest_weight)
-        required.append(_defining_summands(rs, dec))
+        if i == j and bi.dimension == 1:
+            continue  # the square of a line is zero: no constraint, no producer
+        partner = None if i == j else bj.highest_weight
+        required.append(_bracket_summands(rs.type, bi.highest_weight, partner))
 
     if not required:
         return (None,)  # nothing can feed the bracket at this level
-    common = set.intersection(*required)
-    mods = sorted(
-        (module_descriptor(rs, w) for w in common),
-        key=lambda md: (md.dimension, md.highest_weight),
-    )
-    return (None, *mods)
+    common = frozenset.intersection(*required)
+    return (None, *sorted(common, key=lambda md: (md.dimension, md.highest_weight)))
 
 
 def induction_search(
@@ -246,18 +252,19 @@ def induction_search(
         return []
 
     states: list[InductionState] = []
-    stack: list[tuple[ModuleDescriptor, ...]] = [(first,)]
+    # each entry carries its DBOS dimension: a child adds 2 * dim(candidate)
+    stack: list[tuple[tuple[ModuleDescriptor, ...], int]] = [
+        ((first,), dbos_dimension(rs, (first,)))
+    ]
     while stack:
-        prefix = stack.pop()
+        prefix, dim = stack.pop()
         open_ended = len(prefix) == max_depth
-        states.append(
-            InductionState(rs.type, prefix, not open_ended, dbos_dimension(rs, prefix))
-        )
+        states.append(InductionState(rs.type, prefix, not open_ended, dim))
         if not open_ended:
             level = -(len(prefix) + 1)
             for cand in next_level_candidates(rs, prefix, level):
                 if cand is not None:
-                    stack.append(prefix + (cand,))
+                    stack.append((prefix + (cand,), dim + 2 * cand.dimension))
     states.sort(key=lambda s: s.weights)
     return states
 

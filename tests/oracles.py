@@ -3,12 +3,14 @@
 Multiplicities here come from the alternating Weyl sum over a partition-count
 or from the Freudenthal recursion run over the full weight system (every
 weight of the module, not just the dominant ones), orbits from explicit group
-matrices, dominance tests from a local rational inverse, and the tensor, exterior-square and
-symmetric-square oracles convolve full weight tables and peel them greedily
-rather than straightening.  Nothing in this module calls the engine's
-character, orbit or decomposition code; the decomposition oracles accept a
-full-table character function so that cases too large for the Weyl-group sum
-can be fed characters from elsewhere.
+matrices, dominance tests from a local rational inverse, and the tensor,
+exterior-square and symmetric-square oracles convolve full weight tables and
+peel them greedily rather than straightening.  The search oracle replays the
+induction search state by state, decomposing every bracket pair again with
+those oracles.  Nothing in this module calls the engine's character, orbit or
+decomposition code; the decomposition oracles accept a full-table character
+function so that cases too large for the Weyl-group sum can be fed characters
+from elsewhere.
 """
 
 from __future__ import annotations
@@ -376,3 +378,55 @@ def brute_wedge2_decompose(rs: RootSystem, lam, character=None) -> dict:
 
 def brute_sym2_decompose(rs: RootSystem, lam, character=None) -> dict:
     return _brute_square(rs, lam, +1, character)
+
+
+def _brute_is_defining(rs: RootSystem, lam) -> bool:
+    """All multiplicities 1 and at most two dominant weights, read from the
+    Kostant character."""
+    table = kostant_dominant_character(rs, tuple(lam))
+    return len(table) <= 2 and max(table.values()) == 1
+
+
+def _brute_dimension(rs: RootSystem, lam) -> int:
+    return sum(kostant_full_character(rs, tuple(lam)).values())
+
+
+def brute_induction_search(rs: RootSystem, b1, max_depth: int) -> list:
+    """(chain weights, terminated, DBOS dimension) of every admissible chain
+    starting from b1, sorted by the chain weights.
+
+    The per-state route: every state decomposes each of its bracket pairs
+    b_i (x) b_j (Lambda^2 b_i when i = j, skipped for a line) again by
+    full-table convolution and peeling, tests every summand for the defining
+    property on its Kostant character, and intersects the survivors.
+    """
+    b1 = tuple(b1)
+    if not _brute_is_defining(rs, b1):
+        return []
+    out = []
+
+    def candidates(chain: list) -> set:
+        k = len(chain) + 1
+        required = []
+        for i in range(1, k // 2 + 1):
+            a, b = chain[i - 1], chain[k - i - 1]
+            if i == k - i:
+                if _brute_dimension(rs, a) == 1:
+                    continue
+                dec = brute_wedge2_decompose(rs, a)
+            else:
+                dec = brute_tensor_decompose(rs, a, b)
+            required.append({w for w in dec if _brute_is_defining(rs, w)})
+        return set.intersection(*required) if required else set()
+
+    def walk(chain: list) -> None:
+        dim = rs.dimension + 1 + 2 * sum(_brute_dimension(rs, w) for w in chain)
+        if len(chain) == max_depth:
+            out.append((tuple(chain), False, dim))
+            return
+        out.append((tuple(chain), True, dim))
+        for w in candidates(chain):
+            walk(chain + [w])
+
+    walk([b1])
+    return sorted(out)

@@ -157,6 +157,22 @@ def test_optimized_interpreter_gives_same_output():
     assert "V([1,0,0,0,0,1]) dim 650" in outs[0]
 
 
+def test_closed_pipe_exits_quietly():
+    # far more output than a pipe buffer holds, so writing meets the closed end
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lieinduct.cli", "induct", "G2", "w1", "--depth", "64"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err, err
+
+
 def test_oversized_orbit_fails_fast(capsys):
     # 696,729,600 weights: refused up front from the exact orbit size
     start = time.perf_counter()

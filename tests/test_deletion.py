@@ -1,9 +1,12 @@
 """Node-deletion gradings, component identification, the summary table and
 equivalence classes."""
 
+import time
+
 import pytest
 
 from lieinduct.deletion import (
+    _module_weight_multiset,
     _summary_rows,
     component_highest_weight,
     delete_node,
@@ -11,7 +14,8 @@ from lieinduct.deletion import (
     verify_table2,
     weight_root_bijection,
 )
-from lieinduct.errors import BadEmbedding, EmptyLevel, InvalidType
+from lieinduct.errors import BadEmbedding, BudgetExceeded, EmptyLevel, InvalidType
+from lieinduct.rep_theory import module_descriptor
 from lieinduct.root_system import DynkinType, build_root_system, parse_dynkin
 
 
@@ -178,6 +182,15 @@ def test_bad_embeddings_rejected():
         delete_node(rs, 1, (4, 3, 1))  # node 1 was deleted
     with pytest.raises(BadEmbedding):
         delete_node(rs, 1, (4, 3))  # wrong size
+
+
+def test_oversized_outer_product_fails_fast():
+    # 2,932 weights per factor, about 2.5e10 in the product: refused up front
+    rho = module_descriptor(rsys("A5"), (1, 1, 1, 1, 1))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        _module_weight_multiset((rho, rho, rho))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_verify_table2_all_rows():

@@ -2,10 +2,16 @@
 reports and the deletion round trip."""
 
 import inspect
+import os
 import sys
 
 import pytest
 
+sys.path.insert(0, os.path.dirname(__file__))
+
+from oracles import brute_induction_search
+
+from lieinduct import induction
 from lieinduct.deletion import _summary_rows, delete_node
 from lieinduct.errors import BadEmbedding, TrivialFirstLevel
 from lieinduct.induction import (
@@ -38,6 +44,10 @@ def w(rank, idx, scale=1):
 
 def md(label, weight):
     return module_descriptor(rsys(label), weight)
+
+
+# first levels of the G3 routes: G2 short and long side, A2 short and long side
+G3_STARTS = [("G2", (1, 0)), ("G2", (0, 1)), ("A2", (3, 0)), ("A2", (1, 0))]
 
 
 def test_check_new_row_rank9():
@@ -207,6 +217,7 @@ def test_exceptional_report_f5():
 def test_exceptional_report_g3():
     rep = exceptional_report("G3", max_depth=14)
     assert rep.consistent
+    assert [(str(r.base), r.required_weight) for r in rep.routes] == G3_STARTS
     by_base = dict(rep.base_dims)
     assert 43 in by_base["G2"] and 43 in by_base["A2"]
     matches = rep.analysis["per_length_matches"]
@@ -238,6 +249,26 @@ def test_search_depth_is_not_bounded_by_recursion_limit():
         sys.setrecursionlimit(limit)
     assert max(len(s.chain) for s in states) == 64
     assert any(not s.terminated for s in states)
+
+
+@pytest.mark.parametrize("label,b1,depth", [
+    ("A2", (1, 0), 10),
+    ("B3", (1, 0, 0), 12),
+    ("C3", (0, 0, 1), 12),
+    *[(label, b1, 16) for label, b1 in G3_STARTS],
+])
+def test_search_matches_per_state_oracle(label, b1, depth):
+    states = induction_search(rsys(label), b1, max_depth=depth)
+    got = [(s.weights, s.terminated, s.dbos_dimension) for s in states]
+    assert got == brute_induction_search(rsys(label), b1, depth)
+
+
+def test_search_decomposes_each_bracket_pair_once():
+    induction._bracket_summands.cache_clear()
+    states = induction_search(rsys("G2"), (1, 0), max_depth=64)
+    assert len(states) == 1521
+    # only the distinct (b_i, b_j) pairs are decomposed, not one per state
+    assert induction._bracket_summands.cache_info().misses <= 5
 
 
 def test_target_diagram_from_dynkin():
