@@ -173,25 +173,23 @@ def _cmd_character(ns) -> int:
     rs = _rs(ns.type)
     w = parse_weight(ns.weight, rs.rank)
     ch = rep.freudenthal_character(rs, w)
-    rows = sorted(ch.entries.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
+    dim = rep.weyl_dim(rs, w)
+    rows = [
+        (wt, m, rep.orbit_size(rs, wt))
+        for wt, m in sorted(ch.entries.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
+    ]
     payload = {
         "type": str(rs.type),
         "weight": list(w),
-        "dimension": str(rep.weyl_dim(rs, w)),
+        "dimension": str(dim),
         "dominant_weights": [
-            {
-                "weight": list(wt),
-                "multiplicity": str(m),
-                "orbit_size": str(rep.orbit_size(rs, wt)),
-            }
-            for wt, m in rows
+            {"weight": list(wt), "multiplicity": str(m), "orbit_size": str(size)}
+            for wt, m, size in rows
         ],
     }
-    lines = [f"V({weight_label(w)}; {rs.type}) dim {rep.weyl_dim(rs, w)}"]
-    for wt, m in rows:
-        lines.append(
-            f"[{','.join(str(x) for x in wt)}] mult {m} orbit {rep.orbit_size(rs, wt)}"
-        )
+    lines = [f"V({weight_label(w)}; {rs.type}) dim {dim}"]
+    for wt, m, size in rows:
+        lines.append(f"[{','.join(str(x) for x in wt)}] mult {m} orbit {size}")
     _emit(ns, payload, lines)
     return EXIT_OK
 
@@ -403,9 +401,10 @@ def _cmd_induct(ns) -> int:
         ],
     }
     lines = [f"{len(states)} chains from V({weight_label(w)}; {rs.type}) to depth {depth}"]
+    labels = {x: weight_label(x) for x in {x for s in states for x in s.weights}}
     for s in states:
         tag = "terminated" if s.terminated else "open"
-        seq = " ".join(weight_label(x) for x in s.weights)
+        seq = " ".join(labels[x] for x in s.weights)
         lines.append(f"{seq} | {tag} | dim {s.dbos_dimension}")
     _emit(ns, payload, lines)
     return EXIT_OK
@@ -468,96 +467,86 @@ def _jsonable(obj):
     return obj
 
 
-_HANDLERS = {
-    "roots": _cmd_roots,
-    "highest-root": _cmd_highest_root,
-    "automorphisms": _cmd_automorphisms,
-    "dim": _cmd_dim,
-    "character": _cmd_character,
-    "orbit": _cmd_orbit,
-    "defining": _cmd_defining,
-    "tensor": _cmd_tensor,
-    "wedge2": _cmd_wedge2,
-    "sym2": _cmd_sym2,
-    "delete": _cmd_delete,
-    "equivalences": _cmd_equivalences,
-    "table2": _cmd_table2,
-    "induct": _cmd_induct,
-    "report": _cmd_report,
+# Argument specs, (flags, keyword arguments) for add_argument, in help order.
+_TYPE = (("type",), {"help": "Dynkin type, e.g. E8"})
+_WEIGHT_HELP = "weight: w3, 2w1, w0 or [a,b,...]"
+_WEIGHT = (("weight",), {"help": _WEIGHT_HELP})
+_FORMAT = (("--format",), {"choices": ["text", "json"], "default": "text"})
+_NODE = (("--node",), {"type": int, "required": True})
+_THREADS = (("--threads",), {"type": int, "default": 1,
+                             "help": "accepted for compatibility; the search is sequential"})
+
+# verb -> (handler, help, arguments)
+_VERBS = {
+    "roots": (_cmd_roots, "list the positive roots", [_TYPE, _FORMAT]),
+    "highest-root": (_cmd_highest_root, "highest root, height and adjoint weight",
+                     [_TYPE, _FORMAT]),
+    "automorphisms": (_cmd_automorphisms, "diagram automorphism group", [_TYPE, _FORMAT]),
+    "dim": (_cmd_dim, "dimension of an irreducible module", [_TYPE, _WEIGHT, _FORMAT]),
+    "character": (_cmd_character, "dominant weights with multiplicities",
+                  [_TYPE, _WEIGHT, _FORMAT]),
+    "orbit": (_cmd_orbit, "Weyl orbit of a weight", [_TYPE, _WEIGHT, _FORMAT]),
+    "defining": (_cmd_defining, "defining modules of the algebra", [_TYPE, _FORMAT]),
+    "tensor": (_cmd_tensor, "decompose a tensor product", [
+        _TYPE, (("weight1",), {"help": _WEIGHT_HELP}),
+        (("weight2",), {"help": "second weight"}), _FORMAT,
+    ]),
+    "wedge2": (_cmd_wedge2, "decompose an exterior square", [_TYPE, _WEIGHT, _FORMAT]),
+    "sym2": (_cmd_sym2, "decompose a symmetric square", [_TYPE, _WEIGHT, _FORMAT]),
+    "delete": (_cmd_delete, "grade by a node and identify the levels", [
+        _TYPE, _FORMAT, _NODE,
+        (("--iota",), {"help": "embedding '1:3,2:4,...' or 'table2' (default canonical)"}),
+    ]),
+    "equivalences": (_cmd_equivalences, "deletions equivalent under diagram automorphisms", [
+        _TYPE, _FORMAT, _NODE, (("--iota",), {"help": "embedding of the seed deletion"}),
+    ]),
+    "table2": (_cmd_table2, "verify the full deletion summary table", [_FORMAT]),
+    "induct": (_cmd_induct, "search graded chains from a first-level module", [
+        _TYPE, _WEIGHT, _FORMAT,
+        (("--depth",), {"type": int, "default": None,
+                        "help": "maximum chain depth (default LIE_INDUCT_MAX_DEPTH or 12)"}),
+        _THREADS,
+    ]),
+    "report": (_cmd_report, "obstruction report for E9, F5 or G3", [
+        (("target",), {"choices": ["E9", "F5", "G3", "e9", "f5", "g3"]}),
+        (("--depth",), {"type": int, "default": None}), _THREADS, _FORMAT,
+    ]),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(verbs: Sequence[str] = tuple(_VERBS)) -> argparse.ArgumentParser:
+    """The argument parser with a subparser for each of the given verbs."""
     p = argparse.ArgumentParser(
         prog="lie-induct",
         description="Exact root-system, deletion and Lie-induction calculations",
     )
     sub = p.add_subparsers(dest="verb", required=True)
-
-    def common(sp):
-        sp.add_argument("--format", choices=["text", "json"], default="text")
-
-    def typed(name, help_text, weights=0):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("type", help="Dynkin type, e.g. E8")
-        if weights >= 1:
-            sp.add_argument("weight" if weights == 1 else "weight1",
-                            help="weight: w3, 2w1, w0 or [a,b,...]")
-        if weights == 2:
-            sp.add_argument("weight2", help="second weight")
-        common(sp)
-        return sp
-
-    typed("roots", "list the positive roots")
-    typed("highest-root", "highest root, height and adjoint weight")
-    typed("automorphisms", "diagram automorphism group")
-    typed("dim", "dimension of an irreducible module", weights=1)
-    typed("character", "dominant weights with multiplicities", weights=1)
-    typed("orbit", "Weyl orbit of a weight", weights=1)
-    typed("defining", "defining modules of the algebra")
-    typed("tensor", "decompose a tensor product", weights=2)
-    typed("wedge2", "decompose an exterior square", weights=1)
-    typed("sym2", "decompose a symmetric square", weights=1)
-
-    sp = typed("delete", "grade by a node and identify the levels")
-    sp.add_argument("--node", type=int, required=True)
-    sp.add_argument("--iota", help="embedding '1:3,2:4,...' or 'table2' (default canonical)")
-
-    sp = typed("equivalences", "deletions equivalent under diagram automorphisms")
-    sp.add_argument("--node", type=int, required=True)
-    sp.add_argument("--iota", help="embedding of the seed deletion")
-
-    sp = sub.add_parser("table2", help="verify the full deletion summary table")
-    common(sp)
-
-    sp = typed("induct", "search graded chains from a first-level module", weights=1)
-    sp.add_argument("--depth", type=int, default=None,
-                    help="maximum chain depth (default LIE_INDUCT_MAX_DEPTH or 12)")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility; the search is sequential")
-
-    sp = sub.add_parser("report", help="obstruction report for E9, F5 or G3")
-    sp.add_argument("target", choices=["E9", "F5", "G3", "e9", "f5", "g3"])
-    sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility; the search is sequential")
-    common(sp)
-
+    for verb in verbs:
+        _, help_text, arguments = _VERBS[verb]
+        sp = sub.add_parser(verb, help=help_text)
+        for flags, kwargs in arguments:
+            sp.add_argument(*flags, **kwargs)
     return p
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    args = list(argv) if argv is not None else sys.argv[1:]
+    # Only the invoked verb's subparser is built.  Anything else (no verb,
+    # --help, an unknown verb) and leftover arguments are reported by the
+    # parser with every verb, whose usage line lists them all.
+    verbs = args[:1] if args and args[0] in _VERBS else tuple(_VERBS)
     try:
-        ns = parser.parse_args(argv)
+        ns, extras = _build_parser(verbs).parse_known_args(args)
+        if extras:
+            _build_parser().parse_args(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    ns.echo = list(argv) if argv is not None else sys.argv[1:]
+    ns.echo = args
     if getattr(ns, "threads", 1) is not None and getattr(ns, "threads", 1) < 1:
         print("error: --threads must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _HANDLERS[ns.verb](ns)
+        return _VERBS[ns.verb][0](ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

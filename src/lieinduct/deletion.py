@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import (
-    BadEmbedding,
     BijectionFailure,
     BudgetExceeded,
     EmptyLevel,
@@ -37,7 +36,7 @@ from .root_system import (
     SubdiagramComponent,
     Vector,
     build_root_system,
-    cartan_matrix,
+    check_embedding,
     classify_subdiagram,
     diagram_automorphisms,
     parse_dynkin,
@@ -111,57 +110,8 @@ class Deletion:
 
 def _residual_weight(rs: RootSystem, iota: Sequence[int], beta: Vector) -> Vector:
     """Weight of an ambient root over the residual algebra, iota-reordered."""
-    c = rs.cartan.entries
-    n = rs.rank
-    return tuple(
-        sum(beta[a] * c[a][amb - 1] for a in range(n)) for amb in iota
-    )
-
-
-def _validate_iota(
-    rs: RootSystem, d: int, components: tuple[SubdiagramComponent, ...], iota
-) -> tuple[int, ...]:
-    size = rs.rank - 1
-    if isinstance(iota, Mapping):
-        missing = [i for i in range(1, size + 1) if i not in iota]
-        if missing:
-            raise BadEmbedding(f"embedding lacks residual labels {missing}")
-        got = tuple(iota[i] for i in range(1, size + 1)) if size else ()
-    else:
-        got = tuple(iota)
-    if len(got) != size:
-        raise BadEmbedding(f"embedding must list {size} residual nodes, got {len(got)}")
-    if set(got) != set(range(1, rs.rank + 1)) - {d}:
-        raise BadEmbedding(
-            f"embedding image must be the ambient nodes without {d}, got {got}"
-        )
-    # per-component Cartan match, components in canonical (min ambient label) order
-    pos = 0
-    c = rs.cartan.entries
-    for comp in components:
-        r = comp.type.rank
-        canon = cartan_matrix(comp.type).entries
-        img = got[pos : pos + r]
-        for i in range(r):
-            for j in range(r):
-                if c[img[i] - 1][img[j] - 1] != canon[i][j]:
-                    raise BadEmbedding(
-                        f"nodes {img} do not realize {comp.type} under the given embedding"
-                    )
-        pos += r
-    # no cross-component edges through the embedding
-    for i in range(size):
-        for j in range(size):
-            same = False
-            pos = 0
-            for comp in components:
-                r = comp.type.rank
-                if pos <= i < pos + r and pos <= j < pos + r:
-                    same = True
-                pos += r
-            if not same and c[got[i] - 1][got[j] - 1] != 0:
-                raise BadEmbedding("embedding merges distinct residual components")
-    return got
+    w = rs.root_weights[beta]
+    return tuple(w[amb - 1] for amb in iota)
 
 
 def _primitive_root(rs: RootSystem, d: int, level_roots: Sequence[Vector]) -> Vector:
@@ -253,7 +203,9 @@ def delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
     if iota is None:
         iota_t = tuple(itertools.chain.from_iterable(c.embedding for c in components))
     else:
-        iota_t = _validate_iota(rs, d, components, iota)
+        iota_t = check_embedding(
+            rs.cartan.entries, d, [c.type for c in components], iota, str(rs.type)
+        )
 
     m_d = rs.highest_root[d - 1]
     by_level: dict[int, list[Vector]] = {}

@@ -22,10 +22,10 @@ and its dual.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
-from .errors import BadEmbedding, TrivialFirstLevel
+from .errors import TrivialFirstLevel
 from .rep_theory import (
     ModuleDescriptor,
     is_defining,
@@ -38,6 +38,7 @@ from .root_system import (
     Vector,
     build_root_system,
     cartan_matrix,
+    check_embedding,
     parse_dynkin,
 )
 from .tensor_ops import tensor_decompose, wedge2_decompose
@@ -115,34 +116,12 @@ def check_new_row(
     """Would deleting target_node from target produce V(weight; g0)?
 
     True iff the negated target-Cartan row at target_node, restricted along
-    the embedding, equals the weight.
+    the embedding, equals the weight; an invalid embedding raises BadEmbedding.
     """
     if isinstance(target, DynkinType):
         target = TargetDiagram.from_dynkin(target)
     c = target.entries
-    n = target.rank
-    if not 1 <= target_node <= n:
-        raise BadEmbedding(f"target node {target_node} out of range for {target.name}")
-    if isinstance(iota, dict):
-        missing = [i for i in range(1, g0.rank + 1) if i not in iota]
-        if missing:
-            raise BadEmbedding(f"embedding lacks residual labels {missing}")
-        iota_t = tuple(iota[i] for i in range(1, g0.rank + 1))
-    else:
-        iota_t = tuple(iota)
-    if g0.rank != n - 1:
-        raise BadEmbedding(f"{g0} does not have corank one in {target.name}")
-    if sorted(iota_t) != sorted(set(range(1, n + 1)) - {target_node}):
-        raise BadEmbedding(
-            f"embedding image must be the {target.name} nodes without {target_node}"
-        )
-    canon = cartan_matrix(g0).entries
-    for i in range(g0.rank):
-        for j in range(g0.rank):
-            if c[iota_t[i] - 1][iota_t[j] - 1] != canon[i][j]:
-                raise BadEmbedding(
-                    f"map {iota_t} does not embed {g0} into {target.name}"
-                )
+    iota_t = check_embedding(c, target_node, [g0], iota, target.name)
     row = tuple(-c[target_node - 1][iota_t[j] - 1] for j in range(g0.rank))
     return row == tuple(weight)
 
@@ -156,7 +135,7 @@ class InductionState:
     terminated: bool
     dbos_dimension: int
 
-    @property
+    @cached_property
     def weights(self) -> tuple[Vector, ...]:
         return tuple(md.highest_weight for md in self.chain)
 

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .errors import BudgetExceeded, InvariantViolation, NotACharacter, NotDominant
+from .errors import (
+    BudgetExceeded,
+    InvariantViolation,
+    NonIntegral,
+    NotACharacter,
+    NotDominant,
+)
 from .root_system import (
     DynkinType,
     RootSystem,
@@ -144,26 +150,21 @@ def _require_dominant(rs: RootSystem, w: Sequence[int]) -> Vector:
 def weyl_dim(rs: RootSystem, weight: Sequence[int]) -> int:
     """Exact dimension of V(weight) by the product over positive roots."""
     lam = _require_dominant(rs, weight)
-    lam_rho = tuple(x + 1 for x in lam)
+    lam_rho = [x + 1 for x in lam]
     num = 1
-    den = 1
-    for alpha in rs.positive_roots:
-        num *= rs.form_weight_root(lam_rho, alpha)
-        den *= rs.form_weight_root(rs.rho, alpha)
-    q, r = divmod(num, den)
+    for ap in rs.positive_pairings:
+        num *= sum(x * y for x, y in zip(lam_rho, ap))
+    q, r = divmod(num, rs.weyl_denominator)
     if r:
         raise InvariantViolation(f"Weyl dimension product of {lam} does not divide exactly")
     return q
 
 
-def _dominant_weights(
-    rs: RootSystem, lam: Vector, alpha_weight: Sequence[Vector]
-) -> dict[Vector, Vector]:
+def _dominant_weights(rs: RootSystem, lam: Vector) -> dict[Vector, Vector]:
     """Dominant weights mu of V(lam), each mapped to lam - mu in root
     coordinates, ordered by depth (the height of lam - mu) and then by mu.
 
-    This is the closure of lam under subtracting positive roots (given in
-    weight coordinates, in the order of rs.positive_roots) while staying
+    This is the closure of lam under subtracting positive roots while staying
     dominant; covers among dominant weights differ by a positive root
     (Stembridge), so no dominant weight is missed.
     """
@@ -173,7 +174,7 @@ def _dominant_weights(
         nxt = []
         for w in frontier:
             above = below[w]
-            for alpha, aw in zip(rs.positive_roots, alpha_weight):
+            for alpha, aw in zip(rs.positive_roots, rs.positive_weights):
                 v = tuple(a - b for a, b in zip(w, aw))
                 if min(v) >= 0 and v not in below:
                     below[v] = tuple(a + b for a, b in zip(above, alpha))
@@ -199,14 +200,6 @@ def _freudenthal_core(rs: RootSystem, lam: Vector) -> tuple[tuple[Vector, int], 
     (lam + mu, lam - mu).
     """
     n = rs.rank
-    d = rs.cartan.symmetrizer
-    # (nu, alpha) = dot(nu_weight, alpha_root * d); precompute both vectors
-    alpha_weight = [rs.root_to_weight(a) for a in rs.positive_roots]
-    alpha_pair = [tuple(a[j] * d[j] for j in range(n)) for a in rs.positive_roots]
-    alpha_norm = [
-        sum(aw[j] * ap[j] for j in range(n))
-        for aw, ap in zip(alpha_weight, alpha_pair)
-    ]
     mult: dict[Vector, int] = {lam: 1}
     dom_cache: dict[Vector, Vector] = {}
 
@@ -217,12 +210,12 @@ def _freudenthal_core(rs: RootSystem, lam: Vector) -> tuple[tuple[Vector, int], 
             dom_cache[v] = r
         return r
 
-    for mu, diff in _dominant_weights(rs, lam, alpha_weight).items():
+    for mu, diff in _dominant_weights(rs, lam).items():
         if mu == lam:
             continue
         gap = rs.form_weight_root(tuple(a + b for a, b in zip(lam, mu)), diff)
         acc = 0
-        for aw, ap, norm in zip(alpha_weight, alpha_pair, alpha_norm):
+        for aw, ap, norm in zip(rs.positive_weights, rs.positive_pairings, rs.positive_norms):
             base = sum(mu[j] * ap[j] for j in range(n))
             nu = mu
             k = 1
@@ -308,8 +301,11 @@ def classify_weight(rs: RootSystem, weight: Sequence[int]) -> WeightClass:
     lam = _require_dominant(rs, weight)
     max_pairing = 0
     count_two = 0
-    for alpha in rs.positive_roots:
-        p = rs.coroot_pairing(lam, alpha)
+    for alpha, ap, norm in zip(rs.positive_roots, rs.positive_pairings, rs.positive_norms):
+        num = 2 * sum(x * y for x, y in zip(lam, ap))
+        if num % norm:
+            raise NonIntegral(f"coroot pairing of {lam} with {alpha} is not integral")
+        p = num // norm
         if p > max_pairing:
             max_pairing = p
         if p == 2:

@@ -16,6 +16,13 @@ Conventions (fixed once, validated by the highest-root round-trip tests):
 
 No floating point is used anywhere; weight-to-root conversion is exact over
 ``fractions.Fraction``.
+
+Each RootSystem instance computes its root datum once, on first use, from its
+own Cartan matrix, symmetrizer and positive roots: the weight coordinates of
+every root, the pairing vectors and norms of the positive roots, the Weyl
+dimension denominator and an integer height functional.  The datum lives on
+the instance and is never keyed by type, so a rescaled symmetrizer gets its
+own.
 """
 
 from __future__ import annotations
@@ -24,10 +31,12 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Sequence
+from functools import cached_property, lru_cache
+from math import gcd, lcm
+from operator import mul
+from typing import Iterable, Mapping, Sequence
 
-from .errors import InvalidType, InvariantViolation, NonIntegral, NotARoot
+from .errors import BadEmbedding, InvalidType, InvariantViolation, NonIntegral, NotARoot
 
 Vector = tuple[int, ...]
 
@@ -221,7 +230,7 @@ class RootSystem:
 
     def weight_to_root(self, m: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
         """Exact inverse of root_to_weight; may be non-integral."""
-        inv = _cartan_inverse(self.type)
+        inv = self._cartan_inverse
         n = self.rank
         return tuple(
             sum((Fraction(m[j]) * inv[j][i] for j in range(n)), Fraction(0))
@@ -247,6 +256,80 @@ class RootSystem:
             raise NonIntegral(f"coroot pairing of {m} with {alpha} is not integral")
         return num // den
 
+    # -- root datum, computed once per instance ---------------------------
+
+    @cached_property
+    def _cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Exact inverse of the Cartan matrix, for weight_to_root."""
+        c = self.cartan.entries
+        n = self.rank
+        aug = [[Fraction(c[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+               for i in range(n)]
+        for col in range(n):
+            piv = next(r for r in range(col, n) if aug[r][col] != 0)
+            aug[col], aug[piv] = aug[piv], aug[col]
+            inv_p = Fraction(1) / aug[col][col]
+            aug[col] = [x * inv_p for x in aug[col]]
+            for r in range(n):
+                if r != col and aug[r][col]:
+                    f = aug[r][col]
+                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+        return tuple(tuple(row[n:]) for row in aug)
+
+    @cached_property
+    def positive_weights(self) -> tuple[Vector, ...]:
+        """The positive roots in weight coordinates, in positive_roots order."""
+        cols = tuple(zip(*self.cartan.entries))  # as root_to_weight, by columns
+        return tuple(tuple(sum(map(mul, a, col)) for col in cols) for a in self.positive_roots)
+
+    @cached_property
+    def root_weights(self) -> dict[Vector, Vector]:
+        """Weight coordinates of every root, keyed by its root coordinates."""
+        out = dict(zip(self.positive_roots, self.positive_weights))
+        for a, aw in zip(self.positive_roots, self.positive_weights):
+            out[tuple(-x for x in a)] = tuple(-x for x in aw)
+        return out
+
+    @cached_property
+    def positive_pairings(self) -> tuple[Vector, ...]:
+        """alpha_j * d_j per positive root, so (lambda, alpha) = lambda . this."""
+        d = self.cartan.symmetrizer
+        return tuple(tuple(k * dj for k, dj in zip(a, d)) for a in self.positive_roots)
+
+    @cached_property
+    def positive_norms(self) -> tuple[int, ...]:
+        """(alpha, alpha) per positive root."""
+        return tuple(
+            sum(x * y for x, y in zip(aw, ap))
+            for aw, ap in zip(self.positive_weights, self.positive_pairings)
+        )
+
+    @cached_property
+    def weyl_denominator(self) -> int:
+        """The constant denominator prod (rho, alpha) of the Weyl dimension formula."""
+        out = 1
+        for ap in self.positive_pairings:
+            out *= sum(ap)
+        return out
+
+    @cached_property
+    def height_form(self) -> tuple[Vector, int]:
+        """(h, D), D > 0, with D * sum(weight_to_root(v)) == h . v for every v:
+        an integer functional ordering weights by root-coordinate height.
+
+        The height of v is <v, rho^vee>, half the sum of <v, alpha^vee> over
+        the positive roots, and <w_j, alpha^vee> = 2 alpha_j d_j / (alpha, alpha);
+        so h is the sum of alpha_j d_j * D / (alpha, alpha) with D the lcm of
+        the norms, reduced by the common divisor.
+        """
+        den = lcm(*self.positive_norms)
+        h = [0] * self.rank
+        for ap, norm in zip(self.positive_pairings, self.positive_norms):
+            q = den // norm
+            h = [x + q * y for x, y in zip(h, ap)]
+        g = gcd(den, *h)
+        return tuple(x // g for x in h), den // g
+
     # -- reflections -------------------------------------------------------
 
     def reflect(self, m: Sequence[int], i: int) -> Vector:
@@ -254,24 +337,6 @@ class RootSystem:
         row = self.cartan.entries[i - 1]
         mi = m[i - 1]
         return tuple(m[j] - mi * row[j] for j in range(self.rank))
-
-
-@lru_cache(maxsize=None)
-def _cartan_inverse(t: DynkinType) -> tuple[tuple[Fraction, ...], ...]:
-    c = cartan_matrix(t).entries
-    n = len(c)
-    aug = [[Fraction(c[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 @lru_cache(maxsize=None)
@@ -584,3 +649,46 @@ def classify_subdiagram(
             raise InvalidType(f"classification of {comp} as {t} failed")
         comps.append(SubdiagramComponent(t, isos[0]))
     return tuple(comps)
+
+
+def check_embedding(
+    entries, node: int, residual: Sequence[DynkinType], iota, name: str
+) -> tuple[int, ...]:
+    """Validate iota (residual label -> ambient label, as a sequence or a
+    1-based mapping) as an embedding of the residual diagram, its components
+    in the given order, into the ambient Cartan matrix `entries` named `name`
+    with `node` deleted.  Returns iota as a tuple; any failure raises
+    BadEmbedding.
+
+    The residual's Cartan matrix is block diagonal, so one comparison checks
+    both that each component is realized and that no edge joins two of them.
+    """
+    n = len(entries)
+    if not 1 <= node <= n:
+        raise BadEmbedding(f"node {node} out of range for {name}")
+    canon: list[list[int]] = []
+    for t in residual:
+        pad = len(canon)
+        canon = [row + [0] * t.rank for row in canon] + [
+            [0] * pad + list(row) for row in cartan_matrix(t).entries
+        ]
+    size = len(canon)
+    if size != n - 1:
+        raise BadEmbedding(f"a rank-{size} residual does not have corank one in {name}")
+    if isinstance(iota, Mapping):
+        missing = [i for i in range(1, size + 1) if i not in iota]
+        if missing:
+            raise BadEmbedding(f"embedding lacks residual labels {missing}")
+        got = tuple(iota[i] for i in range(1, size + 1))
+    else:
+        got = tuple(iota)
+    if len(got) != size:
+        raise BadEmbedding(f"embedding must list {size} residual nodes, got {len(got)}")
+    if set(got) != set(range(1, n + 1)) - {node}:
+        raise BadEmbedding(f"embedding image must be the {name} nodes without {node}, got {got}")
+    for i in range(size):
+        for j in range(size):
+            if entries[got[i] - 1][got[j] - 1] != canon[i][j]:
+                kinds = "+".join(str(t) for t in residual) or "the empty diagram"
+                raise BadEmbedding(f"map {got} does not embed {kinds} into {name}")
+    return got

@@ -102,9 +102,10 @@ def _straighten(
 
 
 def _result(rs: RootSystem, coeffs: Mapping[Vector, int], source_dim: int) -> DecompositionResult:
+    h = rs.height_form[0]  # a positive multiple of the root-coordinate height
     order = sorted(
         (w for w, m in coeffs.items() if m),
-        key=lambda v: (sum(rs.weight_to_root(v)), v),
+        key=lambda v: (sum(x * y for x, y in zip(h, v)), v),
         reverse=True,
     )
     summands = []

@@ -7,7 +7,10 @@ matrices, dominance tests from a local rational inverse, and the tensor,
 exterior-square and symmetric-square oracles convolve full weight tables and
 peel them greedily rather than straightening.  The search oracle replays the
 induction search state by state, decomposing every bracket pair again with
-those oracles.  Nothing in this module calls the engine's character, orbit or
+those oracles.  The root-datum oracles recompute, call by call, what each
+RootSystem now precomputes: the Weyl product with both factors from the
+bilinear form, the coroot pairing of every positive root, and the height from
+the rational weight-to-root conversion.  Nothing in this module calls the engine's character, orbit or
 decomposition code; the decomposition oracles accept a full-table character
 function so that cases too large for the Weyl-group sum can be fed characters
 from elsewhere.
@@ -430,3 +433,28 @@ def brute_induction_search(rs: RootSystem, b1, max_depth: int) -> list:
 
     walk([b1])
     return sorted(out)
+
+
+def product_weyl_dim(rs: RootSystem, lam) -> int:
+    """Weyl's product formula, both factors from form_weight_root per call."""
+    lam_rho = tuple(x + 1 for x in lam)
+    num = den = 1
+    for alpha in rs.positive_roots:
+        num *= rs.form_weight_root(lam_rho, alpha)
+        den *= rs.form_weight_root(rs.rho, alpha)
+    q, r = divmod(num, den)
+    if r:
+        raise ValueError(f"Weyl product of {lam} is not an integer")
+    return q
+
+
+def coroot_weight_class(rs: RootSystem, lam) -> tuple[bool, bool]:
+    """(minuscule, quasi-minuscule) from coroot_pairing on every positive root."""
+    pairings = [rs.coroot_pairing(lam, alpha) for alpha in rs.positive_roots]
+    top = max(pairings + [0])
+    return top <= 1, top <= 2 and pairings.count(2) == 1
+
+
+def root_height(rs: RootSystem, v) -> Fraction:
+    """Height of a weight in root coordinates (may be fractional)."""
+    return sum(rs.weight_to_root(v))

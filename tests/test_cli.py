@@ -1,5 +1,8 @@
 """Command-line interface: parsing, exit codes, JSON schema stability."""
 
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +11,7 @@ import time
 
 import pytest
 
+from lieinduct import cli
 from lieinduct.cli import parse_weight, run, weight_label, UsageError
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -254,3 +258,82 @@ def test_orbit_and_character_values(capsys):
     rows = {tuple(r["weight"]): r for r in doc["result"]["dominant_weights"]}
     assert rows[(0, 0, 0, 0)]["multiplicity"] == "2"
     assert doc["result"]["dimension"] == "26"
+
+
+# One valid command line per verb, exercising its options.
+PARSER_SAMPLES = {
+    "roots": ["roots", "G2"],
+    "highest-root": ["highest-root", "F4", "--format", "json"],
+    "automorphisms": ["automorphisms", "D4"],
+    "dim": ["dim", "E6", "w6"],
+    "character": ["character", "B3", "w3", "--format", "json"],
+    "orbit": ["orbit", "A2", "w1"],
+    "defining": ["defining", "B4"],
+    "tensor": ["tensor", "A2", "w1", "w2"],
+    "wedge2": ["wedge2", "C3", "w1"],
+    "sym2": ["sym2", "A3", "w1"],
+    "delete": ["delete", "E6", "--node", "2", "--iota", "table2"],
+    "equivalences": ["equivalences", "A4", "--node", "4"],
+    "table2": ["table2"],
+    "induct": ["induct", "G2", "w1", "--depth", "4", "--threads", "2"],
+    "report": ["report", "g3", "--depth", "9", "--format", "json"],
+}
+
+
+def _verbs(parser):
+    """The registered subparsers, by verb."""
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _subparser(parser, verb):
+    return _verbs(parser)[verb]
+
+
+def _parse_failure(parser, argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return exc.value.code, err.getvalue()
+
+
+def test_single_verb_parser_matches_full_parser():
+    assert set(PARSER_SAMPLES) == set(cli._VERBS)
+    full = cli._build_parser()
+    for verb, argv in PARSER_SAMPLES.items():
+        single = cli._build_parser([verb])
+        assert single.parse_args(argv) == full.parse_args(argv), verb
+        assert _subparser(single, verb).format_help() == _subparser(full, verb).format_help()
+        # errors the verb's own subparser reports; leftover arguments are
+        # reported by the parser with every verb (see the next test)
+        for bad in ([verb, "--format", "xml"], [verb, "--format"]):
+            code, err = _parse_failure(single, bad)
+            assert code == 2 and err
+            assert (code, err) == _parse_failure(full, bad), bad
+
+
+def test_run_reports_leftover_arguments_with_every_verb(capsys):
+    argv = ["dim", "A2", "w1", "extra"]
+    expected = _parse_failure(cli._build_parser(), argv)
+    assert run(argv) == 2
+    assert capsys.readouterr().err == expected[1]
+    assert "highest-root" in expected[1] and "unrecognized arguments: extra" in expected[1]
+
+
+def test_run_builds_only_the_invoked_verb(capsys, monkeypatch):
+    built = []
+    real = cli._build_parser
+
+    def spy(*args):
+        parser = real(*args)
+        built.append(parser)
+        return parser
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    assert run(["dim", "A2", "w1"]) == 0
+    assert capsys.readouterr().out == "3\n"
+    assert [list(_verbs(p)) for p in built] == [["dim"]]
+    built.clear()
+    assert run(["no-such-verb"]) == 2
+    assert "no-such-verb" in capsys.readouterr().err
+    assert [list(_verbs(p)) for p in built] == [list(cli._VERBS)]

@@ -8,7 +8,13 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from oracles import full_weight_system, kostant_dominant_character, weight_system_freudenthal
+from oracles import (
+    coroot_weight_class,
+    full_weight_system,
+    kostant_dominant_character,
+    product_weyl_dim,
+    weight_system_freudenthal,
+)
 
 from lieinduct.errors import BudgetExceeded, NotDominant
 from lieinduct.rep_theory import (
@@ -158,9 +164,29 @@ def test_freudenthal_scale_invariance():
         assert cls == classify_weight(rs, lam)
 
 
+def test_weyl_dim_and_classify_match_per_call_formulas():
+    rng = random.Random(20261019)
+    labels = (
+        [f"A{l}" for l in range(1, 9)]
+        + [f"B{l}" for l in range(2, 9)]
+        + [f"C{l}" for l in range(3, 9)]
+        + [f"D{l}" for l in range(4, 9)]
+        + ["E6", "E7", "E8", "F4", "G2"]
+    )
+    for label in labels:
+        rs = rsys(label)
+        weights = [(0,) * rs.rank] + [
+            tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)
+        ]
+        weights += [tuple(rng.randint(0, 3) for _ in range(rs.rank)) for _ in range(6)]
+        for lam in weights:
+            assert weyl_dim(rs, lam) == product_weyl_dim(rs, lam), (label, lam)
+            cls = classify_weight(rs, lam)
+            assert (cls.minuscule, cls.quasi_minuscule) == coroot_weight_class(rs, lam)
+
+
 def _check_against_weight_system_oracle(rs, lam):
-    alpha_weight = [rs.root_to_weight(a) for a in rs.positive_roots]
-    below = _dominant_weights(rs, lam, alpha_weight)
+    below = _dominant_weights(rs, lam)
     assert set(below) == {v for v in full_weight_system(rs, lam) if min(v) >= 0}
     for mu, diff in below.items():
         assert rs.root_to_weight(diff) == tuple(a - b for a, b in zip(lam, mu))

@@ -1,13 +1,24 @@
 """Root system construction, conversions, reflections and automorphisms."""
 
 import dataclasses
+import os
+import random
+import sys
 
 import pytest
 
-from lieinduct.errors import InvalidType, InvariantViolation, NonIntegral, NotARoot
+sys.path.insert(0, os.path.dirname(__file__))
+
+from oracles import root_height
+
+from lieinduct.errors import BadEmbedding, InvalidType, InvariantViolation, NonIntegral, NotARoot
 from lieinduct.root_system import (
+    CartanMatrix,
     DynkinType,
+    RootSystem,
     build_root_system,
+    cartan_matrix,
+    check_embedding,
     classify_subdiagram,
     coxeter_number,
     diagram_automorphisms,
@@ -276,3 +287,58 @@ def test_subdiagram_classification():
     comps = classify_subdiagram(rs.cartan.entries, rs.cartan.symmetrizer, [2, 3, 4])
     assert [str(c.type) for c in comps] == ["C3"]
     assert comps[0].embedding == (4, 3, 2)
+
+
+def test_root_datum_matches_per_call_formulas():
+    rng = random.Random(20261018)
+    for label in ALL_TYPES:
+        rs = rsys(label)
+        n = rs.rank
+        for r in rs.roots:
+            assert rs.root_weights[r] == rs.root_to_weight(r)
+        assert rs.positive_weights == tuple(rs.root_weights[a] for a in rs.positive_roots)
+        assert rs.positive_norms == tuple(rs.root_norm(a) for a in rs.positive_roots)
+        for a, ap in zip(rs.positive_roots, rs.positive_pairings):
+            v = tuple(rng.randint(-3, 3) for _ in range(n))
+            assert sum(x * y for x, y in zip(v, ap)) == rs.form_weight_root(v, a)
+        h, den = rs.height_form
+        assert den > 0
+        for _ in range(12):
+            v = tuple(rng.randint(-3, 3) for _ in range(n))
+            assert den * root_height(rs, v) == sum(x * y for x, y in zip(h, v))
+
+
+def test_root_datum_is_per_instance():
+    # a doubled symmetrizer doubles the form; the datum must follow the
+    # instance, not be looked up by its Dynkin type
+    rs = rsys("G2")
+    scaled = CartanMatrix(rs.cartan.entries, tuple(2 * d for d in rs.cartan.symmetrizer))
+    rs2 = RootSystem(rs.type, scaled, rs.positive_roots, rs.highest_root, rs.roots)
+    assert rs2.positive_norms == tuple(2 * x for x in rs.positive_norms)
+    assert rs2.weyl_denominator == rs.weyl_denominator * 2 ** len(rs.positive_roots)
+    assert rs2.root_weights == rs.root_weights
+    assert rs2.height_form == rs.height_form
+
+
+def test_check_embedding_accepts_and_rejects():
+    f4 = cartan_matrix(DynkinType("F", 4)).entries
+    c3 = [DynkinType("C", 3)]
+    assert check_embedding(f4, 1, c3, (4, 3, 2), "F4") == (4, 3, 2)
+    assert check_embedding(f4, 1, c3, {1: 4, 2: 3, 3: 2}, "F4") == (4, 3, 2)
+    bad = [
+        (5, c3, (4, 3, 2)),  # node out of range
+        (1, [DynkinType("A", 2)], (4, 3)),  # not corank one
+        (1, c3, {1: 4, 2: 3}),  # missing label
+        (1, c3, (4, 3)),  # too short
+        (1, c3, (4, 3, 1)),  # image contains the deleted node
+        (1, c3, (2, 3, 4)),  # wrong orientation of the double edge
+    ]
+    for node, residual, iota in bad:
+        with pytest.raises(BadEmbedding):
+            check_embedding(f4, node, residual, iota, "F4")
+    # two components: fine when apart, refused when joined by an edge
+    a4 = cartan_matrix(DynkinType("A", 4)).entries
+    a2_a1 = [DynkinType("A", 2), DynkinType("A", 1)]
+    assert check_embedding(a4, 3, a2_a1, (2, 1, 4), "A4") == (2, 1, 4)
+    with pytest.raises(BadEmbedding):
+        check_embedding(a4, 4, a2_a1, (1, 2, 3), "A4")
