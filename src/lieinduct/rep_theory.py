@@ -1,7 +1,9 @@
 """Weight-level representation theory over exact integers.
 
-Dimensions come from the Weyl product formula and orbits from closure under
-simple reflections.  Multiplicities come from the Freudenthal recursion run
+Dimensions come from the Weyl product formula.  Orbits are walked down from
+the dominant weight, applying a simple reflection s_i only where the i-th
+coordinate is positive (every other s_i either fixes the weight or leads
+back up).  Multiplicities come from the Freudenthal recursion run
 over the dominant weights alone, with root-string weights looked up through
 their dominant representative; no full weight system is built.
 
@@ -28,8 +30,9 @@ from .root_system import (
     DynkinType,
     RootSystem,
     Vector,
+    _connected_components,
+    _identify_component,
     build_root_system,
-    classify_subdiagram,
     to_dominant,
     weyl_order,
 )
@@ -241,28 +244,39 @@ def freudenthal_character(rs: RootSystem, weight: Sequence[int]) -> CharacterTab
 
 
 def weyl_orbit(rs: RootSystem, weight: Sequence[int]) -> frozenset[Vector]:
-    """Full orbit of a weight by closure under simple reflections."""
+    """Full Weyl orbit of a weight."""
     return _weyl_orbit_cached(rs.type, to_dominant(rs, tuple(weight))[0])
 
 
-@lru_cache(maxsize=None)
-def _weyl_orbit_cached(t: DynkinType, w: Vector) -> frozenset[Vector]:
-    rs = build_root_system(t)
+def _check_orbit_budget(rs: RootSystem, w: Sequence[int]) -> None:
+    """Raise BudgetExceeded if the orbit of w has more than MAX_WEIGHTS weights."""
     size = orbit_size(rs, w)
     if size > MAX_WEIGHTS:
         raise BudgetExceeded(
             f"the orbit of {list(w)} has {size} weights, more than {MAX_WEIGHTS}"
         )
+
+
+@lru_cache(maxsize=None)
+def _weyl_orbit_cached(t: DynkinType, w: Vector) -> frozenset[Vector]:
+    """The orbit of the dominant weight w, walked down only.  Every other
+    orbit weight v has some v_i < 0, and s_i v is one step nearer w with a
+    positive i-th coordinate; so applying s_i only where the coordinate is
+    positive reaches the whole orbit."""
+    rs = build_root_system(t)
+    _check_orbit_budget(rs, w)
+    rows = rs.cartan.entries
     seen = {w}
     frontier = [w]
     while frontier:
         nxt = []
         for v in frontier:
-            for i in range(1, rs.rank + 1):
-                r = rs.reflect(v, i)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
+            for x, row in zip(v, rows):
+                if x > 0:
+                    r = tuple(a - x * b for a, b in zip(v, row))
+                    if r not in seen:
+                        seen.add(r)
+                        nxt.append(r)
         frontier = nxt
     return frozenset(seen)
 
@@ -276,10 +290,9 @@ def orbit_size(rs: RootSystem, weight: Sequence[int]) -> int:
 @lru_cache(maxsize=None)
 def _orbit_size_cached(t: DynkinType, zero_nodes: tuple[int, ...]) -> int:
     stab = 1
-    if zero_nodes:
-        cartan = build_root_system(t).cartan
-        for comp in classify_subdiagram(cartan.entries, cartan.symmetrizer, zero_nodes):
-            stab *= weyl_order(comp.type)
+    cartan = build_root_system(t).cartan
+    for comp in _connected_components(cartan.entries, zero_nodes):
+        stab *= weyl_order(_identify_component(cartan.entries, cartan.symmetrizer, comp))
     q, r = divmod(weyl_order(t), stab)
     if r:
         raise InvariantViolation(f"stabilizer order {stab} does not divide |W({t})|")

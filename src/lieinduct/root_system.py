@@ -22,7 +22,8 @@ own Cartan matrix, symmetrizer and positive roots: the weight coordinates of
 every root, the pairing vectors and norms of the positive roots, the Weyl
 dimension denominator and an integer height functional.  The datum lives on
 the instance and is never keyed by type, so a rescaled symmetrizer gets its
-own.
+own.  build_root_system fills in the positive roots' weights from its root
+closure, which computes them anyway.
 """
 
 from __future__ import annotations
@@ -341,37 +342,33 @@ class RootSystem:
 
 @lru_cache(maxsize=None)
 def build_root_system(t: DynkinType) -> RootSystem:
-    """Generate the full root set by closing simple-root strings (p - q rule)."""
+    """Generate the positive roots by closing simple-root strings (p - q rule).
+
+    Each root is kept with its weight coordinates: adding a_i adds Cartan row
+    i, and the i-th weight coordinate is the pairing <beta, a_i^vee> that the
+    rule reads.  These weights become the instance's positive_weights.
+    """
     cm = cartan_matrix(t)
     n = t.rank
-    c = cm.entries
-    simple = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    positive: set[Vector] = set(simple)
-    frontier: list[Vector] = list(simple)
+    rows = cm.entries
+    weights = {tuple(int(i == j) for j in range(n)): rows[i] for i in range(n)}
+    frontier = list(weights.items())
     while frontier:
-        nxt: list[Vector] = []
-        for beta in frontier:
+        nxt = []
+        for beta, w in frontier:
             for i in range(n):
-                # i-th weight coordinate of beta: <beta, alpha_i^vee>
-                pairing = sum(beta[j] * c[j][i] for j in range(n))
-                p = 0
-                down = list(beta)
-                while True:
-                    down[i] -= 1
-                    if tuple(down) in positive:
-                        p += 1
-                    else:
-                        break
-                if p - pairing >= 1:
-                    up = list(beta)
-                    up[i] += 1
-                    cand = tuple(up)
-                    if cand not in positive:
-                        positive.add(cand)
-                        nxt.append(cand)
+                cand = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                if cand in weights:
+                    continue
+                p = 0  # how far the a_i-string runs down from beta; w[i] = p - q
+                while beta[:i] + (beta[i] - p - 1,) + beta[i + 1:] in weights:
+                    p += 1
+                if p > w[i]:
+                    weights[cand] = tuple(a + b for a, b in zip(w, rows[i]))
+                    nxt.append((cand, weights[cand]))
         frontier = nxt
 
-    ordered = tuple(sorted(positive, key=lambda r: (sum(r), r)))
+    ordered = tuple(sorted(weights, key=lambda r: (sum(r), r)))
     highest = ordered[-1]
     if highest != _expected_highest_root(t):
         raise InvalidType(
@@ -382,7 +379,9 @@ def build_root_system(t: DynkinType) -> RootSystem:
     if heights.count(max(heights)) != 1:
         raise InvalidType(f"highest root of {t} is not unique")
     all_roots = frozenset(ordered) | frozenset(tuple(-x for x in r) for r in ordered)
-    return RootSystem(t, cm, ordered, highest, all_roots)
+    rs = RootSystem(t, cm, ordered, highest, all_roots)
+    vars(rs)["positive_weights"] = tuple(weights[a] for a in ordered)  # pre-fill the cache
+    return rs
 
 
 def highest_root(rs: RootSystem) -> Vector:
@@ -433,7 +432,11 @@ def root_weight_convert(
 
 
 def to_dominant(rs: RootSystem, w: Sequence[int]) -> tuple[Vector, int]:
-    """Dominant Weyl-conjugate of w and the number of simple reflections used."""
+    """Dominant Weyl-conjugate of w and the number of simple reflections used.
+
+    Each step reflects the first negative coordinate and shortens the reducing
+    element by one, so for a regular w (-1)^count is that element's sign.
+    """
     m = list(w)
     rows = rs.cartan.entries
     count = 0
@@ -443,40 +446,17 @@ def to_dominant(rs: RootSystem, w: Sequence[int]) -> tuple[Vector, int]:
                 break
         else:
             return tuple(m), count
-        m = [a - x * r for a, r in zip(m, rows[i])]  # s_i, as in reflect
+        m = [a - x * r for a, r in zip(m, rows[i])]  # s_i
         count += 1
 
 
 def diagram_automorphisms(t: DynkinType) -> tuple[tuple[int, ...], ...]:
-    """All node permutations preserving the Cartan matrix.
+    """All node permutations preserving the Cartan matrix, in lexicographic order.
 
     Each permutation is returned as a tuple p with p[i-1] the image of node i.
     """
     c = cartan_matrix(t).entries
-    n = t.rank
-    results: list[tuple[int, ...]] = []
-
-    def extend(img: list[int], used: set[int]) -> None:
-        i = len(img)
-        if i == n:
-            results.append(tuple(x + 1 for x in img))
-            return
-        for cand in range(n):
-            if cand in used:
-                continue
-            ok = all(
-                c[i][j] == c[cand][img[j]] and c[j][i] == c[img[j]][cand]
-                for j in range(i)
-            ) and c[i][i] == c[cand][cand]
-            if ok:
-                img.append(cand)
-                used.add(cand)
-                extend(img, used)
-                img.pop()
-                used.remove(cand)
-
-    extend([], set())
-    return tuple(sorted(results))
+    return tuple(_isomorphisms(c, c, range(1, t.rank + 1)))
 
 
 def coxeter_number(rs: RootSystem) -> int:
@@ -600,36 +580,35 @@ def _identify_component(entries, symmetrizer, comp: list[int]) -> DynkinType:
     raise InvalidType(f"diagram on {comp} is not of finite type")
 
 
-def subdiagram_isomorphisms(
-    t: DynkinType, entries, comp: list[int]
-) -> list[tuple[int, ...]]:
-    """All maps canonical-node -> ambient-label realizing t on the subset comp."""
-    canon = cartan_matrix(t).entries
-    n = t.rank
-    out: list[tuple[int, ...]] = []
+def _isomorphisms(canon, entries, labels: Iterable[int]):
+    """Yield, in lexicographic order, every map p (canonical node i -> ambient
+    label p[i-1]) under which `entries` restricted to `labels` equals `canon`.
 
-    def extend(img: list[int], used: set[int]) -> None:
+    One backtracking search serves diagram automorphisms (canon == entries)
+    and subdiagram embeddings; a caller wanting one map takes the first.
+    """
+    n = len(canon)
+    labels = sorted(labels)
+    img: list[int] = []
+
+    def extend():
         i = len(img)
         if i == n:
-            out.append(tuple(img))
+            yield tuple(img)
             return
-        for cand in comp:
-            if cand in used:
+        for cand in labels:
+            if cand in img:
                 continue
-            ok = all(
+            if all(
                 canon[i][j] == entries[cand - 1][img[j] - 1]
                 and canon[j][i] == entries[img[j] - 1][cand - 1]
                 for j in range(i)
-            )
-            if ok:
+            ):
                 img.append(cand)
-                used.add(cand)
-                extend(img, used)
+                yield from extend()
                 img.pop()
-                used.remove(cand)
 
-    extend([], set())
-    return sorted(out)
+    return extend()
 
 
 def classify_subdiagram(
@@ -644,10 +623,10 @@ def classify_subdiagram(
     comps = []
     for comp in _connected_components(entries, nodes):
         t = _identify_component(entries, symmetrizer, comp)
-        isos = subdiagram_isomorphisms(t, entries, comp)
-        if not isos:
+        iso = next(_isomorphisms(cartan_matrix(t).entries, entries, comp), None)
+        if iso is None:
             raise InvalidType(f"classification of {comp} as {t} failed")
-        comps.append(SubdiagramComponent(t, isos[0]))
+        comps.append(SubdiagramComponent(t, iso))
     return tuple(comps)
 
 

@@ -29,8 +29,9 @@ from .rep_theory import (
     module_descriptor,
     weyl_dim,
     _require_dominant,
+    _check_orbit_budget,
 )
-from .root_system import DynkinType, RootSystem, Vector, build_root_system
+from .root_system import DynkinType, RootSystem, Vector, build_root_system, to_dominant
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,8 @@ class DecompositionResult:
 @lru_cache(maxsize=None)
 def _full_table(t: DynkinType, lam: Vector) -> dict[Vector, int]:
     rs = build_root_system(t)
+    # the top orbit is part of the expansion, so check it before Freudenthal
+    _check_orbit_budget(rs, lam)
     return freudenthal_character(rs, lam).expand(rs)
 
 
@@ -79,25 +82,18 @@ def _straighten(
 ) -> dict[Vector, int]:
     """Highest weight -> signed coefficient of sum_nu m(nu) * chi(nu + shift).
 
-    chi(v) is the Weyl numerator ratio A(v + rho) / A(rho): reflecting
-    v + rho into the dominant chamber with w gives (-1)^l(w) V(w(v + rho) - rho),
-    and v + rho on a wall gives zero.
+    chi(v) is the Weyl numerator ratio A(v + rho) / A(rho): if to_dominant
+    takes v + rho to a dominant p with c reflections, then p on a wall (a zero
+    coordinate) gives zero and otherwise chi(v) = (-1)^c V(p - rho).  A
+    regular weight has exactly one reducing element, so c has its parity.
     """
-    rows = rs.cartan.entries
+    shift_rho = [a + 1 for a in shift]
     out: dict[Vector, int] = {}
     for nu, m in weights.items():
-        p = [a + b + 1 for a, b in zip(nu, shift)]
-        while True:
-            i = next((j for j, x in enumerate(p) if x <= 0), None)
-            if i is None:
-                key = tuple(x - 1 for x in p)
-                out[key] = out.get(key, 0) + m
-                break
-            x = p[i]
-            if x == 0:
-                break
-            p = [a - x * r for a, r in zip(p, rows[i])]
-            m = -m
+        p, count = to_dominant(rs, [a + b for a, b in zip(nu, shift_rho)])
+        if 0 not in p:
+            key = tuple(x - 1 for x in p)
+            out[key] = out.get(key, 0) + (-m if count & 1 else m)
     return out
 
 

@@ -178,11 +178,15 @@ def test_closed_pipe_exits_quietly():
 
 
 def test_oversized_orbit_fails_fast(capsys):
-    # 696,729,600 weights: refused up front from the exact orbit size
-    start = time.perf_counter()
-    assert run(["orbit", "E8", "[1,1,1,1,1,1,1,1]"]) == 1
-    assert time.perf_counter() - start < 1.0
-    assert "BudgetExceeded" in capsys.readouterr().err
+    # 696,729,600 weights in the orbit of rho: refused up front from the exact
+    # orbit size, before any weight is enumerated or any multiplicity computed
+    rho = "[1,1,1,1,1,1,1,1]"
+    for argv in (["orbit", "E8", rho], ["tensor", "E8", rho, rho],
+                 ["wedge2", "E8", rho], ["sym2", "E8", rho]):
+        start = time.perf_counter()
+        assert run(argv) == 1, argv
+        assert time.perf_counter() - start < 1.0, argv
+        assert "BudgetExceeded" in capsys.readouterr().err, argv
 
 
 def test_library_has_no_assert_statements():

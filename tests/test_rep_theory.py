@@ -14,6 +14,7 @@ from oracles import (
     kostant_dominant_character,
     product_weyl_dim,
     weight_system_freudenthal,
+    weyl_oracle,
 )
 
 from lieinduct.errors import BudgetExceeded, NotDominant
@@ -227,6 +228,19 @@ def test_orbit_size_formula_matches_enumeration():
     ]:
         rs = rsys(label)
         assert orbit_size(rs, weight) == len(weyl_orbit(rs, weight))
+
+
+def test_weyl_orbit_matches_group_oracle():
+    # the orbit is walked down from the dominant weight; the oracle applies
+    # every element of the group to the weight itself
+    rng = random.Random(20261018)
+    for label in ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2", "F4"]:
+        rs = rsys(label)
+        gp = weyl_oracle(rs)
+        for _ in range(4):
+            v = tuple(rng.randint(-2, 2) for _ in range(rs.rank))
+            for u in (v, tuple(-x for x in v)):
+                assert weyl_orbit(rs, u) == gp.orbit(u), (label, u)
 
 
 def test_expand_work_budget():

@@ -1,6 +1,7 @@
 """Root system construction, conversions, reflections and automorphisms."""
 
 import dataclasses
+import itertools
 import os
 import random
 import sys
@@ -203,6 +204,39 @@ def test_automorphisms_preserve_cartan():
         for i in range(4):
             for j in range(4):
                 assert c[p[i] - 1][p[j] - 1] == c[i][j]
+
+
+def _brute_isomorphisms(canon, entries, labels):
+    """Every map canonical node -> ambient label preserving the Cartan
+    entries, in lexicographic order (permutations of a sorted list are)."""
+    n = len(canon)
+    return [
+        p for p in itertools.permutations(sorted(labels))
+        if all(entries[p[i] - 1][p[j] - 1] == canon[i][j] for i in range(n) for j in range(n))
+    ]
+
+
+def test_diagram_automorphisms_match_brute_force():
+    for label in ALL_TYPES:
+        t = parse_dynkin(label)
+        if t.rank > 6:
+            continue
+        c = cartan_matrix(t).entries
+        brute = _brute_isomorphisms(c, c, range(1, t.rank + 1))
+        assert diagram_automorphisms(t) == tuple(brute), label
+
+
+def test_classify_subdiagram_takes_smallest_isomorphism():
+    rng = random.Random(20261018)
+    for label in ["E8", "F4", "B6", "D6"]:
+        rs = rsys(label)
+        entries = rs.cartan.entries
+        for _ in range(12):
+            nodes = rng.sample(range(1, rs.rank + 1), rng.randint(1, rs.rank))
+            for comp in classify_subdiagram(entries, rs.cartan.symmetrizer, nodes):
+                canon = cartan_matrix(comp.type).entries
+                smallest = _brute_isomorphisms(canon, entries, comp.embedding)[0]
+                assert comp.embedding == smallest, (label, sorted(nodes))
 
 
 def test_coxeter_number_invariant_is_a_typed_error():
