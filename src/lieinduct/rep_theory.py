@@ -3,14 +3,23 @@
 Dimensions come from the Weyl product formula.  Orbits are walked down from
 the dominant weight, applying a simple reflection s_i only where the i-th
 coordinate is positive (every other s_i either fixes the weight or leads
-back up).  Multiplicities come from the Freudenthal recursion run
-over the dominant weights alone, with root-string weights looked up through
-their dominant representative; no full weight system is built.
+back up).  Multiplicities come from the Freudenthal recursion run over the
+dominant weights alone, with root-string weights looked up through their
+dominant representative; no full weight system is built.
+
+The Freudenthal sum is folded as in R. V. Moody, J. Patera, "Fast recursion
+formula for weight multiplicities", Bull. AMS 7 (1982) 237-242.  At a
+dominant weight mu with zero nodes J, every w in the stabilizer W_J gives
+the root alpha and the root w(alpha) the same term, so the sum over the
+positive roots is a sum over the classes O ∩ Φ⁺ of the W_J-orbits O of roots:
+one root string is walked per class, at its first member, and weighted by
+the class size.  The classes come from RootSystem.positive_root_classes.
 
 Character tables store dominant entries only; full tables are recovered by
 orbit expansion on demand.  Orbit enumeration and expansion refuse, with
 BudgetExceeded, any request of more than MAX_WEIGHTS weights, judged up front
-from exact orbit sizes.
+from exact orbit sizes; a character refuses, as its dominant-weight closure
+grows, a module with more than MAX_DOMINANT_WEIGHTS dominant weights.
 """
 
 from __future__ import annotations
@@ -41,6 +50,12 @@ from .root_system import (
 # sizes are known exactly up front, so an oversized request fails before any
 # weight is enumerated.
 MAX_WEIGHTS = 2_000_000
+
+# Most dominant weights one character may have.  The closure stops as soon as
+# it finds one more, so the refusal does not depend on timing; D8 with
+# highest weight rho (1,976 dominant weights) still fits, E8 rho (14,870)
+# does not.
+MAX_DOMINANT_WEIGHTS = 2_500
 
 
 @dataclass(frozen=True, order=True)
@@ -182,6 +197,11 @@ def _dominant_weights(rs: RootSystem, lam: Vector) -> dict[Vector, Vector]:
                 if min(v) >= 0 and v not in below:
                     below[v] = tuple(a + b for a, b in zip(above, alpha))
                     nxt.append(v)
+                    if len(below) > MAX_DOMINANT_WEIGHTS:
+                        raise BudgetExceeded(
+                            f"V({list(lam)}) of {rs.type} has more than "
+                            f"{MAX_DOMINANT_WEIGHTS} dominant weights"
+                        )
         frontier = nxt
     return dict(sorted(below.items(), key=lambda it: (sum(it[1]), it[0])))
 
@@ -195,14 +215,16 @@ def _freudenthal_core(rs: RootSystem, lam: Vector) -> tuple[tuple[Vector, int], 
     """Uncached recursion; takes the root system explicitly so the bilinear
     form's scale-homogeneity is testable with a rescaled symmetrizer.
 
-    Only dominant weights are visited.  A weight nu = mu + k*alpha on a root
-    string is looked up through its dominant representative, which lies
-    strictly above mu and so is already known; a miss means nu is not a
-    weight.  Since every weight has (nu, nu) <= (lam, lam), the walk stops
-    before any lookup once 2k(mu, alpha) + k^2(alpha, alpha) exceeds
-    (lam + mu, lam - mu).
+    Only dominant weights are visited.  At mu the sum runs over the classes
+    of positive roots under the stabilizer of mu (see the module docstring).
+    A weight nu = mu + k*alpha on a root string is looked up through its
+    dominant representative, which lies strictly above mu and so is already
+    known; a miss means nu is not a weight.  Since every weight has
+    (nu, nu) <= (lam, lam), the walk stops before any lookup once
+    2k(mu, alpha) + k^2(alpha, alpha) exceeds (lam + mu, lam - mu).
     """
     n = rs.rank
+    pw, pp, pn = rs.positive_weights, rs.positive_pairings, rs.positive_norms
     mult: dict[Vector, int] = {lam: 1}
     dom_cache: dict[Vector, Vector] = {}
 
@@ -218,7 +240,8 @@ def _freudenthal_core(rs: RootSystem, lam: Vector) -> tuple[tuple[Vector, int], 
             continue
         gap = rs.form_weight_root(tuple(a + b for a, b in zip(lam, mu)), diff)
         acc = 0
-        for aw, ap, norm in zip(rs.positive_weights, rs.positive_pairings, rs.positive_norms):
+        for i, size in rs.positive_root_classes(tuple(j for j in range(n) if not mu[j])):
+            aw, ap, norm = pw[i], pp[i], pn[i]
             base = sum(mu[j] * ap[j] for j in range(n))
             nu = mu
             k = 1
@@ -227,7 +250,7 @@ def _freudenthal_core(rs: RootSystem, lam: Vector) -> tuple[tuple[Vector, int], 
                 m = mult.get(dom_rep(nu))
                 if m is None:
                     break
-                acc += m * (base + k * norm)
+                acc += size * m * (base + k * norm)
                 k += 1
         den = gap + 2 * rs.form_weight_root(rs.rho, diff)
         q, r = divmod(2 * acc, den)

@@ -20,16 +20,18 @@ No floating point is used anywhere; weight-to-root conversion is exact over
 Each RootSystem instance computes its root datum once, on first use, from its
 own Cartan matrix, symmetrizer and positive roots: the weight coordinates of
 every root, the pairing vectors and norms of the positive roots, the Weyl
-dimension denominator and an integer height functional.  The datum lives on
-the instance and is never keyed by type, so a rescaled symmetrizer gets its
-own.  build_root_system fills in the positive roots' weights from its root
-closure, which computes them anyway.
+dimension denominator, an integer height functional and, per set of zero
+nodes J, the classes into which the W_J-orbits of roots cut the positive
+roots.  The datum lives on the instance and is never keyed by type, so a
+rescaled symmetrizer gets its own.  build_root_system fills in the positive
+roots' weights from its root closure, which computes them anyway.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -330,6 +332,58 @@ class RootSystem:
             h = [x + q * y for x, y in zip(h, ap)]
         g = gcd(den, *h)
         return tuple(x // g for x in h), den // g
+
+    @cached_property
+    def _reflection_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per node j, the pairs (i, k) of positive-root indices with
+        s_j(alpha_i) = alpha_k and <alpha_i, a_j^vee> > 0, alpha_i != a_j.
+
+        s_j permutes the positive roots other than a_j, in weight coordinates
+        s_j(alpha) = alpha - <alpha, a_j^vee> a_j with the pairing alpha's j-th
+        coordinate; each swapped pair is listed once, from its upper member.
+        """
+        pw = self.positive_weights
+        index = {aw: i for i, aw in enumerate(pw)}
+        return tuple(
+            tuple(
+                (i, index[tuple(p - aw[j] * q for p, q in zip(aw, row))])
+                for i, aw in enumerate(pw)
+                if aw[j] > 0 and aw != row
+            )
+            for j, row in enumerate(self.cartan.entries)  # row j is a_j's weight
+        )
+
+    @cached_property
+    def _root_class_memo(self) -> dict[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        return {}
+
+    def positive_root_classes(self, zero_nodes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+        """The classes O ∩ Φ⁺ of the W_J-orbits O of roots, J = zero_nodes
+        (0-based), as (index in positive_roots of the first member, size).
+
+        A union-find over the edges alpha - s_j(alpha), j in J, of
+        _reflection_edges gives the classes.  Memoized per zero set.
+        """
+        memo = self._root_class_memo
+        out = memo.get(zero_nodes)
+        if out is None:
+            parent = list(range(len(self.positive_roots)))
+
+            def find(i: int) -> int:
+                while parent[i] != i:
+                    parent[i] = parent[parent[i]]
+                    i = parent[i]
+                return i
+
+            edges = self._reflection_edges
+            for j in zero_nodes:
+                for i, k in edges[j]:
+                    a, b = find(i), find(k)
+                    if a != b:  # the smaller index stays the class's first member
+                        parent[max(a, b)] = min(a, b)
+            sizes = Counter(find(i) for i in range(len(parent)))
+            out = memo[zero_nodes] = tuple(sorted(sizes.items()))
+        return out
 
     # -- reflections -------------------------------------------------------
 

@@ -1,25 +1,27 @@
 """Independent oracles for cross-checking the engine.
 
-Multiplicities here come from the alternating Weyl sum over a partition-count
-or from the Freudenthal recursion run over the full weight system (every
-weight of the module, not just the dominant ones), orbits from explicit group
-matrices, dominance tests from a local rational inverse, and the tensor,
-exterior-square and symmetric-square oracles convolve full weight tables and
-peel them greedily rather than straightening.  The search oracle replays the
-induction search state by state, decomposing every bracket pair again with
-those oracles.  The root-datum oracles recompute, call by call, what each
-RootSystem now precomputes: the Weyl product with both factors from the
-bilinear form, the coroot pairing of every positive root, and the height from
-the rational weight-to-root conversion.  Nothing in this module calls the engine's character, orbit or
-decomposition code; the decomposition oracles accept a full-table character
-function so that cases too large for the Weyl-group sum can be fed characters
-from elsewhere.
+Multiplicities here come from the alternating Weyl sum over a partition-count,
+from the Freudenthal recursion run over the full weight system (every weight
+of the module, not just the dominant ones), or from the dominant-only
+recursion with one root string per positive root, which the engine folds over
+classes of roots; orbits come from explicit group matrices, parabolic ones
+from closing under the chosen generators, dominance tests from a local
+rational inverse, and the tensor, exterior-square and symmetric-square oracles
+convolve full weight tables and peel them greedily rather than straightening.
+The search oracle replays the induction search state by state, decomposing
+every bracket pair again with those oracles.  The root-datum oracles
+recompute, call by call, what each RootSystem now precomputes: the Weyl
+product with both factors from the bilinear form, the coroot pairing of every
+positive root, and the height from the rational weight-to-root conversion.
+Nothing in this module calls the engine's character, orbit or decomposition
+code; the decomposition oracles accept a full-table character function so that
+cases too large for the Weyl-group sum can be fed characters from elsewhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from lieinduct.root_system import RootSystem
 
@@ -44,13 +46,17 @@ def invert_rational(matrix):
 
 
 class WeylOracle:
-    """Explicit Weyl group matrices acting on fundamental-weight coordinates."""
+    """Explicit Weyl group matrices acting on fundamental-weight coordinates.
+
+    The group's elements are enumerated on first use of ``elements``; orbits
+    of a parabolic subgroup close a weight under its generators only, so they
+    stay cheap for E8.
+    """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         n = rs.rank
         c = rs.cartan.entries
-        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         gens = []
         for i in range(n):
             rows = []
@@ -61,18 +67,6 @@ class WeylOracle:
                 rows.append(tuple(row))
             gens.append(tuple(rows))
         self.gens = gens
-        elements = {ident: 1}
-        frontier = [(ident, 1)]
-        while frontier:
-            nxt = []
-            for mat, sign in frontier:
-                for g in gens:
-                    prod = self._mul(mat, g)
-                    if prod not in elements:
-                        elements[prod] = -sign
-                        nxt.append((prod, -sign))
-            frontier = nxt
-        self.elements = elements  # matrix -> determinant sign
         self._cw = invert_rational([[c[i][j] for j in range(n)] for i in range(n)])
         # adjugate form of the same inverse for integer-only hot paths
         den = 1
@@ -81,6 +75,24 @@ class WeylOracle:
                 den = den * x.denominator // _gcd(den, x.denominator)
         self._det = den
         self._adj = [[int(x * den) for x in row] for row in self._cw]
+
+    @cached_property
+    def elements(self) -> dict:
+        """Every group element as a matrix, mapped to its determinant sign."""
+        n = self.rs.rank
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        elements = {ident: 1}
+        frontier = [(ident, 1)]
+        while frontier:
+            nxt = []
+            for mat, sign in frontier:
+                for g in self.gens:
+                    prod = self._mul(mat, g)
+                    if prod not in elements:
+                        elements[prod] = -sign
+                        nxt.append((prod, -sign))
+            frontier = nxt
+        return elements
 
     @staticmethod
     def _mul(a, b):
@@ -96,6 +108,22 @@ class WeylOracle:
 
     def orbit(self, weight):
         return {self.act(m, tuple(weight)) for m in self.elements}
+
+    def parabolic_orbit(self, nodes, weight) -> set:
+        """Orbit of weight under the subgroup generated by the reflections of
+        the given (0-based) nodes, closed by applying their matrices."""
+        seen = {tuple(weight)}
+        frontier = list(seen)
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for j in nodes:
+                    u = self.act(self.gens[j], v)
+                    if u not in seen:
+                        seen.add(u)
+                        nxt.append(u)
+            frontier = nxt
+        return seen
 
     def weight_to_root(self, weight):
         n = len(weight)
@@ -307,6 +335,57 @@ def weight_system_freudenthal(rs: RootSystem, lam) -> dict:
         den = form([a + b + 2 for a, b in zip(lam, mu)], diff)
         q, r = divmod(2 * acc, den)
         assert r == 0 and q > 0, f"Freudenthal oracle gave {2 * acc}/{den} at {mu}"
+        mult[mu] = q
+    return mult
+
+
+def unfolded_freudenthal(rs: RootSystem, lam) -> dict:
+    """Dominant weight -> multiplicity by the dominant-only Freudenthal
+    recursion with one root string per positive root (no folding over root
+    classes).  The dominant weights are the closure of lam under subtracting
+    positive roots while staying dominant, processed by depth below lam; the
+    string mu + k alpha stops at its first weight whose dominant conjugate has
+    no multiplicity yet, or once 2k(mu, alpha) + k^2(alpha, alpha) exceeds
+    (lam + mu, lam - mu)."""
+    lam = tuple(lam)
+    n = rs.rank
+    d = rs.cartan.symmetrizer
+    roots = [(alpha, rs.root_to_weight(alpha)) for alpha in rs.positive_roots]
+
+    def form(weight, root) -> int:
+        return sum(weight[j] * root[j] * d[j] for j in range(n))
+
+    below = {lam: (0,) * n}  # dominant weight -> lam minus it, in root coordinates
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for alpha, aw in roots:
+                v = tuple(a - b for a, b in zip(w, aw))
+                if min(v) >= 0 and v not in below:
+                    below[v] = tuple(a + b for a, b in zip(below[w], alpha))
+                    nxt.append(v)
+        frontier = nxt
+
+    mult = {lam: 1}
+    for mu, diff in sorted(below.items(), key=lambda it: (sum(it[1]), it[0]))[1:]:
+        gap = form([a + b for a, b in zip(lam, mu)], diff)
+        acc = 0
+        for alpha, aw in roots:
+            base = form(mu, alpha)
+            norm = form(aw, alpha)
+            nu = mu
+            k = 1
+            while 2 * k * base + k * k * norm <= gap:
+                nu = tuple(a + b for a, b in zip(nu, aw))
+                m = mult.get(_dominant_conjugate(rs, nu))
+                if m is None:
+                    break
+                acc += m * (base + k * norm)
+                k += 1
+        den = gap + form([2] * n, diff)
+        q, r = divmod(2 * acc, den)
+        assert r == 0 and q > 0, f"unfolded Freudenthal gave {2 * acc}/{den} at {mu}"
         mult[mu] = q
     return mult
 

@@ -189,6 +189,26 @@ def test_oversized_orbit_fails_fast(capsys):
         assert "BudgetExceeded" in capsys.readouterr().err, argv
 
 
+def test_oversized_character_fails_fast():
+    # 14,870 dominant weights for E8 rho and 357,855 for A8 9rho: the
+    # dominant-weight closure stops at MAX_DOMINANT_WEIGHTS, before any
+    # multiplicity is computed
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in (["E8", "[1,1,1,1,1,1,1,1]"], ["E8", "[2,2,2,2,2,2,2,2]"],
+                 ["A8", "[9,9,9,9,9,9,9,9]"]):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "lieinduct.cli", "character", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert time.perf_counter() - start < 2.0, argv
+        assert proc.returncode == 1, argv
+        assert "BudgetExceeded" in proc.stderr, argv
+        assert "Traceback" not in proc.stderr, argv
+
+
 def test_library_has_no_assert_statements():
     import ast
     import lieinduct

@@ -13,6 +13,7 @@ from oracles import (
     full_weight_system,
     kostant_dominant_character,
     product_weyl_dim,
+    unfolded_freudenthal,
     weight_system_freudenthal,
     weyl_oracle,
 )
@@ -33,6 +34,15 @@ from lieinduct.rep_theory import (
     weyl_orbit,
 )
 from lieinduct.root_system import CartanMatrix, RootSystem, build_root_system, parse_dynkin
+
+
+ALL_LABELS = (
+    [f"A{l}" for l in range(1, 9)]
+    + [f"B{l}" for l in range(2, 9)]
+    + [f"C{l}" for l in range(3, 9)]
+    + [f"D{l}" for l in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
 
 
 def rsys(label):
@@ -150,31 +160,87 @@ def test_freudenthal_weyl_invariance():
             assert full[rs.reflect(v, i)] == m
 
 
+def _doubled(rs):
+    scaled_cm = CartanMatrix(rs.cartan.entries, tuple(2 * d for d in rs.cartan.symmetrizer))
+    return RootSystem(rs.type, scaled_cm, rs.positive_roots, rs.highest_root, rs.roots)
+
+
 def test_freudenthal_scale_invariance():
     # doubling the symmetrizer rescales the bilinear form globally; every
     # multiplicity must be unchanged
     for label, lam in [("B3", (1, 0, 1)), ("G2", (1, 1)), ("C3", (1, 1, 0))]:
         rs = rsys(label)
-        scaled_cm = CartanMatrix(
-            rs.cartan.entries, tuple(2 * d for d in rs.cartan.symmetrizer)
-        )
-        rs2 = RootSystem(rs.type, scaled_cm, rs.positive_roots, rs.highest_root, rs.roots)
+        rs2 = _doubled(rs)
         assert _freudenthal_core(rs2, lam) == _freudenthal_core(rs, lam)
         assert weyl_dim(rs2, lam) == weyl_dim(rs, lam)
         cls = classify_weight(rs2, lam)
         assert cls == classify_weight(rs, lam)
 
 
+def test_root_classes_match_parabolic_orbits():
+    # each class is the W_J-orbit of its first member cut with the positive
+    # roots; every zero set through rank 4, seeded ones (with the empty and
+    # the full set) beyond
+    rng = random.Random(20261020)
+    for label in ALL_LABELS:
+        rs = rsys(label)
+        n = rs.rank
+        if n <= 4:
+            zero_sets = [tuple(j for j in range(n) if bits >> j & 1) for bits in range(2**n)]
+        else:
+            zero_sets = [(), tuple(range(n))] + [
+                tuple(sorted(rng.sample(range(n), rng.randint(1, n - 1)))) for _ in range(6)
+            ]
+        gp = weyl_oracle(rs)
+        positive = {rs.root_to_weight(a): i for i, a in enumerate(rs.positive_roots)}
+        for zero in zero_sets:
+            classes = rs.positive_root_classes(zero)
+            assert sum(size for _, size in classes) == len(rs.positive_roots), (label, zero)
+            covered = set()
+            for first, size in classes:
+                orbit = gp.parabolic_orbit(zero, rs.root_to_weight(rs.positive_roots[first]))
+                members = {positive[v] for v in orbit if v in positive}
+                assert (min(members), len(members)) == (first, size), (label, zero, first)
+                covered |= members
+            assert covered == set(range(len(rs.positive_roots))), (label, zero)
+
+
+def _sparse_weight(rng, rs, max_dominant):
+    """A seeded non-zero dominant weight, mostly zeros, small enough for the
+    oracle."""
+    n = rs.rank
+    while True:
+        lam = tuple(rng.choice((0, 0, 0, 1, 1, 2)) if rng.random() < 3 / n else 0
+                    for _ in range(n))
+        if any(lam) and len(_dominant_weights(rs, lam)) <= max_dominant:
+            return lam
+
+
+def test_folded_freudenthal_matches_unfolded_oracle():
+    rng = random.Random(20261021)
+    for label in ALL_LABELS:
+        rs = rsys(label)
+        n = rs.rank
+        lams = [tuple(int(j == i) for j in range(n)) for i in rng.sample(range(n), min(n, 2))]
+        lams += [_sparse_weight(rng, rs, 60 if n >= 7 else 100) for _ in range(3)]
+        for lam in lams:
+            assert dict(_freudenthal_core(rs, lam)) == unfolded_freudenthal(rs, lam), (label, lam)
+
+
+def test_folded_freudenthal_matches_unfolded_oracle_doubled_symmetrizer():
+    # the classes come from the instance passed in, not from build_root_system
+    rng = random.Random(20261022)
+    for label in ["B3", "C4", "G2", "F4", "B8", "D5", "E6"]:
+        rs = rsys(label)
+        rs2 = _doubled(rs)
+        for lam in [_sparse_weight(rng, rs, 60) for _ in range(3)]:
+            folded = dict(_freudenthal_core(rs2, lam))
+            assert folded == unfolded_freudenthal(rs2, lam) == unfolded_freudenthal(rs, lam)
+
+
 def test_weyl_dim_and_classify_match_per_call_formulas():
     rng = random.Random(20261019)
-    labels = (
-        [f"A{l}" for l in range(1, 9)]
-        + [f"B{l}" for l in range(2, 9)]
-        + [f"C{l}" for l in range(3, 9)]
-        + [f"D{l}" for l in range(4, 9)]
-        + ["E6", "E7", "E8", "F4", "G2"]
-    )
-    for label in labels:
+    for label in ALL_LABELS:
         rs = rsys(label)
         weights = [(0,) * rs.rank] + [
             tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)
