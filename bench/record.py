@@ -1,16 +1,15 @@
 """Compare two source trees on the perfbench workloads and write the result.
 
     python3 bench/record.py --parent DIR --change DIR --seeds 1 2 3 ... \
-        [--workloads characters decompose search] [--seconds S] \
         [--trace-seed N] --out BENCH_<n>.json
 
-Each tree must hold a checkout of this repository.  For every workload and
-seed, ``perfbench/run.py --trace 0`` runs once in each tree, in a fresh
+Each tree must hold a checkout of this repository.  For every workload in
+``BENCHMARK.json`` and every seed, ``perfbench/run.py --trace 0`` runs once in each tree, in a fresh
 interpreter with the tree as its working directory; the order alternates
 from seed to seed (parent first on the first seed, change first on the
 next), so a drift of the machine over the run does not favour either side.
-Each seed gives one pair.  Runs last ``run_seconds`` from ``BENCHMARK.json``
-unless ``--seconds`` says otherwise.
+Each seed gives one pair.  Every run lasts ``run_seconds`` from
+``BENCHMARK.json``.
 
 Per workload and end-to-end metric the output holds, for each side, the
 values in seed order, the median, the quartiles and the IQR (quartiles by
@@ -98,8 +97,6 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True, type=Path)
     p.add_argument("--change", required=True, type=Path)
     p.add_argument("--seeds", required=True, type=int, nargs="+")
-    p.add_argument("--workloads", nargs="+", default=["characters", "decompose", "search"])
-    p.add_argument("--seconds", type=float)
     p.add_argument("--trace-seed", type=int)
     p.add_argument("--out", required=True, type=Path)
     args = p.parse_args(argv)
@@ -108,7 +105,8 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
+    workloads = [w["name"] for w in spec["workloads"]]
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {
         "command": ["python3", "perfbench/run.py", "--trace", "0"],
@@ -116,7 +114,7 @@ def main(argv=None) -> int:
         "trees": {side: tree.name for side, tree in trees.items()},
         "workloads": {
             w: record_workload(trees, w, args.seeds, seconds, better)
-            for w in args.workloads
+            for w in workloads
         },
     }
     if args.trace_seed is not None:
@@ -124,7 +122,7 @@ def main(argv=None) -> int:
             w: {side: {name: m["value"] for name, m in
                        run_bench(tree, w, args.trace_seed, seconds, 1)["metrics"].items()}
                 for side, tree in trees.items()}
-            for w in args.workloads
+            for w in workloads
         }}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for w, res in doc["workloads"].items():

@@ -19,7 +19,9 @@ Character tables store dominant entries only; full tables are recovered by
 orbit expansion on demand.  Orbit enumeration and expansion refuse, with
 BudgetExceeded, any request of more than MAX_WEIGHTS weights, judged up front
 from exact orbit sizes; a character refuses, as its dominant-weight closure
-grows, a module with more than MAX_DOMINANT_WEIGHTS dominant weights.
+grows, a module with more than MAX_DOMINANT_WEIGHTS dominant weights.  Such a
+module has more than two dominant weights, so is_defining answers "not
+defining" for it instead of refusing.
 """
 
 from __future__ import annotations
@@ -354,9 +356,14 @@ def classify_weight(rs: RootSystem, weight: Sequence[int]) -> WeightClass:
 
 @dataclass(frozen=True)
 class DefiningCheck:
+    """The verdict of is_defining.  For a module with more than
+    MAX_DOMINANT_WEIGHTS dominant weights the character is not computed:
+    dominant_count is then MAX_DOMINANT_WEIGHTS + 1, a lower bound, and
+    max_multiplicity is None."""
+
     ok: bool
     dominant_count: int
-    max_multiplicity: int
+    max_multiplicity: int | None
     witness: str | None
 
     def __bool__(self) -> bool:
@@ -366,7 +373,16 @@ class DefiningCheck:
 def is_defining(rs: RootSystem, weight: Sequence[int]) -> DefiningCheck:
     """All weight multiplicities 1 and at most two dominant weights."""
     lam = _require_dominant(rs, weight)
-    table = freudenthal_character(rs, lam).entries
+    try:
+        table = freudenthal_character(rs, lam).entries
+    except BudgetExceeded:
+        # the closure stopped past two dominant weights: not defining
+        return DefiningCheck(
+            False,
+            MAX_DOMINANT_WEIGHTS + 1,
+            None,
+            f"more than {MAX_DOMINANT_WEIGHTS} dominant weights (more than two Weyl orbits)",
+        )
     dominant_count = len(table)
     worst_w, worst_m = max(table.items(), key=lambda it: it[1])
     if worst_m > 1:

@@ -209,6 +209,17 @@ def test_oversized_character_fails_fast():
         assert "Traceback" not in proc.stderr, argv
 
 
+def test_induct_past_character_budget_admits_no_chains(capsys):
+    # V(5000w1) of A1 has 2,501 dominant weights, past MAX_DOMINANT_WEIGHTS;
+    # more than two means not defining, so the search admits no chain
+    start = time.perf_counter()
+    assert run(["induct", "A1", "[5000]"]) == 0
+    assert time.perf_counter() - start < 2.0
+    out = capsys.readouterr()
+    assert out.out == "0 chains from V(5000w1; A1) to depth 12\n"
+    assert out.err == ""
+
+
 def test_library_has_no_assert_statements():
     import ast
     import lieinduct

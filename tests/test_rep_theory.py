@@ -20,6 +20,7 @@ from oracles import (
 
 from lieinduct.errors import BudgetExceeded, NotDominant
 from lieinduct.rep_theory import (
+    MAX_DOMINANT_WEIGHTS,
     MAX_WEIGHTS,
     CharacterTable,
     _dominant_weights,
@@ -403,6 +404,19 @@ def test_is_defining_witnesses():
         check = is_defining(rsys(f"A{l}"), w(l, 1, 3))
         assert not check.ok
         assert check.dominant_count > 2
+
+
+def test_is_defining_past_character_budget():
+    # E8 rho (14,870 dominant weights) and A1 5000w1 (2,501) are refused as
+    # characters but are simply not defining
+    for label, lam in (("E8", (1,) * 8), ("A1", (5000,))):
+        with pytest.raises(BudgetExceeded):
+            freudenthal_character(rsys(label), lam)
+        check = is_defining(rsys(label), lam)
+        assert not check.ok
+        assert check.dominant_count == MAX_DOMINANT_WEIGHTS + 1
+        assert check.max_multiplicity is None
+        assert "dominant weights" in check.witness
 
 
 def test_is_defining_matches_brute_force():
