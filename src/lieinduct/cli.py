@@ -387,26 +387,30 @@ def _cmd_induct(ns) -> int:
     w = parse_weight(ns.weight, rs.rank)
     depth = _default_depth(ns)
     states = ind_mod.induction_search(rs, w, max_depth=depth)
-    payload = {
-        "base": str(rs.type),
-        "b1": list(w),
-        "max_depth": depth,
-        "chains": [
-            {
-                "levels": [list(x) for x in s.weights],
-                "terminated": s.terminated,
-                "dimension": str(s.dbos_dimension),
-            }
-            for s in states
-        ],
-    }
+    # only the requested format is built: a deep search holds many chains
+    if ns.format == "json":
+        payload = {
+            "base": str(rs.type),
+            "b1": list(w),
+            "max_depth": depth,
+            "chains": [
+                {
+                    "levels": [list(x) for x in s.weights],
+                    "terminated": s.terminated,
+                    "dimension": str(s.dbos_dimension),
+                }
+                for s in states
+            ],
+        }
+        _emit(ns, payload, [])
+        return EXIT_OK
     lines = [f"{len(states)} chains from V({weight_label(w)}; {rs.type}) to depth {depth}"]
     labels = {x: weight_label(x) for x in {x for s in states for x in s.weights}}
     for s in states:
         tag = "terminated" if s.terminated else "open"
-        seq = " ".join(labels[x] for x in s.weights)
+        seq = " ".join(map(labels.__getitem__, s.weights))
         lines.append(f"{seq} | {tag} | dim {s.dbos_dimension}")
-    _emit(ns, payload, lines)
+    _emit(ns, {}, lines)
     return EXIT_OK
 
 

@@ -38,7 +38,9 @@ class InternalParity(InvariantViolation):
 
 
 class BudgetExceeded(LieInductError):
-    """A request would enumerate more weights than the engine's fixed cap."""
+    """A request would exceed one of the engine's fixed caps: weights in an
+    orbit or expansion, dominant weights of a character, or levels held by an
+    induction search."""
 
 
 class IrreducibilityMismatch(LieInductError):

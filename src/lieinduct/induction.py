@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from typing import Sequence
 
-from .errors import TrivialFirstLevel
+from .errors import BudgetExceeded, TrivialFirstLevel
 from .rep_theory import (
     ModuleDescriptor,
     is_defining,
@@ -44,6 +45,10 @@ from .root_system import (
 from .tensor_ops import tensor_decompose, wedge2_decompose
 
 DEFAULT_MAX_DEPTH = 12
+# Cap on the levels of all chains one search holds, checked as chains are
+# pushed.  A search to depth d holds O(d) chains of O(d) levels, so a cap on
+# chains alone would not stop a deep one.
+MAX_SEARCH_LEVELS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -126,6 +131,9 @@ def check_new_row(
     return row == tuple(weight)
 
 
+_highest_weight = attrgetter("highest_weight")
+
+
 @dataclass(frozen=True)
 class InductionState:
     """A chain of graded levels; zero levels after the stored prefix."""
@@ -137,7 +145,7 @@ class InductionState:
 
     @cached_property
     def weights(self) -> tuple[Vector, ...]:
-        return tuple(md.highest_weight for md in self.chain)
+        return tuple(map(_highest_weight, self.chain))
 
 
 def dbos_dimension(rs: RootSystem, chain: Sequence) -> int:
@@ -163,14 +171,76 @@ def _bracket_summands(
 ) -> frozenset[ModuleDescriptor]:
     """Defining summands of V(a) (x) V(b), or of Lambda^2 V(a) when b is None.
 
-    Every state of a search asks for the same few brackets, so each is
-    decomposed and filtered once and later states only intersect the sets.
+    Every search asks for the same few brackets, so each is decomposed and
+    filtered once per run.
     """
     rs = build_root_system(t)
     dec = wedge2_decompose(rs, a) if b is None else tensor_decompose(rs, a, b)
     return frozenset(
         md for md, _ in dec.summands if is_defining(rs, md.highest_weight).ok
     )
+
+
+_SQUARE = -1  # partner id of the exterior square Lambda^2 b_i
+
+
+class _BracketMasks(dict):
+    """One search's modules interned as small ints, and each bracket pair's
+    defining summands as a bitmask over those ints, decomposed on first
+    lookup.
+
+    A pair is keyed by the ids of its shallower and deeper level; the
+    exterior square of a level is keyed (id, _SQUARE).  Two equal modules at
+    different levels bracket by their tensor product, so (a, a) and
+    (a, _SQUARE) are different keys.
+    """
+
+    def __init__(self, rs: RootSystem) -> None:
+        super().__init__()
+        self.type = rs.type
+        self.ids: dict[ModuleDescriptor, int] = {}
+        self.modules: list[ModuleDescriptor] = []
+        # mask -> its ids by descending highest weight, the order in which
+        # the search pushes children
+        self.children: dict[int, tuple[int, ...]] = {}
+
+    def intern(self, md: ModuleDescriptor) -> int:
+        i = self.ids.get(md)
+        if i is None:
+            i = self.ids[md] = len(self.modules)
+            self.modules.append(md)
+        return i
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        a, b = key
+        partner = None if b == _SQUARE else self.modules[b].highest_weight
+        mask = 0
+        for md in _bracket_summands(self.type, self.modules[a].highest_weight, partner):
+            mask |= 1 << self.intern(md)
+        self[key] = mask
+        return mask
+
+    def candidates(self, chain: tuple[int, ...]) -> tuple[int, ...]:
+        """Ids of the nonzero modules admissible at the level below chain,
+        by descending highest weight."""
+        n = len(chain)
+        common = -1  # every bit set: no pair has constrained the level yet
+        # levels i and n + 1 - i pair by their tensor product for i < n + 1 - i
+        for key in zip(chain[: n // 2], reversed(chain)):
+            common &= self[key]
+            if not common:
+                return ()
+        # the square of a line is zero: no constraint, no producer
+        if n % 2 and self.modules[chain[n // 2]].dimension != 1:
+            common &= self[chain[n // 2], _SQUARE]
+        if common <= 0:
+            return ()  # no common summand, or nothing can feed the bracket
+        found = self.children.get(common)
+        if found is None:
+            ids = [i for i in range(common.bit_length()) if common >> i & 1]
+            ids.sort(key=lambda i: self.modules[i].highest_weight, reverse=True)
+            found = self.children[common] = tuple(ids)
+        return found
 
 
 def next_level_candidates(
@@ -183,27 +253,12 @@ def next_level_candidates(
     depth = -level
     if len(chain) != depth - 1 or depth < 2:
         raise ValueError(f"chain of length {len(chain)} cannot precede level {level}")
-
-    def entry(lv: int) -> ModuleDescriptor | None:
-        return chain[-lv - 1]
-
-    required: list[frozenset[ModuleDescriptor]] = []
-    for i in range(-1, level, -1):
-        j = level - i
-        if j > i:
-            continue  # unordered pairs once
-        bi, bj = entry(i), entry(j)
-        if bi is None or bj is None:
-            return (None,)  # a zero factor forces zero from here on
-        if i == j and bi.dimension == 1:
-            continue  # the square of a line is zero: no constraint, no producer
-        partner = None if i == j else bj.highest_weight
-        required.append(_bracket_summands(rs.type, bi.highest_weight, partner))
-
-    if not required:
-        return (None,)  # nothing can feed the bracket at this level
-    common = frozenset.intersection(*required)
-    return (None, *sorted(common, key=lambda md: (md.dimension, md.highest_weight)))
+    if None in chain:
+        return (None,)  # a zero factor forces zero from here on
+    masks = _BracketMasks(rs)
+    ids = tuple(masks.intern(md) for md in chain)
+    found = [masks.modules[i] for i in masks.candidates(ids)]
+    return (None, *sorted(found, key=lambda md: (md.dimension, md.highest_weight)))
 
 
 def induction_search(
@@ -212,13 +267,15 @@ def induction_search(
     max_depth: int = DEFAULT_MAX_DEPTH,
     threads: int = 1,
 ) -> list[InductionState]:
-    """All admissible chains starting from b1, to the given depth.
+    """All admissible chains starting from b1, to the given depth, sorted by
+    their weights.
 
     Chains that reach max_depth with every level nonzero are flagged
     non-terminated.  A non-defining b1 admits no chains at all.  The search
     runs on an explicit stack, so its depth is not bounded by Python's
-    recursion limit.  threads is accepted for compatibility and ignored: the
-    search is sequential.
+    recursion limit; it raises BudgetExceeded once the chains it holds
+    would add up to more than MAX_SEARCH_LEVELS levels.  threads is accepted
+    for compatibility and ignored: the search is sequential.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
@@ -230,21 +287,34 @@ def induction_search(
     if not is_defining(rs, first.highest_weight).ok:
         return []
 
+    masks = _BracketMasks(rs)
+    modules = masks.modules
     states: list[InductionState] = []
-    # each entry carries its DBOS dimension: a child adds 2 * dim(candidate)
-    stack: list[tuple[tuple[ModuleDescriptor, ...], int]] = [
-        ((first,), dbos_dimension(rs, (first,)))
+    # Chains are tuples of module ids, each with its DBOS dimension: a child
+    # adds 2 * dim(candidate).  Children are pushed by descending weight, so
+    # they pop in ascending order and every chain is emitted after its
+    # prefix and before the chains that exceed it: sorted by weights.
+    stack: list[tuple[tuple[int, ...], int]] = [
+        ((masks.intern(first),), dbos_dimension(rs, (first,)))
     ]
+    levels = 1
     while stack:
-        prefix, dim = stack.pop()
-        open_ended = len(prefix) == max_depth
-        states.append(InductionState(rs.type, prefix, not open_ended, dim))
-        if not open_ended:
-            level = -(len(prefix) + 1)
-            for cand in next_level_candidates(rs, prefix, level):
-                if cand is not None:
-                    stack.append((prefix + (cand,), dim + 2 * cand.dimension))
-    states.sort(key=lambda s: s.weights)
+        chain, dim = stack.pop()
+        open_ended = len(chain) == max_depth
+        states.append(InductionState(
+            rs.type, tuple(map(modules.__getitem__, chain)), not open_ended, dim
+        ))
+        if open_ended:
+            continue
+        children = masks.candidates(chain)
+        levels += len(children) * (len(chain) + 1)
+        if levels > MAX_SEARCH_LEVELS:
+            raise BudgetExceeded(
+                f"the search from {first} to depth {max_depth} holds chains of "
+                f"more than {MAX_SEARCH_LEVELS} levels in all"
+            )
+        for c in children:
+            stack.append((chain + (c,), dim + 2 * modules[c].dimension))
     return states
 
 

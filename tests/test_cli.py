@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,6 +16,14 @@ from lieinduct import cli
 from lieinduct.cli import parse_weight, run, weight_label, UsageError
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def cli_env():
+    """The environment for running the CLI in a subprocess from this tree."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def run_json(capsys, *args):
@@ -146,9 +155,7 @@ def test_console_entry_point():
 
 def test_optimized_interpreter_gives_same_output():
     # invariant checks are typed errors, not asserts, so -O changes nothing
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = cli_env()
     outs = []
     for flags in ([], ["-O"]):
         proc = subprocess.run(
@@ -163,9 +170,7 @@ def test_optimized_interpreter_gives_same_output():
 
 def test_closed_pipe_exits_quietly():
     # far more output than a pipe buffer holds, so writing meets the closed end
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = cli_env()
     proc = subprocess.Popen(
         [sys.executable, "-m", "lieinduct.cli", "induct", "G2", "w1", "--depth", "64"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
@@ -193,9 +198,7 @@ def test_oversized_character_fails_fast():
     # 14,870 dominant weights for E8 rho and 357,855 for A8 9rho: the
     # dominant-weight closure stops at MAX_DOMINANT_WEIGHTS, before any
     # multiplicity is computed
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = cli_env()
     for argv in (["E8", "[1,1,1,1,1,1,1,1]"], ["E8", "[2,2,2,2,2,2,2,2]"],
                  ["A8", "[9,9,9,9,9,9,9,9]"]):
         start = time.perf_counter()
@@ -206,6 +209,66 @@ def test_oversized_character_fails_fast():
         assert time.perf_counter() - start < 2.0, argv
         assert proc.returncode == 1, argv
         assert "BudgetExceeded" in proc.stderr, argv
+        assert "Traceback" not in proc.stderr, argv
+
+
+def test_deep_induction_search_fails_fast():
+    # one open chain per depth, each as long as its depth: about depth^2 / 2
+    # levels, so the search stops at MAX_SEARCH_LEVELS near depth 2,000
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "lieinduct.cli", "induct", "A2", "w1", "--depth", "100000"],
+        capture_output=True, text=True, env=cli_env(), timeout=60,
+    )
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode == 1
+    assert "BudgetExceeded" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _fuzz_weight(rng, rank):
+    pick = rng.random()
+    if pick < 0.4:
+        return f"w{rng.randint(0, rank)}"
+    if pick < 0.5:
+        return f"{rng.randint(2, 3)}w{rng.randint(1, rank)}"
+    return "[" + ",".join(str(rng.choice([0, 0, 0, 1, 1, 2, -1])) for _ in range(rank)) + "]"
+
+
+def _fuzz_op(rng):
+    """A random induct/report/delete/equivalences command line; invalid
+    types, nodes, weights, embeddings and depths included."""
+    label = rng.choice(["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+                        "D4", "F4", "G2", "B1", "D3", "E5"])
+    rank = int(label[1:])
+    verb = rng.choice(["induct", "report", "delete", "equivalences"])
+    if verb == "induct":
+        argv = [verb, label, _fuzz_weight(rng, rank)]
+        if rng.random() < 0.8:
+            depth = rng.choice([1, 2, 7, 12, 40, 300, 100_000, rng.randint(-1, 100_000)])
+            argv += ["--depth", str(depth)]
+    elif verb == "report":
+        depth = rng.choice([1, 5, 30, 100_000, rng.randint(0, 100_000)])
+        argv = [verb, rng.choice(["E9", "F5", "G3", "g3"]), "--depth", str(depth)]
+    else:
+        argv = [verb, label, "--node", str(rng.randint(0, rank + 1))]
+        if rng.random() < 0.3:
+            pairs = ",".join(f"{i}:{rng.randint(1, rank + 1)}" for i in range(1, rank))
+            argv += ["--iota", rng.choice(["table2", pairs])]
+    if rng.random() < 0.3:
+        argv += ["--format", "json"]
+    return argv
+
+
+def test_seeded_cli_fuzz_never_hangs_or_crashes():
+    rng = random.Random(8808)
+    for _ in range(30):
+        argv = _fuzz_op(rng)
+        proc = subprocess.run(
+            [sys.executable, "-m", "lieinduct.cli", *argv],
+            capture_output=True, text=True, env=cli_env(), timeout=30,
+        )
+        assert proc.returncode in (0, 1, 2), (argv, proc.stderr)
         assert "Traceback" not in proc.stderr, argv
 
 

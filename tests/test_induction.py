@@ -3,6 +3,7 @@ reports and the deletion round trip."""
 
 import inspect
 import os
+import random
 import sys
 
 import pytest
@@ -13,7 +14,7 @@ from oracles import brute_induction_search
 
 from lieinduct import induction
 from lieinduct.deletion import _summary_rows, delete_node
-from lieinduct.errors import BadEmbedding, TrivialFirstLevel
+from lieinduct.errors import BadEmbedding, BudgetExceeded, TrivialFirstLevel
 from lieinduct.induction import (
     E9_DIAGRAM,
     EXCEPTIONAL_TARGETS,
@@ -27,7 +28,7 @@ from lieinduct.induction import (
     induction_search,
     next_level_candidates,
 )
-from lieinduct.rep_theory import is_defining, module_descriptor
+from lieinduct.rep_theory import defining_modules, is_defining, module_descriptor
 from lieinduct.root_system import DynkinType, build_root_system, parse_dynkin
 
 
@@ -261,6 +262,55 @@ def test_search_matches_per_state_oracle(label, b1, depth):
     states = induction_search(rsys(label), b1, max_depth=depth)
     got = [(s.weights, s.terminated, s.dbos_dimension) for s in states]
     assert got == brute_induction_search(rsys(label), b1, depth)
+
+
+def test_search_matches_per_state_oracle_on_seeded_draws():
+    # first levels drawn from the fundamental weights and the defining
+    # modules; F4 has no non-trivial defining module, so its draws check
+    # that both sides admit no chain
+    rng = random.Random(8801)
+    pools = {}
+    for label in ["A2", "B3", "C3", "G2", "F4"]:
+        rs = rsys(label)
+        pools[label] = sorted(
+            {w(rs.rank, i) for i in range(1, rs.rank + 1)}
+            | {m.highest_weight for m in defining_modules(rs) if not m.is_trivial}
+        )
+    for _ in range(16):
+        label = rng.choice(sorted(pools))
+        b1 = rng.choice(pools[label])
+        depth = rng.randint(1, 14)
+        states = induction_search(rsys(label), b1, max_depth=depth)
+        got = [(s.weights, s.terminated, s.dbos_dimension) for s in states]
+        assert got == brute_induction_search(rsys(label), b1, depth), (label, b1, depth)
+
+
+def test_equal_modules_at_different_levels_bracket_by_tensor_product():
+    # levels -1 and -2 both V(w1) of G2: level -3 is fed by the tensor
+    # product 7 (x) 7 = 1 + 7 + 14 + 27, not by Lambda^2 7 = 7 + 14, so the
+    # trivial module is admissible there
+    g2 = DynkinType("G", 2)
+    tensor = induction._bracket_summands(g2, (1, 0), (1, 0))
+    square = induction._bracket_summands(g2, (1, 0), None)
+    assert sorted(m.highest_weight for m in tensor) == [(0, 0), (1, 0)]
+    assert sorted(m.highest_weight for m in square) == [(1, 0)]
+    b = md("G2", (1, 0))
+    cands = next_level_candidates(rsys("G2"), (b, b), -3)
+    assert [c.highest_weight if c else None for c in cands] == [None, (0, 0), (1, 0)]
+    chains = [s.weights for s in induction_search(rsys("G2"), (1, 0), max_depth=3)]
+    assert chains == [((1, 0),), ((1, 0), (1, 0)),
+                      ((1, 0), (1, 0), (0, 0)), ((1, 0), (1, 0), (1, 0))]
+
+
+def test_search_budget_counts_the_levels_of_every_chain(monkeypatch):
+    rs = rsys("G2")
+    states = induction_search(rs, (1, 0), max_depth=16)
+    held = sum(len(s.chain) for s in states)
+    monkeypatch.setattr(induction, "MAX_SEARCH_LEVELS", held)
+    assert induction_search(rs, (1, 0), max_depth=16) == states
+    monkeypatch.setattr(induction, "MAX_SEARCH_LEVELS", held - 1)
+    with pytest.raises(BudgetExceeded):
+        induction_search(rs, (1, 0), max_depth=16)
 
 
 def test_search_decomposes_each_bracket_pair_once():
