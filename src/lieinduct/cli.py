@@ -66,7 +66,9 @@ def parse_weight(text: str, rank: int) -> tuple[int, ...]:
 
 
 def parse_iota(text: str, rs: RootSystem, node: int):
-    """Embedding syntax: residual:ambient pairs '1:3,2:4', or 'table2'."""
+    """Embedding syntax: residual:ambient pairs '1:3,2:4', or 'table2'.
+    An out-of-range node is a domain error, as it is without an embedding."""
+    del_mod.check_node(rs, node)
     if text == "table2":
         for row in del_mod._summary_rows():
             if row["ambient"] == rs.type and row["node"] == node:

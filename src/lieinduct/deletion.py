@@ -191,11 +191,16 @@ def _module_weight_multiset(factors: tuple[ModuleDescriptor, ...]) -> dict[Vecto
     return acc
 
 
+def check_node(rs: RootSystem, d: int) -> None:
+    """InvalidType unless d is a node of rs (1-based)."""
+    if not 1 <= d <= rs.rank:
+        raise InvalidType(f"node {d} out of range for {rs.type}")
+
+
 def delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
     """Grade the ambient roots by the coordinate at node d and identify every
     nonzero level as an irreducible residual module."""
-    if not 1 <= d <= rs.rank:
-        raise InvalidType(f"node {d} out of range for {rs.type}")
+    check_node(rs, d)
     residual_nodes = [i for i in range(1, rs.rank + 1) if i != d]
     components = classify_subdiagram(
         rs.cartan.entries, rs.cartan.symmetrizer, residual_nodes

@@ -7,6 +7,13 @@ back up).  Multiplicities come from the Freudenthal recursion run over the
 dominant weights alone, with root-string weights looked up through their
 dominant representative; no full weight system is built.
 
+The dominant weights of V(lam) are the closure of lam under subtracting
+positive roots while staying dominant: covers among dominant weights differ
+by a positive root (J. R. Stembridge, "The partial order of dominant
+weights", Adv. Math. 136 (1998) 340-364).  The closure is indexed by support:
+w - alpha can be dominant only if alpha's weight is positive on supp(w)
+alone, so at w only the roots of RootSystem.roots_within_support are tried.
+
 The Freudenthal sum is folded as in R. V. Moody, J. Patera, "Fast recursion
 formula for weight multiplicities", Bull. AMS 7 (1982) 237-242.  At a
 dominant weight mu with zero nodes J, every w in the stabilizer W_J gives
@@ -19,9 +26,10 @@ Character tables store dominant entries only; full tables are recovered by
 orbit expansion on demand.  Orbit enumeration and expansion refuse, with
 BudgetExceeded, any request of more than MAX_WEIGHTS weights, judged up front
 from exact orbit sizes; a character refuses, as its dominant-weight closure
-grows, a module with more than MAX_DOMINANT_WEIGHTS dominant weights.  Such a
-module has more than two dominant weights, so is_defining answers "not
-defining" for it instead of refusing.
+grows, a module with more than MAX_DOMINANT_WEIGHTS dominant weights.
+is_defining runs the closure with a cap of two: a third dominant weight
+answers "not defining" at once, so the check never refuses and computes
+multiplicities only for modules with at most two dominant weights.
 """
 
 from __future__ import annotations
@@ -180,29 +188,36 @@ def weyl_dim(rs: RootSystem, weight: Sequence[int]) -> int:
     return q
 
 
-def _dominant_weights(rs: RootSystem, lam: Vector) -> dict[Vector, Vector]:
+def _dominant_weights(
+    rs: RootSystem, lam: Vector, cap: int = MAX_DOMINANT_WEIGHTS
+) -> dict[Vector, Vector]:
     """Dominant weights mu of V(lam), each mapped to lam - mu in root
     coordinates, ordered by depth (the height of lam - mu) and then by mu.
 
     This is the closure of lam under subtracting positive roots while staying
     dominant; covers among dominant weights differ by a positive root
-    (Stembridge), so no dominant weight is missed.
+    (Stembridge), so no dominant weight is missed.  At w only the roots
+    positive on supp(w) alone are tried (RootSystem.roots_within_support):
+    any other root leaves a negative coordinate.  BudgetExceeded as soon as
+    the closure holds more than cap weights.
     """
+    pr, pw = rs.positive_roots, rs.positive_weights
     below = {lam: (0,) * rs.rank}
     frontier = [lam]
     while frontier:
         nxt = []
         for w in frontier:
             above = below[w]
-            for alpha, aw in zip(rs.positive_roots, rs.positive_weights):
-                v = tuple(a - b for a, b in zip(w, aw))
+            support = sum(1 << j for j, x in enumerate(w) if x)
+            for i in rs.roots_within_support(support):
+                v = tuple(a - b for a, b in zip(w, pw[i]))
                 if min(v) >= 0 and v not in below:
-                    below[v] = tuple(a + b for a, b in zip(above, alpha))
+                    below[v] = tuple(a + b for a, b in zip(above, pr[i]))
                     nxt.append(v)
-                    if len(below) > MAX_DOMINANT_WEIGHTS:
+                    if len(below) > cap:
                         raise BudgetExceeded(
                             f"V({list(lam)}) of {rs.type} has more than "
-                            f"{MAX_DOMINANT_WEIGHTS} dominant weights"
+                            f"{cap} dominant weights"
                         )
         frontier = nxt
     return dict(sorted(below.items(), key=lambda it: (sum(it[1]), it[0])))
@@ -356,9 +371,9 @@ def classify_weight(rs: RootSystem, weight: Sequence[int]) -> WeightClass:
 
 @dataclass(frozen=True)
 class DefiningCheck:
-    """The verdict of is_defining.  For a module with more than
-    MAX_DOMINANT_WEIGHTS dominant weights the character is not computed:
-    dominant_count is then MAX_DOMINANT_WEIGHTS + 1, a lower bound, and
+    """The verdict of is_defining.  dominant_count is the number of dominant
+    weights, capped at 3: past two the closure stops at the third and the
+    character is not computed, so dominant_count is 3, a lower bound, and
     max_multiplicity is None."""
 
     ok: bool
@@ -371,35 +386,28 @@ class DefiningCheck:
 
 
 def is_defining(rs: RootSystem, weight: Sequence[int]) -> DefiningCheck:
-    """All weight multiplicities 1 and at most two dominant weights."""
+    """All weight multiplicities 1 and at most two dominant weights.
+
+    The dominant-weight closure runs first with cap 2; a third dominant
+    weight settles "not defining" before any multiplicity is computed."""
     lam = _require_dominant(rs, weight)
     try:
-        table = freudenthal_character(rs, lam).entries
+        _dominant_weights(rs, lam, cap=2)
     except BudgetExceeded:
-        # the closure stopped past two dominant weights: not defining
+        # the closure found a third dominant weight: not defining
         return DefiningCheck(
-            False,
-            MAX_DOMINANT_WEIGHTS + 1,
-            None,
-            f"more than {MAX_DOMINANT_WEIGHTS} dominant weights (more than two Weyl orbits)",
+            False, 3, None, "3 or more dominant weights (more than two Weyl orbits)"
         )
-    dominant_count = len(table)
+    table = freudenthal_character(rs, lam).entries
     worst_w, worst_m = max(table.items(), key=lambda it: it[1])
     if worst_m > 1:
         return DefiningCheck(
             False,
-            dominant_count,
+            len(table),
             worst_m,
             f"weight {list(worst_w)} has multiplicity {worst_m}",
         )
-    if dominant_count > 2:
-        return DefiningCheck(
-            False,
-            dominant_count,
-            worst_m,
-            f"{dominant_count} dominant weights (more than two Weyl orbits)",
-        )
-    return DefiningCheck(True, dominant_count, worst_m, None)
+    return DefiningCheck(True, len(table), worst_m, None)
 
 
 def short_dominant_root(rs: RootSystem) -> Vector:

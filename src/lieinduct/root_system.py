@@ -385,6 +385,26 @@ class RootSystem:
             out = memo[zero_nodes] = tuple(sorted(sizes.items()))
         return out
 
+    @cached_property
+    def _support_memo(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+    def roots_within_support(self, mask: int) -> tuple[int, ...]:
+        """Indices in positive_roots of the roots whose weight is positive
+        only on nodes in mask (bit j for the 0-based node j).
+
+        Only these roots can be subtracted from a dominant weight with
+        support mask and leave it dominant.  Memoized per mask.
+        """
+        memo = self._support_memo
+        out = memo.get(mask)
+        if out is None:
+            out = memo[mask] = tuple(
+                i for i, aw in enumerate(self.positive_weights)
+                if all(x <= 0 or mask >> j & 1 for j, x in enumerate(aw))
+            )
+        return out
+
     # -- reflections -------------------------------------------------------
 
     def reflect(self, m: Sequence[int], i: int) -> Vector:

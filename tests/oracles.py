@@ -4,8 +4,10 @@ Multiplicities here come from the alternating Weyl sum over a partition-count,
 from the Freudenthal recursion run over the full weight system (every weight
 of the module, not just the dominant ones), or from the dominant-only
 recursion with one root string per positive root, which the engine folds over
-classes of roots; orbits come from explicit group matrices, parabolic ones
-from closing under the chosen generators, dominance tests from a local
+classes of roots.  That recursion closes the dominant weights under every
+positive root, where the engine tries only the roots positive on the
+support.  Orbits come from explicit group matrices, parabolic ones from
+closing under the chosen generators, dominance tests from a local
 rational inverse, and the tensor, exterior-square and symmetric-square oracles
 convolve full weight tables and peel them greedily rather than straightening.
 The search oracle replays the induction search state by state, decomposing
@@ -23,6 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
+from lieinduct.errors import BudgetExceeded
+from lieinduct.rep_theory import MAX_DOMINANT_WEIGHTS
 from lieinduct.root_system import RootSystem
 
 
@@ -339,14 +343,40 @@ def weight_system_freudenthal(rs: RootSystem, lam) -> dict:
     return mult
 
 
+def unindexed_dominant_weights(rs: RootSystem, lam) -> dict:
+    """Dominant weight mu of V(lam) -> lam - mu in root coordinates, ordered
+    by (height of lam - mu, mu): the closure of lam under subtracting every
+    positive root at every weight while staying dominant, with no index by
+    support.  BudgetExceeded past MAX_DOMINANT_WEIGHTS weights, checked as
+    the closure grows."""
+    lam = tuple(lam)
+    below = {lam: (0,) * rs.rank}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            above = below[w]
+            for alpha, aw in zip(rs.positive_roots, rs.positive_weights):
+                v = tuple(a - b for a, b in zip(w, aw))
+                if min(v) >= 0 and v not in below:
+                    below[v] = tuple(a + b for a, b in zip(above, alpha))
+                    nxt.append(v)
+                    if len(below) > MAX_DOMINANT_WEIGHTS:
+                        raise BudgetExceeded(
+                            f"V({list(lam)}) of {rs.type} has more than "
+                            f"{MAX_DOMINANT_WEIGHTS} dominant weights"
+                        )
+        frontier = nxt
+    return dict(sorted(below.items(), key=lambda it: (sum(it[1]), it[0])))
+
+
 def unfolded_freudenthal(rs: RootSystem, lam) -> dict:
     """Dominant weight -> multiplicity by the dominant-only Freudenthal
     recursion with one root string per positive root (no folding over root
-    classes).  The dominant weights are the closure of lam under subtracting
-    positive roots while staying dominant, processed by depth below lam; the
-    string mu + k alpha stops at its first weight whose dominant conjugate has
-    no multiplicity yet, or once 2k(mu, alpha) + k^2(alpha, alpha) exceeds
-    (lam + mu, lam - mu)."""
+    classes).  The dominant weights come from unindexed_dominant_weights,
+    processed by depth below lam; the string mu + k alpha stops at its first
+    weight whose dominant conjugate has no multiplicity yet, or once
+    2k(mu, alpha) + k^2(alpha, alpha) exceeds (lam + mu, lam - mu)."""
     lam = tuple(lam)
     n = rs.rank
     d = rs.cartan.symmetrizer
@@ -355,20 +385,8 @@ def unfolded_freudenthal(rs: RootSystem, lam) -> dict:
     def form(weight, root) -> int:
         return sum(weight[j] * root[j] * d[j] for j in range(n))
 
-    below = {lam: (0,) * n}  # dominant weight -> lam minus it, in root coordinates
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for alpha, aw in roots:
-                v = tuple(a - b for a, b in zip(w, aw))
-                if min(v) >= 0 and v not in below:
-                    below[v] = tuple(a + b for a, b in zip(below[w], alpha))
-                    nxt.append(v)
-        frontier = nxt
-
     mult = {lam: 1}
-    for mu, diff in sorted(below.items(), key=lambda it: (sum(it[1]), it[0]))[1:]:
+    for mu, diff in list(unindexed_dominant_weights(rs, lam).items())[1:]:
         gap = form([a + b for a, b in zip(lam, mu)], diff)
         acc = 0
         for alpha, aw in roots:

@@ -96,6 +96,19 @@ def test_delete_iota_forms(capsys):
     assert "BadEmbedding" in capsys.readouterr().err
 
 
+def test_out_of_range_node_is_a_domain_error_with_any_iota(capsys):
+    # the node is range-checked before the summary table is consulted
+    for verb in ("delete", "equivalences"):
+        for typ, node in (("A1", "0"), ("C4", "5")):
+            for extra in ([], ["--iota", "table2"]):
+                assert run([verb, typ, "--node", node, *extra]) == 1
+                err = capsys.readouterr().err
+                assert f"InvalidType]: node {node} out of range for {typ}" in err
+        # a valid node with no summary-table row stays a usage error
+        assert run([verb, "A1", "--node", "1", "--iota", "table2"]) == 2
+        assert "no summary-table row for A1 at node 1" in capsys.readouterr().err
+
+
 def test_report_e9(capsys):
     code, doc = run_json(capsys, "report", "E9")
     assert code == 0

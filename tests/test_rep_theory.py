@@ -14,6 +14,7 @@ from oracles import (
     kostant_dominant_character,
     product_weyl_dim,
     unfolded_freudenthal,
+    unindexed_dominant_weights,
     weight_system_freudenthal,
     weyl_oracle,
 )
@@ -403,20 +404,75 @@ def test_is_defining_witnesses():
     for l in range(2, 6):
         check = is_defining(rsys(f"A{l}"), w(l, 1, 3))
         assert not check.ok
-        assert check.dominant_count > 2
+        assert check.dominant_count == 3
 
 
 def test_is_defining_past_character_budget():
     # E8 rho (14,870 dominant weights) and A1 5000w1 (2,501) are refused as
-    # characters but are simply not defining
+    # characters but are simply not defining; the check stops at the third
     for label, lam in (("E8", (1,) * 8), ("A1", (5000,))):
         with pytest.raises(BudgetExceeded):
             freudenthal_character(rsys(label), lam)
         check = is_defining(rsys(label), lam)
         assert not check.ok
-        assert check.dominant_count == MAX_DOMINANT_WEIGHTS + 1
+        assert check.dominant_count == 3
         assert check.max_multiplicity is None
         assert "dominant weights" in check.witness
+
+
+def test_roots_within_support_matches_brute_filter():
+    # weights from the Cartan rows, not from the root datum
+    for label in ALL_LABELS:
+        rs = rsys(label)
+        n, rows = rs.rank, rs.cartan.entries
+        positive_nodes = [
+            {j for j in range(n) if sum(k[i] * rows[i][j] for i in range(n)) > 0}
+            for k in rs.positive_roots
+        ]
+        for mask in range(1 << n):
+            nodes = {j for j in range(n) if mask & (1 << j)}
+            expected = tuple(i for i, pos in enumerate(positive_nodes) if pos <= nodes)
+            assert rs.roots_within_support(mask) == expected, (label, mask)
+
+
+def test_support_indexed_closure_matches_unindexed_oracle():
+    rng = random.Random(20261101)
+    for label in ALL_LABELS:
+        rs = rsys(label)
+        n = rs.rank
+        lams = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        lams += [_sparse_weight(rng, rs, 400) for _ in range(4)]
+        for lam in lams:
+            expected = unindexed_dominant_weights(rs, lam)
+            got = _dominant_weights(rs, lam)
+            assert list(got.items()) == list(expected.items()), (label, lam)
+            # the cap admits exactly as many weights as it names
+            assert _dominant_weights(rs, lam, cap=len(expected)) == got
+            if len(expected) > 1:
+                with pytest.raises(BudgetExceeded):
+                    _dominant_weights(rs, lam, cap=len(expected) - 1)
+
+
+def test_is_defining_matches_full_character_decision():
+    rng = random.Random(20261102)
+    for label in ALL_LABELS:
+        rs = rsys(label)
+        n = rs.rank
+        lams = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        lams += [_sparse_weight(rng, rs, 150) for _ in range(3)]
+        lams += [(m,) + (0,) * (n - 1) for m in (2, 3, 4)]
+        if label == "A2":
+            lams.append((100, 100))  # refused as a character
+        for lam in lams:
+            try:
+                table = freudenthal_character(rs, lam).entries
+            except BudgetExceeded:
+                expected = False
+            else:
+                expected = max(table.values()) == 1 and len(table) <= 2
+            assert is_defining(rs, lam).ok == expected, (label, lam)
+    with pytest.raises(BudgetExceeded):
+        freudenthal_character(rsys("A2"), (100, 100))
 
 
 def test_is_defining_matches_brute_force():
