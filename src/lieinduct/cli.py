@@ -79,7 +79,10 @@ def parse_iota(text: str, rs: RootSystem, node: int):
         m = re.fullmatch(r"\s*(\d+)\s*:\s*(\d+)\s*", part)
         if not m:
             raise UsageError(f"bad embedding component {part!r}; use i:j pairs")
-        pairs[int(m.group(1))] = int(m.group(2))
+        label = int(m.group(1))
+        if label in pairs:
+            raise UsageError(f"residual label {label} is given twice")
+        pairs[label] = int(m.group(2))
     return pairs
 
 
@@ -479,8 +482,6 @@ _WEIGHT_HELP = "weight: w3, 2w1, w0 or [a,b,...]"
 _WEIGHT = (("weight",), {"help": _WEIGHT_HELP})
 _FORMAT = (("--format",), {"choices": ["text", "json"], "default": "text"})
 _NODE = (("--node",), {"type": int, "required": True})
-_THREADS = (("--threads",), {"type": int, "default": 1,
-                             "help": "accepted for compatibility; the search is sequential"})
 
 # verb -> (handler, help, arguments)
 _VERBS = {
@@ -511,11 +512,10 @@ _VERBS = {
         _TYPE, _WEIGHT, _FORMAT,
         (("--depth",), {"type": int, "default": None,
                         "help": "maximum chain depth (default LIE_INDUCT_MAX_DEPTH or 12)"}),
-        _THREADS,
     ]),
     "report": (_cmd_report, "obstruction report for E9, F5 or G3", [
         (("target",), {"choices": ["E9", "F5", "G3", "e9", "f5", "g3"]}),
-        (("--depth",), {"type": int, "default": None}), _THREADS, _FORMAT,
+        (("--depth",), {"type": int, "default": None}), _FORMAT,
     ]),
 }
 
@@ -548,9 +548,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     ns.echo = args
-    if getattr(ns, "threads", 1) is not None and getattr(ns, "threads", 1) < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return _VERBS[ns.verb][0](ns)
     except UsageError as exc:

@@ -14,6 +14,10 @@ If no pair can produce the level at all (every square is of a line), nothing
 feeds the bracket and only zero survives.  Zero is always admissible, and
 once a level is zero every deeper level is forced to zero.
 
+A search decomposes each bracket it meets once and keeps the result, the
+defining summands as a bitmask over the search's interned modules, for that
+search only; b_j (x) b_i reuses b_i (x) b_j.
+
 The assembled algebra built from a base g0 and a chain has dimension
 dim g0 + 1 + 2 * sum(dim b_j): the centrally extended middle plus the chain
 and its dual.
@@ -22,7 +26,7 @@ and its dual.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import attrgetter
 from typing import Sequence
 
@@ -165,39 +169,25 @@ def _as_descriptor(rs: RootSystem, b) -> ModuleDescriptor:
     return module_descriptor(rs, b)
 
 
-@lru_cache(maxsize=None)
-def _bracket_summands(
-    t: DynkinType, a: Vector, b: Vector | None
-) -> frozenset[ModuleDescriptor]:
-    """Defining summands of V(a) (x) V(b), or of Lambda^2 V(a) when b is None.
-
-    Every search asks for the same few brackets, so each is decomposed and
-    filtered once per run.
-    """
-    rs = build_root_system(t)
-    dec = wedge2_decompose(rs, a) if b is None else tensor_decompose(rs, a, b)
-    return frozenset(
-        md for md, _ in dec.summands if is_defining(rs, md.highest_weight).ok
-    )
-
-
 _SQUARE = -1  # partner id of the exterior square Lambda^2 b_i
 
 
 class _BracketMasks(dict):
     """One search's modules interned as small ints, and each bracket pair's
     defining summands as a bitmask over those ints, decomposed on first
-    lookup.
+    lookup.  This is the only cache of bracket decompositions: a search asks
+    for each pair once.
 
     A pair is keyed by the ids of its shallower and deeper level; the
     exterior square of a level is keyed (id, _SQUARE).  Two equal modules at
     different levels bracket by their tensor product, so (a, a) and
-    (a, _SQUARE) are different keys.
+    (a, _SQUARE) are different keys.  V(a) (x) V(b) is V(b) (x) V(a), so a
+    tensor key reuses the mask of its commuted key when that is known.
     """
 
     def __init__(self, rs: RootSystem) -> None:
         super().__init__()
-        self.type = rs.type
+        self.rs = rs
         self.ids: dict[ModuleDescriptor, int] = {}
         self.modules: list[ModuleDescriptor] = []
         # mask -> its ids by descending highest weight, the order in which
@@ -213,10 +203,15 @@ class _BracketMasks(dict):
 
     def __missing__(self, key: tuple[int, int]) -> int:
         a, b = key
-        partner = None if b == _SQUARE else self.modules[b].highest_weight
-        mask = 0
-        for md in _bracket_summands(self.type, self.modules[a].highest_weight, partner):
-            mask |= 1 << self.intern(md)
+        mask = self.get((b, a))  # (_SQUARE, a) is never a key
+        if mask is None:
+            rs, lam = self.rs, self.modules[a].highest_weight
+            dec = (wedge2_decompose(rs, lam) if b == _SQUARE
+                   else tensor_decompose(rs, lam, self.modules[b].highest_weight))
+            mask = 0
+            for md, _ in dec.summands:
+                if is_defining(rs, md.highest_weight).ok:
+                    mask |= 1 << self.intern(md)
         self[key] = mask
         return mask
 
@@ -265,7 +260,6 @@ def induction_search(
     rs: RootSystem,
     b1,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    threads: int = 1,
 ) -> list[InductionState]:
     """All admissible chains starting from b1, to the given depth, sorted by
     their weights.
@@ -274,8 +268,7 @@ def induction_search(
     non-terminated.  A non-defining b1 admits no chains at all.  The search
     runs on an explicit stack, so its depth is not bounded by Python's
     recursion limit; it raises BudgetExceeded once the chains it holds
-    would add up to more than MAX_SEARCH_LEVELS levels.  threads is accepted
-    for compatibility and ignored: the search is sequential.
+    would add up to more than MAX_SEARCH_LEVELS levels.
     """
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
@@ -333,13 +326,8 @@ class RouteReport:
     row_matches: bool
     b1_defining: bool
     b1_dimension: int
-    terminated_chains: tuple[tuple[Vector, ...], ...]
     terminated_dims: tuple[int, ...]
     non_terminated: int
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.terminated_dims
 
 
 @dataclass(frozen=True)
@@ -389,17 +377,15 @@ def _route_report(
     row_matches = check_new_row(base, iota, required, target, node)
     defining = (not all(x == 0 for x in required)) and is_defining(rs, required).ok
     dim_b1 = weyl_dim(rs, required)
-    chains: tuple[tuple[Vector, ...], ...] = ()
     dims: tuple[int, ...] = ()
     non_term = 0
     if defining:
         states = induction_search(rs, required, max_depth=max_depth)
-        chains = tuple(s.weights for s in states if s.terminated)
         dims = tuple(sorted({s.dbos_dimension for s in states if s.terminated}))
         non_term = sum(1 for s in states if not s.terminated)
     return RouteReport(
         base, target.name, node, iota, required, row_matches,
-        defining, dim_b1, chains, dims, non_term,
+        defining, dim_b1, dims, non_term,
     )
 
 
@@ -437,7 +423,7 @@ def exceptional_report(name: str, max_depth: int = DEFAULT_MAX_DEPTH) -> Excepti
 
     per_base: dict[str, set[int]] = {}
     for r in routes:
-        per_base.setdefault(str(r.base), set()).update(r.dims)
+        per_base.setdefault(str(r.base), set()).update(r.terminated_dims)
     base_dims = tuple(sorted((b, tuple(sorted(ds))) for b, ds in per_base.items()))
     common = set.intersection(*per_base.values()) if per_base else set()
     consistent = bool(common)

@@ -732,6 +732,9 @@ def check_embedding(
         missing = [i for i in range(1, size + 1) if i not in iota]
         if missing:
             raise BadEmbedding(f"embedding lacks residual labels {missing}")
+        stray = sorted(i for i in iota if not 1 <= i <= size)
+        if stray:
+            raise BadEmbedding(f"the rank-{size} residual has no labels {stray}")
         got = tuple(iota[i] for i in range(1, size + 1))
     else:
         got = tuple(iota)

@@ -13,6 +13,11 @@ where psi^2 V carries the doubled weights 2 nu.
 
 Summands are listed by root-coordinate height of the highest weight, then by
 the weight itself, both descending.
+
+Decompositions are computed on the caller's RootSystem and not cached; only
+the full weight table of a factor (`_full_table`) is.  A caller that asks
+for the same product again, such as the induction search, keeps its own
+results.
 """
 
 from __future__ import annotations
@@ -125,33 +130,24 @@ def tensor_decompose(
 ) -> DecompositionResult:
     lam = _require_dominant(rs, lam)
     mu = _require_dominant(rs, mu)
-    if lam > mu:
-        lam, mu = mu, lam  # commutativity; canonical argument order for the cache
-    return _tensor_cached(rs.type, lam, mu)
-
-
-@lru_cache(maxsize=None)
-def _tensor_cached(t: DynkinType, lam: Vector, mu: Vector) -> DecompositionResult:
-    rs = build_root_system(t)
     dl, dm = weyl_dim(rs, lam), weyl_dim(rs, mu)
-    small, big = (lam, mu) if dl <= dm else (mu, lam)
-    return _result(rs, _straighten(rs, _full_table(t, small), big), dl * dm)
+    # expand the smaller factor by (dimension, weight), in either argument order
+    (_, small), (_, big) = sorted([(dl, lam), (dm, mu)])
+    return _result(rs, _straighten(rs, _full_table(rs.type, small), big), dl * dm)
 
 
 def wedge2_decompose(rs: RootSystem, lam: Sequence[int]) -> DecompositionResult:
     """Exterior square of V(lam)."""
-    return _square_cached(rs.type, _require_dominant(rs, lam), -1)
+    return _square(rs, _require_dominant(rs, lam), -1)
 
 
 def sym2_decompose(rs: RootSystem, lam: Sequence[int]) -> DecompositionResult:
     """Symmetric square of V(lam)."""
-    return _square_cached(rs.type, _require_dominant(rs, lam), +1)
+    return _square(rs, _require_dominant(rs, lam), +1)
 
 
-@lru_cache(maxsize=None)
-def _square_cached(t: DynkinType, lam: Vector, sign: int) -> DecompositionResult:
-    rs = build_root_system(t)
-    table = _full_table(t, lam)
+def _square(rs: RootSystem, lam: Vector, sign: int) -> DecompositionResult:
+    table = _full_table(rs.type, lam)
     coeffs = _straighten(rs, table, lam)
     doubled = {tuple(2 * a for a in w): m for w, m in table.items()}
     for w, m in _straighten(rs, doubled, (0,) * rs.rank).items():

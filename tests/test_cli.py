@@ -96,6 +96,23 @@ def test_delete_iota_forms(capsys):
     assert "BadEmbedding" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,labels", [
+    (["delete", "A3", "--node", "3", "--iota", "1:1,2:2,3:3"], [3]),  # 3 is the deleted node
+    (["delete", "A3", "--node", "3", "--iota", "1:1,2:2,9:7"], [9]),
+    (["delete", "A1", "--node", "1", "--iota", "1:1"], [1]),
+    (["equivalences", "A4", "--node", "4", "--iota", "1:1,2:2,3:3,4:4"], [4]),
+])
+def test_iota_labels_outside_the_residual_are_refused(capsys, argv, labels):
+    assert run(argv) == 1
+    assert f"BadEmbedding]: the rank-{int(argv[1][1:]) - 1} residual has no labels {labels}" \
+        in capsys.readouterr().err
+
+
+def test_iota_label_given_twice_is_a_usage_error(capsys):
+    assert run(["delete", "F4", "--node", "1", "--iota", "1:2,1:4,2:3,3:2"]) == 2
+    assert "residual label 1 is given twice" in capsys.readouterr().err
+
+
 def test_out_of_range_node_is_a_domain_error_with_any_iota(capsys):
     # the node is range-checked before the summary table is consulted
     for verb in ("delete", "equivalences"):
@@ -136,7 +153,8 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert run(["no-such-verb"]) == 2
     capsys.readouterr()
-    assert run(["induct", "A2", "w1", "--threads", "0"]) == 2
+    assert run(["induct", "A2", "w1", "--threads", "2"]) == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_depth_env_override(capsys, monkeypatch):
@@ -386,7 +404,7 @@ PARSER_SAMPLES = {
     "delete": ["delete", "E6", "--node", "2", "--iota", "table2"],
     "equivalences": ["equivalences", "A4", "--node", "4"],
     "table2": ["table2"],
-    "induct": ["induct", "G2", "w1", "--depth", "4", "--threads", "2"],
+    "induct": ["induct", "G2", "w1", "--depth", "4"],
     "report": ["report", "g3", "--depth", "9", "--format", "json"],
 }
 

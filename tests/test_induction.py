@@ -232,13 +232,6 @@ def test_exceptional_report_g3():
                for s in a2_states)
 
 
-def test_threaded_search_matches_sequential():
-    rs = rsys("A2")
-    seq = induction_search(rs, (1, 0), max_depth=7, threads=1)
-    par = induction_search(rs, (1, 0), max_depth=7, threads=4)
-    assert seq == par
-
-
 def test_search_depth_is_not_bounded_by_recursion_limit():
     # a recursive search needs a stack frame per level; leave room for
     # ordinary calls only, well short of the 64 levels searched
@@ -285,18 +278,41 @@ def test_search_matches_per_state_oracle_on_seeded_draws():
         assert got == brute_induction_search(rsys(label), b1, depth), (label, b1, depth)
 
 
-def test_equal_modules_at_different_levels_bracket_by_tensor_product():
+def _count_brackets(monkeypatch):
+    """Record the tensor and square decompositions the induction module asks
+    for, as ("tensor", {a, b}) and ("square", a), with their defining
+    summands."""
+    calls = []
+
+    def record(kind, fn, key):
+        def counted(rs, *weights):
+            dec = fn(rs, *weights)
+            summands = sorted(m.highest_weight for m, _ in dec.summands
+                              if is_defining(rs, m.highest_weight).ok)
+            calls.append((kind, key(weights), summands))
+            return dec
+        return counted
+
+    monkeypatch.setattr(induction, "tensor_decompose", record(
+        "tensor", induction.tensor_decompose, frozenset))
+    monkeypatch.setattr(induction, "wedge2_decompose", record(
+        "square", induction.wedge2_decompose, lambda ws: ws[0]))
+    return calls
+
+
+def test_equal_modules_at_different_levels_bracket_by_tensor_product(monkeypatch):
     # levels -1 and -2 both V(w1) of G2: level -3 is fed by the tensor
     # product 7 (x) 7 = 1 + 7 + 14 + 27, not by Lambda^2 7 = 7 + 14, so the
     # trivial module is admissible there
-    g2 = DynkinType("G", 2)
-    tensor = induction._bracket_summands(g2, (1, 0), (1, 0))
-    square = induction._bracket_summands(g2, (1, 0), None)
-    assert sorted(m.highest_weight for m in tensor) == [(0, 0), (1, 0)]
-    assert sorted(m.highest_weight for m in square) == [(1, 0)]
+    calls = _count_brackets(monkeypatch)
     b = md("G2", (1, 0))
     cands = next_level_candidates(rsys("G2"), (b, b), -3)
     assert [c.highest_weight if c else None for c in cands] == [None, (0, 0), (1, 0)]
+    # the pair (-1, -2) is a tensor product; a two-level chain has no square
+    assert calls == [("tensor", frozenset({(1, 0)}), [(0, 0), (1, 0)])]
+    calls.clear()
+    next_level_candidates(rsys("G2"), (b,), -2)
+    assert calls == [("square", (1, 0), [(1, 0)])]
     chains = [s.weights for s in induction_search(rsys("G2"), (1, 0), max_depth=3)]
     assert chains == [((1, 0),), ((1, 0), (1, 0)),
                       ((1, 0), (1, 0), (0, 0)), ((1, 0), (1, 0), (1, 0))]
@@ -313,12 +329,16 @@ def test_search_budget_counts_the_levels_of_every_chain(monkeypatch):
         induction_search(rs, (1, 0), max_depth=16)
 
 
-def test_search_decomposes_each_bracket_pair_once():
-    induction._bracket_summands.cache_clear()
+def test_search_decomposes_each_bracket_pair_once(monkeypatch):
+    calls = _count_brackets(monkeypatch)
     states = induction_search(rsys("G2"), (1, 0), max_depth=64)
     assert len(states) == 1521
-    # only the distinct (b_i, b_j) pairs are decomposed, not one per state
-    assert induction._bracket_summands.cache_info().misses <= 5
+    # only the distinct pairs are decomposed, not one per state, and (b, a)
+    # reuses (a, b): three tensor products and the square of w1
+    kinds = [kind for kind, _, _ in calls]
+    assert kinds.count("tensor") == 3 and kinds.count("square") == 1
+    keys = [(kind, key) for kind, key, _ in calls]
+    assert len(set(keys)) == len(keys)
 
 
 def test_target_diagram_from_dynkin():
