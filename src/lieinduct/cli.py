@@ -55,10 +55,9 @@ def parse_weight(text: str, rank: int) -> tuple[int, ...]:
         if idx:
             out[idx - 1] = scale
         return tuple(out)
-    m = re.fullmatch(r"\[([-\d,\s]*)\]", text)
+    m = re.fullmatch(r"\[\s*((?:-?\d+\s*,\s*)*-?\d+)?\s*\]", text)
     if m:
-        body = m.group(1).strip()
-        coords = [int(x) for x in body.split(",")] if body else []
+        coords = [int(x) for x in m.group(1).split(",")] if m.group(1) else []
         if len(coords) != rank:
             raise UsageError(f"weight {text} has {len(coords)} coordinates, need {rank}")
         return tuple(coords)
@@ -370,27 +369,16 @@ def _cmd_table2(ns) -> int:
     return EXIT_OK if report.ok else EXIT_DOMAIN
 
 
-def _default_depth(ns) -> int:
-    if ns.depth is not None:
-        depth = ns.depth
-    else:
-        env = os.environ.get("LIE_INDUCT_MAX_DEPTH")
-        if env:
-            try:
-                depth = int(env)
-            except ValueError as exc:
-                raise UsageError(f"LIE_INDUCT_MAX_DEPTH={env!r} is not an integer") from exc
-        else:
-            depth = ind_mod.DEFAULT_MAX_DEPTH
-    if depth < 1:
-        raise UsageError(f"depth must be at least 1, got {depth}")
-    return depth
+def _depth(ns) -> int:
+    if ns.depth < 1:
+        raise UsageError(f"depth must be at least 1, got {ns.depth}")
+    return ns.depth
 
 
 def _cmd_induct(ns) -> int:
     rs = _rs(ns.type)
     w = parse_weight(ns.weight, rs.rank)
-    depth = _default_depth(ns)
+    depth = _depth(ns)
     states = ind_mod.induction_search(rs, w, max_depth=depth)
     # only the requested format is built: a deep search holds many chains
     if ns.format == "json":
@@ -420,7 +408,7 @@ def _cmd_induct(ns) -> int:
 
 
 def _cmd_report(ns) -> int:
-    depth = _default_depth(ns)
+    depth = _depth(ns)
     rep_doc = ind_mod.exceptional_report(ns.target, max_depth=depth)
     payload = {
         "target": rep_doc.name,
@@ -482,6 +470,8 @@ _WEIGHT_HELP = "weight: w3, 2w1, w0 or [a,b,...]"
 _WEIGHT = (("weight",), {"help": _WEIGHT_HELP})
 _FORMAT = (("--format",), {"choices": ["text", "json"], "default": "text"})
 _NODE = (("--node",), {"type": int, "required": True})
+_DEPTH = (("--depth",), {"type": int, "default": ind_mod.DEFAULT_MAX_DEPTH,
+                         "help": "maximum chain depth (default %(default)s)"})
 
 # verb -> (handler, help, arguments)
 _VERBS = {
@@ -509,13 +499,11 @@ _VERBS = {
     ]),
     "table2": (_cmd_table2, "verify the full deletion summary table", [_FORMAT]),
     "induct": (_cmd_induct, "search graded chains from a first-level module", [
-        _TYPE, _WEIGHT, _FORMAT,
-        (("--depth",), {"type": int, "default": None,
-                        "help": "maximum chain depth (default LIE_INDUCT_MAX_DEPTH or 12)"}),
+        _TYPE, _WEIGHT, _FORMAT, _DEPTH,
     ]),
     "report": (_cmd_report, "obstruction report for E9, F5 or G3", [
         (("target",), {"choices": ["E9", "F5", "G3", "e9", "f5", "g3"]}),
-        (("--depth",), {"type": int, "default": None}), _FORMAT,
+        _DEPTH, _FORMAT,
     ]),
 }
 

@@ -23,10 +23,12 @@ one root string is walked per class, at its first member, and weighted by
 the class size.  The classes come from RootSystem.positive_root_classes.
 
 Character tables store dominant entries only; full tables are recovered by
-orbit expansion on demand.  Orbit enumeration and expansion refuse, with
-BudgetExceeded, any request of more than MAX_WEIGHTS weights, judged up front
-from exact orbit sizes; a character refuses, as its dominant-weight closure
-grows, a module with more than MAX_DOMINANT_WEIGHTS dominant weights.
+orbit expansion on demand.  Characters, orbits and orbit sizes are memoized
+on the RootSystem passed in (RootSystem.memoized), not keyed by type.
+Orbit enumeration and expansion refuse, with BudgetExceeded, any request of
+more than MAX_WEIGHTS weights, judged up front from exact orbit sizes; a
+character refuses, as its dominant-weight closure grows, a module with more
+than MAX_DOMINANT_WEIGHTS dominant weights.
 is_defining runs the closure with a cap of two: a third dominant weight
 answers "not defining" at once, so the check never refuses and computes
 multiplicities only for modules with at most two dominant weights.
@@ -35,7 +37,6 @@ multiplicities only for modules with at most two dominant weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -51,7 +52,6 @@ from .root_system import (
     Vector,
     _connected_components,
     _identify_component,
-    build_root_system,
     to_dominant,
     weyl_order,
 )
@@ -223,14 +223,8 @@ def _dominant_weights(
     return dict(sorted(below.items(), key=lambda it: (sum(it[1]), it[0])))
 
 
-@lru_cache(maxsize=None)
-def _freudenthal_entries(t: DynkinType, lam: Vector) -> tuple[tuple[Vector, int], ...]:
-    return _freudenthal_core(build_root_system(t), lam)
-
-
-def _freudenthal_core(rs: RootSystem, lam: Vector) -> tuple[tuple[Vector, int], ...]:
-    """Uncached recursion; takes the root system explicitly so the bilinear
-    form's scale-homogeneity is testable with a rescaled symmetrizer.
+def _freudenthal(rs: RootSystem, lam: Vector) -> dict[Vector, int]:
+    """The dominant multiplicities of V(lam), by the folded recursion.
 
     Only dominant weights are visited.  At mu the sum runs over the classes
     of positive roots under the stabilizer of mu (see the module docstring).
@@ -274,18 +268,18 @@ def _freudenthal_core(rs: RootSystem, lam: Vector) -> tuple[tuple[Vector, int], 
         if r or q <= 0:
             raise InvariantViolation(f"Freudenthal recursion gave {2 * acc}/{den} at {mu}")
         mult[mu] = q
-    return tuple(sorted(mult.items()))
+    return dict(sorted(mult.items()))
 
 
 def freudenthal_character(rs: RootSystem, weight: Sequence[int]) -> CharacterTable:
     """Multiplicities of all dominant weights of V(weight)."""
     lam = _require_dominant(rs, weight)
-    return CharacterTable(rs.type, dict(_freudenthal_entries(rs.type, lam)))
+    return CharacterTable(rs.type, rs.memoized(_freudenthal, lam))
 
 
 def weyl_orbit(rs: RootSystem, weight: Sequence[int]) -> frozenset[Vector]:
     """Full Weyl orbit of a weight."""
-    return _weyl_orbit_cached(rs.type, to_dominant(rs, tuple(weight))[0])
+    return rs.memoized(_weyl_orbit, to_dominant(rs, tuple(weight))[0])
 
 
 def _check_orbit_budget(rs: RootSystem, w: Sequence[int]) -> None:
@@ -297,13 +291,11 @@ def _check_orbit_budget(rs: RootSystem, w: Sequence[int]) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def _weyl_orbit_cached(t: DynkinType, w: Vector) -> frozenset[Vector]:
+def _weyl_orbit(rs: RootSystem, w: Vector) -> frozenset[Vector]:
     """The orbit of the dominant weight w, walked down only.  Every other
     orbit weight v has some v_i < 0, and s_i v is one step nearer w with a
     positive i-th coordinate; so applying s_i only where the coordinate is
     positive reaches the whole orbit."""
-    rs = build_root_system(t)
     _check_orbit_budget(rs, w)
     rows = rs.cartan.entries
     seen = {w}
@@ -324,18 +316,17 @@ def _weyl_orbit_cached(t: DynkinType, w: Vector) -> frozenset[Vector]:
 def orbit_size(rs: RootSystem, weight: Sequence[int]) -> int:
     """|W| / |W_J| where J is the set of nodes fixing the dominant conjugate."""
     dom = to_dominant(rs, tuple(weight))[0]
-    return _orbit_size_cached(rs.type, tuple(i + 1 for i, x in enumerate(dom) if x == 0))
+    return rs.memoized(_orbit_size, tuple(i + 1 for i, x in enumerate(dom) if x == 0))
 
 
-@lru_cache(maxsize=None)
-def _orbit_size_cached(t: DynkinType, zero_nodes: tuple[int, ...]) -> int:
+def _orbit_size(rs: RootSystem, zero_nodes: tuple[int, ...]) -> int:
     stab = 1
-    cartan = build_root_system(t).cartan
+    cartan = rs.cartan
     for comp in _connected_components(cartan.entries, zero_nodes):
         stab *= weyl_order(_identify_component(cartan.entries, cartan.symmetrizer, comp))
-    q, r = divmod(weyl_order(t), stab)
+    q, r = divmod(weyl_order(rs.type), stab)
     if r:
-        raise InvariantViolation(f"stabilizer order {stab} does not divide |W({t})|")
+        raise InvariantViolation(f"stabilizer order {stab} does not divide |W({rs.type})|")
     return q
 
 

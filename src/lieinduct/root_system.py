@@ -20,10 +20,13 @@ No floating point is used anywhere; weight-to-root conversion is exact over
 Each RootSystem instance computes its root datum once, on first use, from its
 own Cartan matrix, symmetrizer and positive roots: the weight coordinates of
 every root, the pairing vectors and norms of the positive roots, the Weyl
-dimension denominator, an integer height functional and, per set of zero
-nodes J, the classes into which the W_J-orbits of roots cut the positive
-roots.  The datum lives on the instance and is never keyed by type, so a
-rescaled symmetrizer gets its own.  build_root_system fills in the positive
+dimension denominator and an integer height functional.  Every result
+derived from the datum and a key (the root classes per zero-node set, the
+roots within a support, and the characters, orbits, orbit sizes and full
+weight tables of rep_theory and tensor_ops) is memoized on the instance by
+RootSystem.memoized, never keyed by type, so a rescaled symmetrizer gets
+its own.  build_root_system is the one process-wide cache: clearing it
+drops every instance and with it every memo.  It fills in the positive
 roots' weights from its root closure, which computes them anyway.
 """
 
@@ -31,17 +34,18 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import BadEmbedding, InvalidType, InvariantViolation, NonIntegral, NotARoot
 
 Vector = tuple[int, ...]
+T = TypeVar("T")
 
 RANK_RANGES: dict[str, tuple[int, int | None]] = {
     "A": (1, None),
@@ -196,8 +200,8 @@ def _expected_highest_root(t: DynkinType) -> Vector:
     return table[(t.family, t.rank)]
 
 
-# eq=False: build_root_system returns a cached singleton per type, so identity
-# hashing is both correct and cheap for the memoization caches keyed on it.
+# eq=False: build_root_system returns a cached singleton per type, and each
+# instance owns its memos, so identity equality and hashing are all it needs.
 @dataclass(frozen=True, eq=False)
 class RootSystem:
     type: DynkinType
@@ -354,40 +358,26 @@ class RootSystem:
         )
 
     @cached_property
-    def _root_class_memo(self) -> dict[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        return {}
+    def _memos(self) -> defaultdict[Callable, dict]:
+        return defaultdict(dict)
+
+    def memoized(self, compute: Callable[["RootSystem", Hashable], T], key: Hashable) -> T:
+        """compute(self, key), computed once per instance, compute and key.
+
+        This is where every result derived from the instance is kept: one
+        dict per compute function, holding no result that is None.
+        """
+        memo = self._memos[compute]
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = compute(self, key)
+        return out
 
     def positive_root_classes(self, zero_nodes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
         """The classes O ∩ Φ⁺ of the W_J-orbits O of roots, J = zero_nodes
         (0-based), as (index in positive_roots of the first member, size).
-
-        A union-find over the edges alpha - s_j(alpha), j in J, of
-        _reflection_edges gives the classes.  Memoized per zero set.
-        """
-        memo = self._root_class_memo
-        out = memo.get(zero_nodes)
-        if out is None:
-            parent = list(range(len(self.positive_roots)))
-
-            def find(i: int) -> int:
-                while parent[i] != i:
-                    parent[i] = parent[parent[i]]
-                    i = parent[i]
-                return i
-
-            edges = self._reflection_edges
-            for j in zero_nodes:
-                for i, k in edges[j]:
-                    a, b = find(i), find(k)
-                    if a != b:  # the smaller index stays the class's first member
-                        parent[max(a, b)] = min(a, b)
-            sizes = Counter(find(i) for i in range(len(parent)))
-            out = memo[zero_nodes] = tuple(sorted(sizes.items()))
-        return out
-
-    @cached_property
-    def _support_memo(self) -> dict[int, tuple[int, ...]]:
-        return {}
+        Memoized per zero set."""
+        return self.memoized(_root_classes, zero_nodes)
 
     def roots_within_support(self, mask: int) -> tuple[int, ...]:
         """Indices in positive_roots of the roots whose weight is positive
@@ -396,14 +386,7 @@ class RootSystem:
         Only these roots can be subtracted from a dominant weight with
         support mask and leave it dominant.  Memoized per mask.
         """
-        memo = self._support_memo
-        out = memo.get(mask)
-        if out is None:
-            out = memo[mask] = tuple(
-                i for i, aw in enumerate(self.positive_weights)
-                if all(x <= 0 or mask >> j & 1 for j, x in enumerate(aw))
-            )
-        return out
+        return self.memoized(_roots_within_support, mask)
 
     # -- reflections -------------------------------------------------------
 
@@ -412,6 +395,33 @@ class RootSystem:
         row = self.cartan.entries[i - 1]
         mi = m[i - 1]
         return tuple(m[j] - mi * row[j] for j in range(self.rank))
+
+
+def _root_classes(rs: RootSystem, zero_nodes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """A union-find over the edges alpha - s_j(alpha), j in zero_nodes, of
+    RootSystem._reflection_edges gives the classes."""
+    parent = list(range(len(rs.positive_roots)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    edges = rs._reflection_edges
+    for j in zero_nodes:
+        for i, k in edges[j]:
+            a, b = find(i), find(k)
+            if a != b:  # the smaller index stays the class's first member
+                parent[max(a, b)] = min(a, b)
+    return tuple(sorted(Counter(find(i) for i in range(len(parent))).items()))
+
+
+def _roots_within_support(rs: RootSystem, mask: int) -> tuple[int, ...]:
+    return tuple(
+        i for i, aw in enumerate(rs.positive_weights)
+        if all(x <= 0 or mask >> j & 1 for j, x in enumerate(aw))
+    )
 
 
 @lru_cache(maxsize=None)

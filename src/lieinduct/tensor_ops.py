@@ -15,15 +15,14 @@ Summands are listed by root-coordinate height of the highest weight, then by
 the weight itself, both descending.
 
 Decompositions are computed on the caller's RootSystem and not cached; only
-the full weight table of a factor (`_full_table`) is.  A caller that asks
-for the same product again, such as the induction search, keeps its own
-results.
+the full weight table of a factor (`_full_table`) is, memoized on that
+RootSystem.  A caller that asks for the same product again, such as the
+induction search, keeps its own results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .errors import InternalParity, NotACharacter
@@ -36,7 +35,7 @@ from .rep_theory import (
     _require_dominant,
     _check_orbit_budget,
 )
-from .root_system import DynkinType, RootSystem, Vector, build_root_system, to_dominant
+from .root_system import RootSystem, Vector, to_dominant
 
 
 @dataclass(frozen=True)
@@ -74,9 +73,7 @@ class DecompositionResult:
         return " + ".join(parts) if parts else "0"
 
 
-@lru_cache(maxsize=None)
-def _full_table(t: DynkinType, lam: Vector) -> dict[Vector, int]:
-    rs = build_root_system(t)
+def _full_table(rs: RootSystem, lam: Vector) -> dict[Vector, int]:
     # the top orbit is part of the expansion, so check it before Freudenthal
     _check_orbit_budget(rs, lam)
     return freudenthal_character(rs, lam).expand(rs)
@@ -133,7 +130,7 @@ def tensor_decompose(
     dl, dm = weyl_dim(rs, lam), weyl_dim(rs, mu)
     # expand the smaller factor by (dimension, weight), in either argument order
     (_, small), (_, big) = sorted([(dl, lam), (dm, mu)])
-    return _result(rs, _straighten(rs, _full_table(rs.type, small), big), dl * dm)
+    return _result(rs, _straighten(rs, rs.memoized(_full_table, small), big), dl * dm)
 
 
 def wedge2_decompose(rs: RootSystem, lam: Sequence[int]) -> DecompositionResult:
@@ -147,7 +144,7 @@ def sym2_decompose(rs: RootSystem, lam: Sequence[int]) -> DecompositionResult:
 
 
 def _square(rs: RootSystem, lam: Vector, sign: int) -> DecompositionResult:
-    table = _full_table(rs.type, lam)
+    table = rs.memoized(_full_table, lam)
     coeffs = _straighten(rs, table, lam)
     doubled = {tuple(2 * a for a in w): m for w, m in table.items()}
     for w, m in _straighten(rs, doubled, (0,) * rs.rank).items():

@@ -46,6 +46,12 @@ def test_weight_parsing():
         parse_weight("omega3", 4)
 
 
+@pytest.mark.parametrize("text", ["[1,,2]", "[-,1,2]", "[1-2,0,0]", "[,]", "[1 2,0]"])
+def test_malformed_weight_list_is_a_usage_error(capsys, text):
+    assert run(["dim", "A3", text]) == 2
+    assert f"cannot parse weight {text!r}" in capsys.readouterr().err
+
+
 def test_weight_labels():
     assert weight_label((0, 0, 1)) == "w3"
     assert weight_label((0, 0)) == "w0"
@@ -157,22 +163,18 @@ def test_usage_error_exit_code(capsys):
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
-def test_depth_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("LIE_INDUCT_MAX_DEPTH", "3")
-    code, doc = run_json(capsys, "induct", "A8", "w3")
+def test_depth_defaults_to_12_and_flag_is_honoured(capsys):
+    code, doc = run_json(capsys, "induct", "A2", "w1")
     assert code == 0
-    assert doc["result"]["max_depth"] == 3
-    chains = doc["result"]["chains"]
-    assert max(len(c["levels"]) for c in chains) == 3
-    monkeypatch.setenv("LIE_INDUCT_MAX_DEPTH", "nope")
-    assert run(["induct", "A8", "w3"]) == 2
-
-
-def test_induct_depth_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("LIE_INDUCT_MAX_DEPTH", "3")
+    assert doc["result"]["max_depth"] == 12
     code, doc = run_json(capsys, "induct", "D8", "w7", "--depth", "5")
     assert code == 0
     assert doc["result"]["max_depth"] == 5
+    code, doc = run_json(capsys, "report", "G3", "--depth", "5")
+    assert code == 0
+    assert doc["result"]["max_depth"] == 5
+    assert run(["induct", "A2", "w1", "--depth", "0"]) == 2
+    assert "depth must be at least 1" in capsys.readouterr().err
 
 
 def test_console_entry_point():

@@ -1,6 +1,9 @@
 """Dimensions, multiplicities, orbits and the defining-module classifier."""
 
+import importlib
+import inspect
 import os
+import pkgutil
 import random
 import sys
 
@@ -19,13 +22,13 @@ from oracles import (
     weyl_oracle,
 )
 
+import lieinduct
 from lieinduct.errors import BudgetExceeded, NotDominant
 from lieinduct.rep_theory import (
     MAX_DOMINANT_WEIGHTS,
     MAX_WEIGHTS,
     CharacterTable,
     _dominant_weights,
-    _freudenthal_core,
     classify_weight,
     defining_modules,
     freudenthal_character,
@@ -36,6 +39,7 @@ from lieinduct.rep_theory import (
     weyl_orbit,
 )
 from lieinduct.root_system import CartanMatrix, RootSystem, build_root_system, parse_dynkin
+from lieinduct.tensor_ops import tensor_decompose, wedge2_decompose
 
 
 ALL_LABELS = (
@@ -173,7 +177,7 @@ def test_freudenthal_scale_invariance():
     for label, lam in [("B3", (1, 0, 1)), ("G2", (1, 1)), ("C3", (1, 1, 0))]:
         rs = rsys(label)
         rs2 = _doubled(rs)
-        assert _freudenthal_core(rs2, lam) == _freudenthal_core(rs, lam)
+        assert freudenthal_character(rs2, lam) == freudenthal_character(rs, lam)
         assert weyl_dim(rs2, lam) == weyl_dim(rs, lam)
         cls = classify_weight(rs2, lam)
         assert cls == classify_weight(rs, lam)
@@ -226,7 +230,8 @@ def test_folded_freudenthal_matches_unfolded_oracle():
         lams = [tuple(int(j == i) for j in range(n)) for i in rng.sample(range(n), min(n, 2))]
         lams += [_sparse_weight(rng, rs, 60 if n >= 7 else 100) for _ in range(3)]
         for lam in lams:
-            assert dict(_freudenthal_core(rs, lam)) == unfolded_freudenthal(rs, lam), (label, lam)
+            folded = freudenthal_character(rs, lam).entries
+            assert folded == unfolded_freudenthal(rs, lam), (label, lam)
 
 
 def test_folded_freudenthal_matches_unfolded_oracle_doubled_symmetrizer():
@@ -236,8 +241,58 @@ def test_folded_freudenthal_matches_unfolded_oracle_doubled_symmetrizer():
         rs = rsys(label)
         rs2 = _doubled(rs)
         for lam in [_sparse_weight(rng, rs, 60) for _ in range(3)]:
-            folded = dict(_freudenthal_core(rs2, lam))
+            folded = freudenthal_character(rs2, lam).entries
             assert folded == unfolded_freudenthal(rs2, lam) == unfolded_freudenthal(rs, lam)
+
+
+def _package_caches():
+    """Every functools cache bound in a lieinduct module or class, found by
+    the rule perfbench uses to clear caches before each op."""
+    modules = [lieinduct] + [
+        importlib.import_module(f"lieinduct.{m.name}")
+        for m in pkgutil.iter_modules(lieinduct.__path__)
+    ]
+    found = {}
+    for mod in modules:
+        scopes = [vars(mod)] + [
+            vars(c) for c in vars(mod).values()
+            if inspect.isclass(c) and c.__module__ == mod.__name__
+        ]
+        for scope in scopes:
+            for obj in scope.values():
+                if hasattr(obj, "cache_clear") and hasattr(obj, "cache_info"):
+                    found[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return found
+
+
+def test_build_root_system_is_the_only_functools_cache():
+    # every other memo lives on a RootSystem instance, so clearing this one
+    # cache clears them all
+    assert list(_package_caches()) == ["lieinduct.root_system.build_root_system"]
+
+
+def test_rescaled_instance_memoizes_on_itself():
+    # characters, orbits, orbit sizes and the full tables behind tensor and
+    # wedge2 are computed on the instance passed in: with every cache
+    # cleared, none of them builds a canonical root system
+    cases = [("B3", (1, 0, 1), (0, 0, 1)), ("G2", (1, 1), (1, 0)), ("C3", (1, 1, 0), (0, 1, 0))]
+    canonical = {label: _memoized_results(rsys(label), lam, mu) for label, lam, mu in cases}
+    doubled = {label: _doubled(rsys(label)) for label, _, _ in cases}
+    for cache in _package_caches().values():
+        cache.cache_clear()
+    for label, lam, mu in cases:
+        assert _memoized_results(doubled[label], lam, mu) == canonical[label], label
+    assert build_root_system.cache_info().currsize == 0
+
+
+def _memoized_results(rs, lam, mu):
+    return (
+        freudenthal_character(rs, lam),
+        weyl_orbit(rs, lam),
+        orbit_size(rs, lam),
+        tensor_decompose(rs, lam, mu),
+        wedge2_decompose(rs, lam),
+    )
 
 
 def test_weyl_dim_and_classify_match_per_call_formulas():
