@@ -59,6 +59,7 @@ from .root_system import (
     DynkinType,
     RootSystem,
     build_root_system,
+    cartan_from_edges,
     cartan_matrix,
     coxeter_number,
     diagram_automorphisms,

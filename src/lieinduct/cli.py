@@ -473,6 +473,8 @@ _NODE = (("--node",), {"type": int, "required": True})
 _DEPTH = (("--depth",), {"type": int, "default": ind_mod.DEFAULT_MAX_DEPTH,
                          "help": "maximum chain depth (default %(default)s)"})
 
+_TARGETS = ind_mod.EXCEPTIONAL_TARGETS
+
 # verb -> (handler, help, arguments)
 _VERBS = {
     "roots": (_cmd_roots, "list the positive roots", [_TYPE, _FORMAT]),
@@ -502,7 +504,7 @@ _VERBS = {
         _TYPE, _WEIGHT, _FORMAT, _DEPTH,
     ]),
     "report": (_cmd_report, "obstruction report for E9, F5 or G3", [
-        (("target",), {"choices": ["E9", "F5", "G3", "e9", "f5", "g3"]}),
+        (("target",), {"choices": [*_TARGETS, *map(str.lower, _TARGETS)]}),
         _DEPTH, _FORMAT,
     ]),
 }

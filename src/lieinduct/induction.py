@@ -1,5 +1,7 @@
 """Forward induction: enumerate admissible graded chains over a base algebra
-and reproduce the rank-9/5/3 obstruction analyses.
+and reproduce the rank-9/5/3 obstruction analyses.  Each analysis derives
+its routes from its hypothetical diagrams in EXCEPTIONAL_TARGETS: one per
+node whose deletion leaves a connected finite base (exceptional_routes).
 
 A chain assigns to each negative level a defining module of the base (or
 zero).  A nonzero candidate for level k must appear as a summand of every
@@ -38,13 +40,17 @@ from .rep_theory import (
     weyl_dim,
 )
 from .root_system import (
+    CartanMatrix,
     DynkinType,
     RootSystem,
     Vector,
+    _connected_components,
+    _identify_component,
+    _isomorphisms,
     build_root_system,
+    cartan_from_edges,
     cartan_matrix,
     check_embedding,
-    parse_dynkin,
 )
 from .tensor_ops import tensor_decompose, wedge2_decompose
 
@@ -57,55 +63,40 @@ MAX_SEARCH_LEVELS = 2_000_000
 
 @dataclass(frozen=True)
 class TargetDiagram:
-    """A (possibly hypothetical) diagram given by an explicit Cartan matrix."""
+    """A (possibly hypothetical) diagram given by its validated Cartan matrix."""
 
     name: str
-    entries: tuple[tuple[int, ...], ...]
+    cartan: CartanMatrix
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        return self.cartan.entries
 
     @property
     def rank(self) -> int:
-        return len(self.entries)
+        return self.cartan.rank
 
     @classmethod
     def from_dynkin(cls, t: DynkinType) -> "TargetDiagram":
-        return cls(str(t), cartan_matrix(t).entries)
+        return cls(str(t), cartan_matrix(t))
 
 
-def _sym(n: int, edges: dict[tuple[int, int], int]) -> tuple[tuple[int, ...], ...]:
-    c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for (a, b), v in edges.items():
-        c[a - 1][b - 1] = v
-    return tuple(tuple(row) for row in c)
-
-
-# Hypothetical rank-9/5/3 diagrams.  F5 and G3 each come in two shapes,
-# depending on which end the new node attaches to.  New-node COLUMN entries
-# are part of the written matrices below; nothing is inferred beyond the
-# declared diagram.
-E9_DIAGRAM = TargetDiagram(
-    "E9",
-    _sym(9, {(a, b): -1 for a, b in
-             [(1, 3), (3, 1), (3, 4), (4, 3), (2, 4), (4, 2),
-              (4, 5), (5, 4), (5, 6), (6, 5), (6, 7), (7, 6),
-              (7, 8), (8, 7), (8, 9), (9, 8)]}),
+# Hypothetical rank-9/5/3 diagrams, each a symmetrizer and its edges.  F5 and
+# G3 each come in two shapes, depending on which end the new node attaches to.
+E9_DIAGRAM = TargetDiagram(  # d = (1,) * 9: the E chain 1-3-4-...-9, 2 on 4
+    "E9", cartan_from_edges((1,) * 9, [(1, 3), (2, 4)] + [(i, i + 1) for i in range(3, 9)]),
 )
-F5_LONG_TAIL = TargetDiagram(  # 1-2-3=>4-5: new node prepended at the long end
-    "F5a",
-    _sym(5, {(1, 2): -1, (2, 1): -1, (2, 3): -1, (3, 2): -1,
-             (3, 4): -2, (4, 3): -1, (4, 5): -1, (5, 4): -1}),
+F5_LONG_TAIL = TargetDiagram(  # d = (2, 2, 2, 1, 1): 1-2-3=>4-5, new node 1 long
+    "F5a", cartan_from_edges((2, 2, 2, 1, 1), [(1, 2), (2, 3), (3, 4), (4, 5)]),
 )
-F5_SHORT_TAIL = TargetDiagram(  # 1-2=>3-4-5: new node appended at the short end
-    "F5b",
-    _sym(5, {(1, 2): -1, (2, 1): -1, (2, 3): -2, (3, 2): -1,
-             (3, 4): -1, (4, 3): -1, (4, 5): -1, (5, 4): -1}),
+F5_SHORT_TAIL = TargetDiagram(  # d = (2, 2, 1, 1, 1): 1-2=>3-4-5, new node 5 short
+    "F5b", cartan_from_edges((2, 2, 1, 1, 1), [(1, 2), (2, 3), (3, 4), (4, 5)]),
 )
-G3_SHORT_SIDE = TargetDiagram(  # new node 3 attached to the short node 1
-    "G3a",
-    _sym(3, {(1, 2): -1, (2, 1): -3, (1, 3): -1, (3, 1): -1}),
+G3_SHORT_SIDE = TargetDiagram(  # d = (1, 3, 1): new node 3 on the short node 1
+    "G3a", cartan_from_edges((1, 3, 1), [(1, 2), (1, 3)]),
 )
-G3_LONG_SIDE = TargetDiagram(  # new node 3 attached to the long node 2
-    "G3b",
-    _sym(3, {(1, 2): -1, (2, 1): -3, (2, 3): -1, (3, 2): -1}),
+G3_LONG_SIDE = TargetDiagram(  # d = (1, 3, 3): new node 3 on the long node 2
+    "G3b", cartan_from_edges((1, 3, 3), [(1, 2), (2, 3)]),
 )
 
 EXCEPTIONAL_TARGETS: dict[str, tuple[TargetDiagram, ...]] = {
@@ -342,26 +333,28 @@ class ExceptionalReport:
     analysis: dict = field(default_factory=dict, compare=False)
 
 
-# (base, target diagram, deleted node, embedding) for each admissible base.
-_ROUTES: dict[str, list[tuple[str, TargetDiagram, int, tuple[int, ...]]]] = {
-    "E9": [
-        ("E8", E9_DIAGRAM, 9, (1, 2, 3, 4, 5, 6, 7, 8)),
-        ("D8", E9_DIAGRAM, 1, (9, 8, 7, 6, 5, 4, 3, 2)),
-        ("A8", E9_DIAGRAM, 2, (1, 3, 4, 5, 6, 7, 8, 9)),
-    ],
-    "F5": [
-        ("F4", F5_LONG_TAIL, 1, (2, 3, 4, 5)),
-        ("F4", F5_SHORT_TAIL, 5, (1, 2, 3, 4)),
-        ("B4", F5_LONG_TAIL, 5, (1, 2, 3, 4)),
-        ("C4", F5_SHORT_TAIL, 1, (5, 4, 3, 2)),
-    ],
-    "G3": [
-        ("G2", G3_SHORT_SIDE, 3, (1, 2)),
-        ("G2", G3_LONG_SIDE, 3, (1, 2)),
-        ("A2", G3_SHORT_SIDE, 2, (1, 3)),
-        ("A2", G3_LONG_SIDE, 1, (2, 3)),
-    ],
-}
+def exceptional_routes(name: str) -> list[tuple]:
+    """(base, target diagram, deleted node, embedding) for every node of the
+    diagrams of EXCEPTIONAL_TARGETS[name] whose deletion leaves a connected base.
+
+    The embedding maximizes the required first level, so the new node meets
+    the lowest canonical label; ties go to the first in lexicographic order.
+    Routes whose base is of the target's family come first; otherwise they
+    keep the order of diagram and node.
+    """
+    routes = []
+    for target in EXCEPTIONAL_TARGETS[name]:
+        c, d = target.entries, target.cartan.symmetrizer
+        for node in range(1, target.rank + 1):
+            rest = [i for i in range(1, target.rank + 1) if i != node]
+            if len(_connected_components(c, rest)) != 1:
+                continue
+            base = _identify_component(c, d, rest)
+            iota = max(_isomorphisms(cartan_matrix(base).entries, c, rest),
+                       key=lambda p: tuple(-c[node - 1][j - 1] for j in p))
+            routes.append((base, target, node, iota))
+    routes.sort(key=lambda r: r[0].family != name[0])  # stable
+    return routes
 
 
 def _route_report(
@@ -413,12 +406,12 @@ def _modules_up_to_dim(rs: RootSystem, bound: int) -> list[tuple[Vector, int]]:
 def exceptional_report(name: str, max_depth: int = DEFAULT_MAX_DEPTH) -> ExceptionalReport:
     """Run the induction programme for E9, F5 or G3 and summarize the outcome."""
     key = name.upper()
-    if key not in _ROUTES:
+    if key not in EXCEPTIONAL_TARGETS:
         raise ValueError(f"no exceptional analysis for {name!r}; expected E9, F5 or G3")
 
     routes = tuple(
-        _route_report(parse_dynkin(b), tgt, node, iota, max_depth)
-        for b, tgt, node, iota in _ROUTES[key]
+        _route_report(base, tgt, node, iota, max_depth)
+        for base, tgt, node, iota in exceptional_routes(key)
     )
 
     per_base: dict[str, set[int]] = {}

@@ -13,6 +13,9 @@ Conventions (fixed once, validated by the highest-root round-trip tests):
   (short root length squared = 2).  With the row-root convention above the
   symmetry relation reads ``C[i][j] * d[j] == C[j][i] * d[i]``, and
   ``(a_i, a_j) = C[i][j] * d[j]`` is the exact symmetric bilinear form.
+* Every diagram, finite or hypothetical, is a symmetrizer and a list of
+  undirected edges, made a validated CartanMatrix by cartan_from_edges.
+  The classical families stop at rank MAX_CLASSICAL_RANK.
 
 No floating point is used anywhere; weight-to-root conversion is exact over
 ``fractions.Fraction``.
@@ -38,7 +41,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
@@ -47,11 +50,13 @@ from .errors import BadEmbedding, InvalidType, InvariantViolation, NonIntegral, 
 Vector = tuple[int, ...]
 T = TypeVar("T")
 
-RANK_RANGES: dict[str, tuple[int, int | None]] = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (3, None),  # C starts at 3 to avoid relabelling B2
-    "D": (4, None),
+# The root closure of A_n costs about n^4; the paper needs rank 9 at most.
+MAX_CLASSICAL_RANK = 32
+RANK_RANGES: dict[str, tuple[int, int]] = {
+    "A": (1, MAX_CLASSICAL_RANK),
+    "B": (2, MAX_CLASSICAL_RANK),
+    "C": (3, MAX_CLASSICAL_RANK),  # C starts at 3 to avoid relabelling B2
+    "D": (4, MAX_CLASSICAL_RANK),
     "E": (6, 8),
     "F": (4, 4),
     "G": (2, 2),
@@ -77,11 +82,10 @@ class DynkinType:
         if rng is None:
             raise InvalidType(f"unknown family {self.family!r}; expected one of A-G")
         lo, hi = rng
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            hi_text = str(hi) if hi is not None else "unbounded"
+        if not lo <= self.rank <= hi:
             raise InvalidType(
                 f"{self.family}{self.rank} out of range: {self.family} accepts "
-                f"rank {lo}..{hi_text}"
+                f"rank {lo}..{hi}"
             )
 
     def __str__(self) -> str:
@@ -129,53 +133,39 @@ class CartanMatrix:
                     raise InvalidType("symmetrizer does not symmetrize C")
 
 
-def _chain(n: int) -> list[list[int]]:
+def cartan_from_edges(d: Sequence[int], edges: Iterable[tuple[int, int]]) -> CartanMatrix:
+    """The validated Cartan matrix of the diagram with symmetrizer d and
+    undirected edges between 1-based nodes: across an edge from a to b,
+    C[a][b] = -max(1, d_a / d_b), so only the longer root's entry is below -1.
+    """
+    n = len(d)
     c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n - 1):
-        c[i][i + 1] = -1
-        c[i + 1][i] = -1
-    return c
+    for a, b in edges:
+        c[a - 1][b - 1] = -max(1, d[a - 1] // d[b - 1])
+        c[b - 1][a - 1] = -max(1, d[b - 1] // d[a - 1])
+    cm = CartanMatrix(tuple(map(tuple, c)), tuple(d))
+    cm.validate()
+    return cm
 
 
 def cartan_matrix(t: DynkinType) -> CartanMatrix:
     """Cartan matrix and symmetrizer in the Humphreys numbering."""
     l = t.rank
-    c = _chain(l)
+    edges = [(i, i + 1) for i in range(1, l)]
     d = [1] * l
-    if t.family == "B":
-        # nodes 1..l-1 long, node l short
-        c[l - 2][l - 1] = -2
-        c[l - 1][l - 2] = -1
+    if t.family == "B":  # nodes 1..l-1 long, node l short
         d = [2] * (l - 1) + [1]
-    elif t.family == "C":
-        # nodes 1..l-1 short, node l long
-        c[l - 2][l - 1] = -1
-        c[l - 1][l - 2] = -2
+    elif t.family == "C":  # nodes 1..l-1 short, node l long
         d = [1] * (l - 1) + [2]
-    elif t.family == "D":
-        c[l - 2][l - 1] = 0
-        c[l - 1][l - 2] = 0
-        c[l - 3][l - 1] = -1
-        c[l - 1][l - 3] = -1
-    elif t.family == "E":
-        # chain 1-3-4-...-l with node 2 attached to node 4
-        c = [[2 if i == j else 0 for j in range(l)] for i in range(l)]
-        edges = [(1, 3), (3, 4), (2, 4)] + [(i, i + 1) for i in range(4, l)]
-        for a, b in edges:
-            c[a - 1][b - 1] = -1
-            c[b - 1][a - 1] = -1
-    elif t.family == "F":
-        # nodes 1,2 long; 3,4 short; double edge 2=>3
-        c[1][2] = -2
-        c[2][1] = -1
+    elif t.family == "D":  # nodes l-1 and l both on node l-2
+        edges[-1] = (l - 2, l)
+    elif t.family == "E":  # chain 1-3-4-...-l with node 2 on node 4
+        edges = [(1, 3), (2, 4)] + edges[2:]
+    elif t.family == "F":  # nodes 1,2 long; 3,4 short; double edge 2=>3
         d = [2, 2, 1, 1]
-    elif t.family == "G":
-        # node 1 short, node 2 long
-        c = [[2, -1], [-3, 2]]
+    elif t.family == "G":  # node 1 short, node 2 long
         d = [1, 3]
-    cm = CartanMatrix(tuple(tuple(row) for row in c), tuple(d))
-    cm.validate()
-    return cm
+    return cartan_from_edges(d, edges)
 
 
 # Highest-root coordinates per family, used as a fail-fast convention check
@@ -555,19 +545,12 @@ def weyl_order(t: DynkinType) -> int:
     """Order of the Weyl group."""
     l = t.rank
     if t.family == "A":
-        return _factorial(l + 1)
+        return factorial(l + 1)
     if t.family in ("B", "C"):
-        return (1 << l) * _factorial(l)
+        return (1 << l) * factorial(l)
     if t.family == "D":
-        return (1 << (l - 1)) * _factorial(l)
+        return (1 << (l - 1)) * factorial(l)
     return _EXCEPTIONAL_WEYL_ORDER[(t.family, t.rank)]
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -611,12 +594,9 @@ def _identify_component(entries, symmetrizer, comp: list[int]) -> DynkinType:
     n = len(comp)
     if n == 1:
         return DynkinType("A", 1)
-    mults = {}
-    for a, b in itertools.combinations(comp, 2):
-        cab = entries[a - 1][b - 1]
-        if cab:
-            mults[(a, b)] = entries[a - 1][b - 1] * entries[b - 1][a - 1]
-    mx = max(mults.values())
+    # the largest edge multiplicity C[a][b] * C[b][a]
+    mx = max(entries[a - 1][b - 1] * entries[b - 1][a - 1]
+             for a, b in itertools.combinations(comp, 2))
     if mx == 3:
         if n != 2:
             raise InvalidType("triple edge only occurs in rank 2")

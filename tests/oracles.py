@@ -15,6 +15,9 @@ every bracket pair again with those oracles.  The root-datum oracles
 recompute, call by call, what each RootSystem now precomputes: the Weyl
 product with both factors from the bilinear form, the coroot pairing of every
 positive root, and the height from the rational weight-to-root conversion.
+The Cartan-matrix oracle builds each finite type as a simple chain and
+patches its entries per family, where the engine reads a symmetrizer and an
+edge list.
 Nothing in this module calls the engine's character, orbit or decomposition
 code; the decomposition oracles accept a full-table character function so that
 cases too large for the Weyl-group sum can be fed characters from elsewhere.
@@ -27,7 +30,7 @@ from functools import cached_property, lru_cache
 
 from lieinduct.errors import BudgetExceeded
 from lieinduct.rep_theory import MAX_DOMINANT_WEIGHTS
-from lieinduct.root_system import RootSystem
+from lieinduct.root_system import CartanMatrix, DynkinType, RootSystem
 
 
 def invert_rational(matrix):
@@ -555,3 +558,46 @@ def coroot_weight_class(rs: RootSystem, lam) -> tuple[bool, bool]:
 def root_height(rs: RootSystem, v) -> Fraction:
     """Height of a weight in root coordinates (may be fractional)."""
     return sum(rs.weight_to_root(v))
+
+
+def patched_cartan_matrix(t: DynkinType) -> CartanMatrix:
+    """Cartan matrix and symmetrizer in the Humphreys numbering: the simple
+    chain 1-2-...-l, with the entries of each family patched by hand."""
+    l = t.rank
+    c = [[2 if i == j else 0 for j in range(l)] for i in range(l)]
+    for i in range(l - 1):
+        c[i][i + 1] = -1
+        c[i + 1][i] = -1
+    d = [1] * l
+    if t.family == "B":
+        # nodes 1..l-1 long, node l short
+        c[l - 2][l - 1] = -2
+        c[l - 1][l - 2] = -1
+        d = [2] * (l - 1) + [1]
+    elif t.family == "C":
+        # nodes 1..l-1 short, node l long
+        c[l - 2][l - 1] = -1
+        c[l - 1][l - 2] = -2
+        d = [1] * (l - 1) + [2]
+    elif t.family == "D":
+        c[l - 2][l - 1] = 0
+        c[l - 1][l - 2] = 0
+        c[l - 3][l - 1] = -1
+        c[l - 1][l - 3] = -1
+    elif t.family == "E":
+        # chain 1-3-4-...-l with node 2 attached to node 4
+        c = [[2 if i == j else 0 for j in range(l)] for i in range(l)]
+        edges = [(1, 3), (3, 4), (2, 4)] + [(i, i + 1) for i in range(4, l)]
+        for a, b in edges:
+            c[a - 1][b - 1] = -1
+            c[b - 1][a - 1] = -1
+    elif t.family == "F":
+        # nodes 1,2 long; 3,4 short; double edge 2=>3
+        c[1][2] = -2
+        c[2][1] = -1
+        d = [2, 2, 1, 1]
+    elif t.family == "G":
+        # node 1 short, node 2 long
+        c = [[2, -1], [-3, 2]]
+        d = [1, 3]
+    return CartanMatrix(tuple(tuple(row) for row in c), tuple(d))

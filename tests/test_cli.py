@@ -259,6 +259,19 @@ def test_deep_induction_search_fails_fast():
     assert "Traceback" not in proc.stderr
 
 
+def test_rank_past_the_classical_cap_fails_fast():
+    # the root closure of A_n costs about n^4: A100 took seconds, A300 hung
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "lieinduct.cli", "highest-root", "A33"],
+        capture_output=True, text=True, env=cli_env(), timeout=60,
+    )
+    assert time.perf_counter() - start < 5.0
+    assert proc.returncode == 1
+    assert "InvalidType" in proc.stderr and "rank 1..32" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def _fuzz_weight(rng, rank):
     pick = rng.random()
     if pick < 0.4:
@@ -336,6 +349,8 @@ GOLDEN_COMMANDS = {
     "delete_g2_node1.json": ["delete", "G2", "--node", "1"],
     "equivalences_d4.json": ["equivalences", "D4", "--node", "1"],
     "report_f5.json": ["report", "F5"],
+    "report_e9.json": ["report", "E9"],
+    "report_g3.json": ["report", "G3"],
 }
 
 

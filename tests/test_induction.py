@@ -19,12 +19,14 @@ from lieinduct.induction import (
     E9_DIAGRAM,
     EXCEPTIONAL_TARGETS,
     F5_LONG_TAIL,
+    F5_SHORT_TAIL,
     G3_LONG_SIDE,
     G3_SHORT_SIDE,
     TargetDiagram,
     check_new_row,
     dbos_dimension,
     exceptional_report,
+    exceptional_routes,
     induction_search,
     next_level_candidates,
 )
@@ -339,6 +341,59 @@ def test_search_decomposes_each_bracket_pair_once(monkeypatch):
     assert kinds.count("tensor") == 3 and kinds.count("square") == 1
     keys = [(kind, key) for kind, key, _ in calls]
     assert len(set(keys)) == len(keys)
+
+
+# The (base, target diagram, deleted node, embedding) rows the reports were
+# first written with, by hand.
+WRITTEN_ROUTES = {
+    "E9": [
+        ("E8", E9_DIAGRAM, 9, (1, 2, 3, 4, 5, 6, 7, 8)),
+        ("D8", E9_DIAGRAM, 1, (9, 8, 7, 6, 5, 4, 3, 2)),
+        ("A8", E9_DIAGRAM, 2, (1, 3, 4, 5, 6, 7, 8, 9)),
+    ],
+    "F5": [
+        ("F4", F5_LONG_TAIL, 1, (2, 3, 4, 5)),
+        ("F4", F5_SHORT_TAIL, 5, (1, 2, 3, 4)),
+        ("B4", F5_LONG_TAIL, 5, (1, 2, 3, 4)),
+        ("C4", F5_SHORT_TAIL, 1, (5, 4, 3, 2)),
+    ],
+    "G3": [
+        ("G2", G3_SHORT_SIDE, 3, (1, 2)),
+        ("G2", G3_LONG_SIDE, 3, (1, 2)),
+        ("A2", G3_SHORT_SIDE, 2, (1, 3)),
+        ("A2", G3_LONG_SIDE, 1, (2, 3)),
+    ],
+}
+
+
+def test_derived_routes_match_the_written_table():
+    assert list(EXCEPTIONAL_TARGETS) == list(WRITTEN_ROUTES)
+    for name, rows in WRITTEN_ROUTES.items():
+        derived = [(str(b), t, node, iota) for b, t, node, iota in exceptional_routes(name)]
+        assert derived == rows, name
+
+
+def test_targets_have_their_written_symmetrizers_and_entries():
+    # the nonzero off-diagonal entries the targets were first written with
+    e9 = {(a, b) for a, b in [(1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)]}
+    written = {
+        "E9": ((1,) * 9, {**{e: -1 for e in e9}, **{e[::-1]: -1 for e in e9}}),
+        "F5a": ((2, 2, 2, 1, 1), {(1, 2): -1, (2, 1): -1, (2, 3): -1, (3, 2): -1,
+                                  (3, 4): -2, (4, 3): -1, (4, 5): -1, (5, 4): -1}),
+        "F5b": ((2, 2, 1, 1, 1), {(1, 2): -1, (2, 1): -1, (2, 3): -2, (3, 2): -1,
+                                  (3, 4): -1, (4, 3): -1, (4, 5): -1, (5, 4): -1}),
+        "G3a": ((1, 3, 1), {(1, 2): -1, (2, 1): -3, (1, 3): -1, (3, 1): -1}),
+        "G3b": ((1, 3, 3), {(1, 2): -1, (2, 1): -3, (2, 3): -1, (3, 2): -1}),
+    }
+    targets = [t for ts in EXCEPTIONAL_TARGETS.values() for t in ts]
+    assert [t.name for t in targets] == list(written)
+    for t in targets:
+        d, edges = written[t.name]
+        assert t.cartan.symmetrizer == d, t.name
+        off = {(i + 1, j + 1): x for i, row in enumerate(t.entries)
+               for j, x in enumerate(row) if i != j and x}
+        assert off == edges, t.name
+        assert all(t.entries[i][i] == 2 for i in range(t.rank)), t.name
 
 
 def test_target_diagram_from_dynkin():

@@ -10,14 +10,16 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from oracles import root_height
+from oracles import patched_cartan_matrix, root_height
 
 from lieinduct.errors import BadEmbedding, InvalidType, InvariantViolation, NonIntegral, NotARoot
 from lieinduct.root_system import (
+    RANK_RANGES,
     CartanMatrix,
     DynkinType,
     RootSystem,
     build_root_system,
+    cartan_from_edges,
     cartan_matrix,
     check_embedding,
     classify_subdiagram,
@@ -52,7 +54,7 @@ def test_parse_examples():
 
 
 def test_parse_rejects_out_of_range():
-    for bad in ["C2", "D3", "E9", "E5", "F5", "G3", "B1", "A0", "H4"]:
+    for bad in ["C2", "D3", "E9", "E5", "F5", "G3", "B1", "A0", "H4", "A33", "D40"]:
         with pytest.raises(InvalidType):
             parse_dynkin(bad)
     with pytest.raises(InvalidType):
@@ -291,6 +293,28 @@ def test_symmetrizer_conventions():
             assert d == (1,) * (n - 1) + (2,)
     assert cartan_matrix(DynkinType("F", 4)).symmetrizer == (2, 2, 1, 1)
     assert cartan_matrix(DynkinType("G", 2)).symmetrizer == (1, 3)
+
+
+def test_cartan_matrix_matches_patched_chain_oracle():
+    # every accepted type, up to the rank cap of the classical families
+    count = 0
+    for family, (lo, hi) in RANK_RANGES.items():
+        for rank in range(lo, hi + 1):
+            t = DynkinType(family, rank)
+            assert cartan_matrix(t) == patched_cartan_matrix(t), t
+            count += 1
+    assert count == 32 + 31 + 30 + 29 + 3 + 1 + 1
+
+
+def test_cartan_from_edges_validates():
+    cm = cartan_from_edges((1, 3), [(1, 2)])
+    assert cm.entries == ((2, -1), (-3, 2)) and cm.symmetrizer == (1, 3)
+    with pytest.raises(InvalidType):
+        cartan_from_edges((1, 4), [(1, 2)])  # entry -4 is out of range
+    with pytest.raises(InvalidType):
+        cartan_from_edges((2, 3), [(1, 2)])  # d does not symmetrize C
+    with pytest.raises(InvalidType):
+        cartan_from_edges((2, 2), [(1, 2)])  # not normalized
 
 
 def test_weyl_orders():
