@@ -398,10 +398,11 @@ def _cmd_induct(ns) -> int:
         _emit(ns, payload, [])
         return EXIT_OK
     lines = [f"{len(states)} chains from V({weight_label(w)}; {rs.type}) to depth {depth}"]
-    labels = {x: weight_label(x) for x in {x for s in states for x in s.weights}}
-    for s in states:
+    chains = [s.weights for s in states]
+    labels = {x: weight_label(x) for x in {x for ws in chains for x in ws}}
+    for s, ws in zip(states, chains):
         tag = "terminated" if s.terminated else "open"
-        seq = " ".join(map(labels.__getitem__, s.weights))
+        seq = " ".join(map(labels.__getitem__, ws))
         lines.append(f"{seq} | {tag} | dim {s.dbos_dimension}")
     _emit(ns, {}, lines)
     return EXIT_OK
@@ -451,12 +452,12 @@ def _cmd_report(ns) -> int:
 
 
 def _jsonable(obj):
+    if isinstance(obj, DynkinType):  # before tuple: a DynkinType is one
+        return str(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, DynkinType):
-        return str(obj)
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, int):
@@ -503,7 +504,7 @@ _VERBS = {
     "induct": (_cmd_induct, "search graded chains from a first-level module", [
         _TYPE, _WEIGHT, _FORMAT, _DEPTH,
     ]),
-    "report": (_cmd_report, "obstruction report for E9, F5 or G3", [
+    "report": (_cmd_report, f"obstruction report for {ind_mod.target_names()}", [
         (("target",), {"choices": [*_TARGETS, *map(str.lower, _TARGETS)]}),
         _DEPTH, _FORMAT,
     ]),

@@ -11,8 +11,7 @@ verified exactly by a dimension count.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     BijectionFailure,
@@ -43,8 +42,7 @@ from .root_system import (
 )
 
 
-@dataclass(frozen=True)
-class ZeroLevel:
+class ZeroLevel(NamedTuple):
     """Bookkeeping for the zero graded part: residual algebra plus a
     one-dimensional center (no bracket structure is modeled)."""
 
@@ -53,8 +51,7 @@ class ZeroLevel:
     center_dimension: int = 1
 
 
-@dataclass(frozen=True)
-class GradedComponent:
+class GradedComponent(NamedTuple):
     level: int
     roots: tuple[Vector, ...]
     factors: tuple[ModuleDescriptor, ...]
@@ -80,8 +77,7 @@ class GradedComponent:
         return tuple(itertools.chain.from_iterable(f.highest_weight for f in self.factors))
 
 
-@dataclass(frozen=True)
-class Deletion:
+class Deletion(NamedTuple):
     ambient: DynkinType
     node: int
     components: tuple[SubdiagramComponent, ...]
@@ -285,8 +281,7 @@ def weight_root_bijection(comp: GradedComponent) -> tuple[tuple[Vector, Vector],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EquivalenceClass:
+class EquivalenceClass(NamedTuple):
     ambient: DynkinType
     residual: DynkinType
     members: tuple[tuple[int, tuple[int, ...]], ...]  # (node, embedding)
@@ -406,8 +401,7 @@ def _summary_rows() -> list[dict]:
     return rows
 
 
-@dataclass(frozen=True)
-class RowResult:
+class RowResult(NamedTuple):
     name: str
     ok: bool
     m_d: int
@@ -416,8 +410,7 @@ class RowResult:
     detail: str
 
 
-@dataclass(frozen=True)
-class Table2Report:
+class Table2Report(NamedTuple):
     rows: tuple[RowResult, ...]
 
     @property

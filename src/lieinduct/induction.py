@@ -27,10 +27,8 @@ and its dual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from operator import attrgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceeded, TrivialFirstLevel
 from .rep_theory import (
@@ -61,8 +59,7 @@ DEFAULT_MAX_DEPTH = 12
 MAX_SEARCH_LEVELS = 2_000_000
 
 
-@dataclass(frozen=True)
-class TargetDiagram:
+class TargetDiagram(NamedTuple):
     """A (possibly hypothetical) diagram given by its validated Cartan matrix."""
 
     name: str
@@ -106,6 +103,12 @@ EXCEPTIONAL_TARGETS: dict[str, tuple[TargetDiagram, ...]] = {
 }
 
 
+def target_names() -> str:
+    """The keys of EXCEPTIONAL_TARGETS in prose: "E9, F5 or G3"."""
+    *head, last = EXCEPTIONAL_TARGETS
+    return f"{', '.join(head)} or {last}" if head else last
+
+
 def check_new_row(
     g0: DynkinType,
     iota,
@@ -129,8 +132,7 @@ def check_new_row(
 _highest_weight = attrgetter("highest_weight")
 
 
-@dataclass(frozen=True)
-class InductionState:
+class InductionState(NamedTuple):
     """A chain of graded levels; zero levels after the stored prefix."""
 
     base: DynkinType
@@ -138,8 +140,9 @@ class InductionState:
     terminated: bool
     dbos_dimension: int
 
-    @cached_property
+    @property
     def weights(self) -> tuple[Vector, ...]:
+        """The chain's highest weights, computed on each access."""
         return tuple(map(_highest_weight, self.chain))
 
 
@@ -307,8 +310,7 @@ def induction_search(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RouteReport:
+class RouteReport(NamedTuple):
     base: DynkinType
     target: str
     target_node: int
@@ -321,8 +323,7 @@ class RouteReport:
     non_terminated: int
 
 
-@dataclass(frozen=True)
-class ExceptionalReport:
+class ExceptionalReport(NamedTuple):
     name: str
     max_depth: int
     routes: tuple[RouteReport, ...]
@@ -330,7 +331,7 @@ class ExceptionalReport:
     common_dims: tuple[int, ...]
     consistent: bool
     verdict: str
-    analysis: dict = field(default_factory=dict, compare=False)
+    analysis: dict
 
 
 def exceptional_routes(name: str) -> list[tuple]:
@@ -350,7 +351,7 @@ def exceptional_routes(name: str) -> list[tuple]:
             if len(_connected_components(c, rest)) != 1:
                 continue
             base = _identify_component(c, d, rest)
-            iota = max(_isomorphisms(cartan_matrix(base).entries, c, rest),
+            iota = max(_isomorphisms(build_root_system(base).cartan.entries, c, rest),
                        key=lambda p: tuple(-c[node - 1][j - 1] for j in p))
             routes.append((base, target, node, iota))
     routes.sort(key=lambda r: r[0].family != name[0])  # stable
@@ -404,10 +405,11 @@ def _modules_up_to_dim(rs: RootSystem, bound: int) -> list[tuple[Vector, int]]:
 
 
 def exceptional_report(name: str, max_depth: int = DEFAULT_MAX_DEPTH) -> ExceptionalReport:
-    """Run the induction programme for E9, F5 or G3 and summarize the outcome."""
+    """Run the induction programme for a key of EXCEPTIONAL_TARGETS and
+    summarize the outcome.  E9, F5 and G3 add their own analysis."""
     key = name.upper()
     if key not in EXCEPTIONAL_TARGETS:
-        raise ValueError(f"no exceptional analysis for {name!r}; expected E9, F5 or G3")
+        raise ValueError(f"no exceptional analysis for {name!r}; expected {target_names()}")
 
     routes = tuple(
         _route_report(base, tgt, node, iota, max_depth)
@@ -422,12 +424,10 @@ def exceptional_report(name: str, max_depth: int = DEFAULT_MAX_DEPTH) -> Excepti
     consistent = bool(common)
 
     analysis: dict = {}
+    verdict = "consistent" if consistent else "no candidate dimension is shared by all bases"
     if key == "E9":
-        verdict = (
-            "consistent" if consistent else
-            "no candidate dimension is shared by all bases; the rank-8 base "
-            "admits no non-trivial first level at all"
-        )
+        if not consistent:
+            verdict += "; the rank-8 base admits no non-trivial first level at all"
     elif key == "F5":
         f4 = build_root_system(DynkinType("F", 4))
         candidate = min((d for _, ds in base_dims for d in ds), default=None)
@@ -446,7 +446,7 @@ def exceptional_report(name: str, max_depth: int = DEFAULT_MAX_DEPTH) -> Excepti
             f"F4 module of dimension {missing}; the exhaustive scan finds none"
         )
         consistent = consistent and exists
-    else:  # G3
+    elif key == "G3":
         g2_dims = per_base.get("G2", set())
         a2_dims = per_base.get("A2", set())
         matches = []

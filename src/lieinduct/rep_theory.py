@@ -36,8 +36,7 @@ multiplicities only for modules with at most two dominant weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -68,9 +67,9 @@ MAX_WEIGHTS = 2_000_000
 MAX_DOMINANT_WEIGHTS = 2_500
 
 
-@dataclass(frozen=True, order=True)
-class ModuleDescriptor:
-    """An irreducible module named by algebra, highest weight and dimension."""
+class ModuleDescriptor(NamedTuple):
+    """An irreducible module named by algebra, highest weight and dimension;
+    a tuple, so it hashes and sorts by those three fields in that order."""
 
     algebra: DynkinType
     highest_weight: Vector
@@ -330,8 +329,7 @@ def _orbit_size(rs: RootSystem, zero_nodes: tuple[int, ...]) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class WeightClass:
+class WeightClass(NamedTuple):
     minuscule: bool
     quasi_minuscule: bool
 
@@ -360,8 +358,7 @@ def classify_weight(rs: RootSystem, weight: Sequence[int]) -> WeightClass:
     )
 
 
-@dataclass(frozen=True)
-class DefiningCheck:
+class DefiningCheck(NamedTuple):
     """The verdict of is_defining.  dominant_count is the number of dominant
     weights, capped at 3: past two the closure stops at the third and the
     character is not computed, so dominant_count is 3, a lower bound, and

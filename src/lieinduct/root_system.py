@@ -38,12 +38,11 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm
 from operator import mul
-from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import BadEmbedding, InvalidType, InvariantViolation, NonIntegral, NotARoot
 
@@ -72,21 +71,27 @@ _EXCEPTIONAL_WEYL_ORDER = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class DynkinType:
+class _DynkinFields(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self) -> None:
-        rng = RANK_RANGES.get(self.family)
+
+class DynkinType(_DynkinFields):
+    """A family letter and a rank in RANK_RANGES; anything else raises
+    InvalidType.  A tuple, so it hashes, compares and sorts as (family, rank)."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int) -> DynkinType:
+        rng = RANK_RANGES.get(family)
         if rng is None:
-            raise InvalidType(f"unknown family {self.family!r}; expected one of A-G")
+            raise InvalidType(f"unknown family {family!r}; expected one of A-G")
         lo, hi = rng
-        if not lo <= self.rank <= hi:
+        if not lo <= rank <= hi:
             raise InvalidType(
-                f"{self.family}{self.rank} out of range: {self.family} accepts "
-                f"rank {lo}..{hi}"
+                f"{family}{rank} out of range: {family} accepts rank {lo}..{hi}"
             )
+        return tuple.__new__(cls, (family, rank))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -100,8 +105,7 @@ def parse_dynkin(text: str) -> DynkinType:
     return DynkinType(m.group(1).upper(), int(m.group(2)))
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
+class CartanMatrix(NamedTuple):
     entries: tuple[tuple[int, ...], ...]
     symmetrizer: tuple[int, ...]
 
@@ -190,19 +194,39 @@ def _expected_highest_root(t: DynkinType) -> Vector:
     return table[(t.family, t.rank)]
 
 
-# eq=False: build_root_system returns a cached singleton per type, and each
-# instance owns its memos, so identity equality and hashing are all it needs.
-@dataclass(frozen=True, eq=False)
 class RootSystem:
+    """A root system and its memos, read-only once built.
+
+    build_root_system returns a cached singleton per type, and each instance
+    owns its memos, so identity equality and hashing are all it needs.  The
+    cached properties below and RootSystem.memoized keep their results in the
+    instance's __dict__; attribute assignment raises AttributeError.
+    """
+
     type: DynkinType
+    rank: int
     cartan: CartanMatrix
     positive_roots: tuple[Vector, ...]
     highest_root: Vector
     roots: frozenset[Vector]
 
-    @property
-    def rank(self) -> int:
-        return self.type.rank
+    def __init__(
+        self,
+        type: DynkinType,
+        cartan: CartanMatrix,
+        positive_roots: tuple[Vector, ...],
+        highest_root: Vector,
+        roots: frozenset[Vector],
+    ) -> None:
+        vars(self).update(
+            type=type, rank=type.rank, cartan=cartan, positive_roots=positive_roots,
+            highest_root=highest_root, roots=roots,
+        )
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"RootSystem.{name} is read-only")
+
+    __delattr__ = __setattr__
 
     @property
     def rho(self) -> Vector:
@@ -463,8 +487,7 @@ def highest_root(rs: RootSystem) -> Vector:
     return rs.highest_root
 
 
-@dataclass(frozen=True)
-class RootStats:
+class RootStats(NamedTuple):
     height: int
     support: tuple[int, ...]
     mult: Vector
@@ -559,8 +582,7 @@ def weyl_order(t: DynkinType) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubdiagramComponent:
+class SubdiagramComponent(NamedTuple):
     """A connected component of a node subset, identified as a Dynkin type.
 
     embedding[i-1] is the ambient label of this component's canonical node i;
@@ -682,12 +704,13 @@ def classify_subdiagram(
 
     Components are ordered by their smallest ambient label; each embedding is
     the lexicographically smallest isomorphism (the canonical choice when no
-    explicit embedding is supplied).
+    explicit embedding is supplied).  Each component's Cartan matrix is read
+    from its root system, which the callers build anyway.
     """
     comps = []
     for comp in _connected_components(entries, nodes):
         t = _identify_component(entries, symmetrizer, comp)
-        iso = next(_isomorphisms(cartan_matrix(t).entries, entries, comp), None)
+        iso = next(_isomorphisms(build_root_system(t).cartan.entries, entries, comp), None)
         if iso is None:
             raise InvalidType(f"classification of {comp} as {t} failed")
         comps.append(SubdiagramComponent(t, iso))
@@ -705,6 +728,8 @@ def check_embedding(
 
     The residual's Cartan matrix is block diagonal, so one comparison checks
     both that each component is realized and that no edge joins two of them.
+    Each block is read from the component's root system, as in
+    classify_subdiagram.
     """
     n = len(entries)
     if not 1 <= node <= n:
@@ -713,7 +738,7 @@ def check_embedding(
     for t in residual:
         pad = len(canon)
         canon = [row + [0] * t.rank for row in canon] + [
-            [0] * pad + list(row) for row in cartan_matrix(t).entries
+            [0] * pad + list(row) for row in build_root_system(t).cartan.entries
         ]
     size = len(canon)
     if size != n - 1:

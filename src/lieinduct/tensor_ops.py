@@ -22,8 +22,7 @@ induction search, keeps its own results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InternalParity, NotACharacter
 from .rep_theory import (
@@ -38,19 +37,27 @@ from .rep_theory import (
 from .root_system import RootSystem, Vector, to_dominant
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
-    """Multiset of irreducible summands, with exact dimension conservation."""
-
+class _DecompositionFields(NamedTuple):
     summands: tuple[tuple[ModuleDescriptor, int], ...]
     source_dimension: int
 
-    def __post_init__(self) -> None:
-        total = sum(md.dimension * m for md, m in self.summands)
-        if total != self.source_dimension:
+
+class DecompositionResult(_DecompositionFields):
+    """Multiset of irreducible summands, with exact dimension conservation:
+    summands whose dimensions do not total source_dimension raise
+    NotACharacter."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, summands: tuple[tuple[ModuleDescriptor, int], ...], source_dimension: int
+    ) -> DecompositionResult:
+        total = sum(md.dimension * m for md, m in summands)
+        if total != source_dimension:
             raise NotACharacter(
-                f"summand dimensions total {total}, expected {self.source_dimension}"
+                f"summand dimensions total {total}, expected {source_dimension}"
             )
+        return tuple.__new__(cls, (summands, source_dimension))
 
     def multiplicity(self, weight: Sequence[int]) -> int:
         w = tuple(weight)

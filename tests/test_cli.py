@@ -13,6 +13,7 @@ import time
 import pytest
 
 from lieinduct import cli
+from lieinduct import induction as ind_mod
 from lieinduct.cli import parse_weight, run, weight_label, UsageError
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -483,3 +484,29 @@ def test_run_builds_only_the_invoked_verb(capsys, monkeypatch):
     assert run(["no-such-verb"]) == 2
     assert "no-such-verb" in capsys.readouterr().err
     assert [list(_verbs(p)) for p in built] == [list(cli._VERBS)]
+
+
+def test_report_help_names_the_targets_of_the_table(capsys):
+    assert run(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert f"obstruction report for {ind_mod.target_names()}" in out
+    assert "obstruction report for E9, F5 or G3" in out
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # The records are tuples and plain classes: importing dataclasses, and
+    # inspect which it pulls in, would add tens of milliseconds to every CLI
+    # start.  The child reports by its exit code, so the check also runs
+    # under python -O, with the same optimization level as this process.
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import lieinduct.cli\n"
+        "added = sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))\n"
+        "sys.exit(f'import lieinduct.cli loaded {added}' if added else 0)\n"
+    )
+    flags = ["-" + "O" * sys.flags.optimize] if sys.flags.optimize else []
+    proc = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True, env=cli_env())
+    if proc.returncode != 0:
+        pytest.fail(proc.stderr)

@@ -401,3 +401,17 @@ def test_target_diagram_from_dynkin():
     assert td.rank == 4
     assert td.entries[1][2] == -2
     assert set(EXCEPTIONAL_TARGETS) == {"E9", "F5", "G3"}
+
+
+def test_target_names_follow_the_table(monkeypatch):
+    assert induction.target_names() == "E9, F5 or G3"
+    # a new key needs no prose written for it, and gets no analysis block
+    monkeypatch.setitem(EXCEPTIONAL_TARGETS, "A3", (TargetDiagram.from_dynkin(DynkinType("A", 3)),))
+    assert induction.target_names() == "E9, F5, G3 or A3"
+    with pytest.raises(ValueError, match="expected E9, F5, G3 or A3"):
+        exceptional_report("X9")
+    report = exceptional_report("A3", max_depth=4)
+    assert [(str(r.base), r.target_node) for r in report.routes] == [("A2", 1), ("A2", 3)]
+    assert 15 in report.common_dims  # dim sl(4), from the chain V(w1) alone
+    assert report.verdict == "consistent"
+    assert report.analysis == {}
