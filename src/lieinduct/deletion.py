@@ -104,10 +104,10 @@ class Deletion(NamedTuple):
         return tuple(self.level(-i) for i in range(1, self.m_d + 1))
 
 
-def _residual_weight(rs: RootSystem, iota: Sequence[int], beta: Vector) -> Vector:
-    """Weight of an ambient root over the residual algebra, iota-reordered."""
-    w = rs.root_weights[beta]
-    return tuple(w[amb - 1] for amb in iota)
+def _residual_weight(rs: RootSystem, index: Sequence[int], beta: Vector) -> Vector:
+    """Weight of an ambient root over the residual algebra: its coordinates
+    at index, the 0-based ambient nodes in residual order (iota - 1)."""
+    return tuple(map(rs.root_weights[beta].__getitem__, index))
 
 
 def _primitive_root(rs: RootSystem, d: int, level_roots: Sequence[Vector]) -> Vector:
@@ -143,7 +143,7 @@ def component_highest_weight(
     if not level_roots:
         raise EmptyLevel(f"{rs.type} deletion at {d} has no roots at level {level}")
     beta = _primitive_root(rs, d, level_roots)
-    return _residual_weight(rs, iota, beta)
+    return _residual_weight(rs, [amb - 1 for amb in iota], beta)
 
 
 def _component_factors(
@@ -208,6 +208,7 @@ def delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
             rs.cartan.entries, d, [c.type for c in components], iota, str(rs.type)
         )
 
+    index = [amb - 1 for amb in iota_t]
     m_d = rs.highest_root[d - 1]
     by_level: dict[int, list[Vector]] = {}
     for r in rs.roots:
@@ -223,7 +224,7 @@ def delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
     for i in nonzero:
         roots = tuple(sorted(by_level[i]))
         beta = _primitive_root(rs, d, roots)
-        weight = _residual_weight(rs, iota_t, beta)
+        weight = _residual_weight(rs, index, beta)
         factors = _component_factors(components, weight)
         dim = 1
         for f in factors:
@@ -233,7 +234,7 @@ def delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
                 f"level {i} of {rs.type} at node {d}: {len(roots)} roots but the "
                 f"identified module has dimension {dim}"
             )
-        corr = _level_correspondence(rs, iota_t, roots, factors)
+        corr = _level_correspondence(rs, index, roots, factors)
         levels.append(GradedComponent(i, roots, factors, corr))
 
     residual_roots = sum(
@@ -250,13 +251,13 @@ def delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
 
 def _level_correspondence(
     rs: RootSystem,
-    iota: tuple[int, ...],
+    index: Sequence[int],
     roots: tuple[Vector, ...],
     factors: tuple[ModuleDescriptor, ...],
 ) -> tuple[tuple[Vector, Vector], ...]:
     seen: dict[Vector, Vector] = {}
     for beta in roots:
-        w = _residual_weight(rs, iota, beta)
+        w = _residual_weight(rs, index, beta)
         if w in seen:
             raise BijectionFailure(
                 f"roots {seen[w]} and {beta} share the residual weight {w}"

@@ -23,8 +23,9 @@ one root string is walked per class, at its first member, and weighted by
 the class size.  The classes come from RootSystem.positive_root_classes.
 
 Character tables store dominant entries only; full tables are recovered by
-orbit expansion on demand.  Characters, orbits and orbit sizes are memoized
-on the RootSystem passed in (RootSystem.memoized), not keyed by type.
+orbit expansion on demand.  Characters, orbits, orbit sizes and defining
+checks are memoized on the RootSystem passed in (RootSystem.memoized), not
+keyed by type.
 Orbit enumeration and expansion refuse, with BudgetExceeded, any request of
 more than MAX_WEIGHTS weights, judged up front from exact orbit sizes; a
 character refuses, as its dominant-weight closure grows, a module with more
@@ -36,6 +37,7 @@ multiplicities only for modules with at most two dominant weights.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -180,7 +182,7 @@ def weyl_dim(rs: RootSystem, weight: Sequence[int]) -> int:
     lam_rho = [x + 1 for x in lam]
     num = 1
     for ap in rs.positive_pairings:
-        num *= sum(x * y for x, y in zip(lam_rho, ap))
+        num *= sum(map(mul, lam_rho, ap))
     q, r = divmod(num, rs.weyl_denominator)
     if r:
         raise InvariantViolation(f"Weyl dimension product of {lam} does not divide exactly")
@@ -344,7 +346,7 @@ def classify_weight(rs: RootSystem, weight: Sequence[int]) -> WeightClass:
     max_pairing = 0
     count_two = 0
     for alpha, ap, norm in zip(rs.positive_roots, rs.positive_pairings, rs.positive_norms):
-        num = 2 * sum(x * y for x, y in zip(lam, ap))
+        num = 2 * sum(map(mul, lam, ap))
         if num % norm:
             raise NonIntegral(f"coroot pairing of {lam} with {alpha} is not integral")
         p = num // norm
@@ -377,8 +379,12 @@ def is_defining(rs: RootSystem, weight: Sequence[int]) -> DefiningCheck:
     """All weight multiplicities 1 and at most two dominant weights.
 
     The dominant-weight closure runs first with cap 2; a third dominant
-    weight settles "not defining" before any multiplicity is computed."""
-    lam = _require_dominant(rs, weight)
+    weight settles "not defining" before any multiplicity is computed.
+    Memoized per weight."""
+    return rs.memoized(_is_defining, _require_dominant(rs, weight))
+
+
+def _is_defining(rs: RootSystem, lam: Vector) -> DefiningCheck:
     try:
         _dominant_weights(rs, lam, cap=2)
     except BudgetExceeded:

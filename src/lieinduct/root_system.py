@@ -20,17 +20,28 @@ Conventions (fixed once, validated by the highest-root round-trip tests):
 No floating point is used anywhere; weight-to-root conversion is exact over
 ``fractions.Fraction``.
 
+The positive roots come from a p - q closure over simple-root strings run
+on int codes: a root's coefficients are the digits of one int in radix 8,
+node 1 the most significant, so probing beta + a_i or beta - a_i is one int
+addition and one set lookup, and the codes sort as the coefficient tuples
+do.  No finite-type coefficient exceeds 6 (E8's highest root), so a
+coefficient that would reach 7 stops the closure with InvariantViolation:
+the matrix is not of finite type, and one more probe would carry into the
+next digit and alias another root.  The coefficient tuple and the weight
+of a root are built once, when the closure finds it.
+
 Each RootSystem instance computes its root datum once, on first use, from its
 own Cartan matrix, symmetrizer and positive roots: the weight coordinates of
-every root, the pairing vectors and norms of the positive roots, the Weyl
+every root, the pairing vectors and norms of the positive roots, the nodes
+where each positive root's weight is positive as a bitmask, the Weyl
 dimension denominator and an integer height functional.  Every result
 derived from the datum and a key (the root classes per zero-node set, the
-roots within a support, and the characters, orbits, orbit sizes and full
-weight tables of rep_theory and tensor_ops) is memoized on the instance by
-RootSystem.memoized, never keyed by type, so a rescaled symmetrizer gets
-its own.  build_root_system is the one process-wide cache: clearing it
-drops every instance and with it every memo.  It fills in the positive
-roots' weights from its root closure, which computes them anyway.
+roots within a support, and the characters, orbits, orbit sizes, defining
+checks and full weight tables of rep_theory and tensor_ops) is memoized on
+the instance by RootSystem.memoized, never keyed by type, so a rescaled
+symmetrizer gets its own.  build_root_system is the one process-wide cache:
+clearing it drops every instance and with it every memo.  It fills in the
+positive roots' weights from its root closure, which computes them anyway.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import add, mul, neg
 from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import BadEmbedding, InvalidType, InvariantViolation, NonIntegral, NotARoot
@@ -308,21 +319,31 @@ class RootSystem:
         """Weight coordinates of every root, keyed by its root coordinates."""
         out = dict(zip(self.positive_roots, self.positive_weights))
         for a, aw in zip(self.positive_roots, self.positive_weights):
-            out[tuple(-x for x in a)] = tuple(-x for x in aw)
+            out[tuple(map(neg, a))] = tuple(map(neg, aw))
         return out
 
     @cached_property
     def positive_pairings(self) -> tuple[Vector, ...]:
         """alpha_j * d_j per positive root, so (lambda, alpha) = lambda . this."""
         d = self.cartan.symmetrizer
-        return tuple(tuple(k * dj for k, dj in zip(a, d)) for a in self.positive_roots)
+        return tuple(tuple(map(mul, a, d)) for a in self.positive_roots)
 
     @cached_property
     def positive_norms(self) -> tuple[int, ...]:
         """(alpha, alpha) per positive root."""
         return tuple(
-            sum(x * y for x, y in zip(aw, ap))
+            sum(map(mul, aw, ap))
             for aw, ap in zip(self.positive_weights, self.positive_pairings)
+        )
+
+    @cached_property
+    def positive_nodes(self) -> tuple[int, ...]:
+        """Per positive root, the bitmask of the nodes (bit j for the 0-based
+        node j) where its weight is positive."""
+        bits = [1 << j for j in range(self.rank)]
+        positive = (0).__lt__
+        return tuple(
+            sum(itertools.compress(bits, map(positive, aw))) for aw in self.positive_weights
         )
 
     @cached_property
@@ -356,16 +377,17 @@ class RootSystem:
         """Per node j, the pairs (i, k) of positive-root indices with
         s_j(alpha_i) = alpha_k and <alpha_i, a_j^vee> > 0, alpha_i != a_j.
 
-        s_j permutes the positive roots other than a_j, in weight coordinates
-        s_j(alpha) = alpha - <alpha, a_j^vee> a_j with the pairing alpha's j-th
-        coordinate; each swapped pair is listed once, from its upper member.
+        s_j permutes the positive roots other than a_j, and
+        s_j(alpha) = alpha - <alpha, a_j^vee> a_j lowers alpha's j-th root
+        coordinate by the pairing, its j-th weight coordinate; each swapped
+        pair is listed once, from its upper member.
         """
-        pw = self.positive_weights
-        index = {aw: i for i, aw in enumerate(pw)}
+        pr, pw = self.positive_roots, self.positive_weights
+        index = {a: i for i, a in enumerate(pr)}
         return tuple(
             tuple(
-                (i, index[tuple(p - aw[j] * q for p, q in zip(aw, row))])
-                for i, aw in enumerate(pw)
+                (i, index[a[:j] + (a[j] - aw[j],) + a[j + 1:]])
+                for i, (a, aw) in enumerate(zip(pr, pw))
                 if aw[j] > 0 and aw != row
             )
             for j, row in enumerate(self.cartan.entries)  # row j is a_j's weight
@@ -432,41 +454,70 @@ def _root_classes(rs: RootSystem, zero_nodes: tuple[int, ...]) -> tuple[tuple[in
 
 
 def _roots_within_support(rs: RootSystem, mask: int) -> tuple[int, ...]:
-    return tuple(
-        i for i, aw in enumerate(rs.positive_weights)
-        if all(x <= 0 or mask >> j & 1 for j, x in enumerate(aw))
-    )
+    outside = ~mask
+    return tuple(i for i, nodes in enumerate(rs.positive_nodes) if not nodes & outside)
+
+
+# The radix of the root codes (see the module docstring).  A kept
+# coefficient stays below _RADIX - 1, so adding a simple root never carries.
+_RADIX = 8
+
+
+def _root_closure(cm: CartanMatrix) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+    """The positive roots of cm, by height and then lexicographically, and
+    their weight coordinates: the p - q closure over simple-root strings, run
+    on root codes (see the module docstring).
+
+    Each frontier holds the roots of one height.  Adding a_i adds Cartan row
+    i to the weight, whose i-th coordinate is the pairing <beta, a_i^vee> =
+    p - q that the rule reads; so the a_i-string is walked down only until
+    it is longer than that pairing, and never past beta_i, so a subtraction
+    never borrows.
+    """
+    n = cm.rank
+    rows = cm.entries
+    steps = [_RADIX ** (n - 1 - i) for i in range(n)]
+    level = {step: (tuple(int(i == j) for j in range(n)), rows[i])
+             for i, step in enumerate(steps)}
+    known = set(level)
+    roots: list[Vector] = []
+    weights: list[Vector] = []
+    while level:
+        nxt = {}
+        for code in sorted(level):
+            k, w = level[code]
+            roots.append(k)
+            weights.append(w)
+            for i, step in enumerate(steps):
+                up = code + step
+                if up in known:
+                    continue
+                # how far the a_i-string runs down from beta, up to w[i] + 1
+                wi, ki = w[i], k[i]
+                p = 0
+                down = code - step
+                while p <= wi and p < ki and down in known:
+                    p += 1
+                    down -= step
+                if p > wi:
+                    if ki + 1 >= _RADIX - 1:
+                        raise InvariantViolation(
+                            f"a root coefficient reaches {ki + 1}: the Cartan matrix "
+                            f"{cm.entries} is not of finite type"
+                        )
+                    known.add(up)
+                    nxt[up] = (k[:i] + (ki + 1,) + k[i + 1:], tuple(map(add, w, rows[i])))
+        level = nxt
+    return tuple(roots), tuple(weights)
 
 
 @lru_cache(maxsize=None)
 def build_root_system(t: DynkinType) -> RootSystem:
-    """Generate the positive roots by closing simple-root strings (p - q rule).
-
-    Each root is kept with its weight coordinates: adding a_i adds Cartan row
-    i, and the i-th weight coordinate is the pairing <beta, a_i^vee> that the
-    rule reads.  These weights become the instance's positive_weights.
-    """
+    """The root system of t from _root_closure, with its weights pre-filled
+    as positive_weights, after the convention-drift and unique-highest-root
+    checks."""
     cm = cartan_matrix(t)
-    n = t.rank
-    rows = cm.entries
-    weights = {tuple(int(i == j) for j in range(n)): rows[i] for i in range(n)}
-    frontier = list(weights.items())
-    while frontier:
-        nxt = []
-        for beta, w in frontier:
-            for i in range(n):
-                cand = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-                if cand in weights:
-                    continue
-                p = 0  # how far the a_i-string runs down from beta; w[i] = p - q
-                while beta[:i] + (beta[i] - p - 1,) + beta[i + 1:] in weights:
-                    p += 1
-                if p > w[i]:
-                    weights[cand] = tuple(a + b for a, b in zip(w, rows[i]))
-                    nxt.append((cand, weights[cand]))
-        frontier = nxt
-
-    ordered = tuple(sorted(weights, key=lambda r: (sum(r), r)))
+    ordered, weights = _root_closure(cm)
     highest = ordered[-1]
     if highest != _expected_highest_root(t):
         raise InvalidType(
@@ -476,9 +527,9 @@ def build_root_system(t: DynkinType) -> RootSystem:
     heights = [sum(r) for r in ordered]
     if heights.count(max(heights)) != 1:
         raise InvalidType(f"highest root of {t} is not unique")
-    all_roots = frozenset(ordered) | frozenset(tuple(-x for x in r) for r in ordered)
+    all_roots = frozenset(ordered) | frozenset(tuple(map(neg, r)) for r in ordered)
     rs = RootSystem(t, cm, ordered, highest, all_roots)
-    vars(rs)["positive_weights"] = tuple(weights[a] for a in ordered)  # pre-fill the cache
+    vars(rs)["positive_weights"] = weights  # pre-fill the cache
     return rs
 
 

@@ -17,7 +17,9 @@ product with both factors from the bilinear form, the coroot pairing of every
 positive root, and the height from the rational weight-to-root conversion.
 The Cartan-matrix oracle builds each finite type as a simple chain and
 patches its entries per family, where the engine reads a symmetrizer and an
-edge list.
+edge list.  The root-closure oracle closes simple-root strings on
+coefficient tuples, probing every string in full, where the engine probes
+int codes and stops a string once the p - q rule is decided.
 Nothing in this module calls the engine's character, orbit or decomposition
 code; the decomposition oracles accept a full-table character function so that
 cases too large for the Weyl-group sum can be fed characters from elsewhere.
@@ -601,3 +603,30 @@ def patched_cartan_matrix(t: DynkinType) -> CartanMatrix:
         c = [[2, -1], [-3, 2]]
         d = [1, 3]
     return CartanMatrix(tuple(tuple(row) for row in c), tuple(d))
+
+
+def tuple_root_closure(cm: CartanMatrix) -> tuple[tuple, tuple]:
+    """(positive roots sorted by height and then lexicographically, their
+    weights), by the p - q rule on coefficient tuples: beta + a_i is a root
+    when the a_i-string down from beta is longer than <beta, a_i^vee>.
+    Runs forever on a matrix that is not of finite type."""
+    n = cm.rank
+    rows = cm.entries
+    weights = {tuple(int(i == j) for j in range(n)): rows[i] for i in range(n)}
+    frontier = list(weights.items())
+    while frontier:
+        nxt = []
+        for beta, w in frontier:
+            for i in range(n):
+                cand = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                if cand in weights:
+                    continue
+                p = 0
+                while beta[:i] + (beta[i] - p - 1,) + beta[i + 1:] in weights:
+                    p += 1
+                if p > w[i]:
+                    weights[cand] = tuple(a + b for a, b in zip(w, rows[i]))
+                    nxt.append((cand, weights[cand]))
+        frontier = nxt
+    ordered = tuple(sorted(weights, key=lambda r: (sum(r), r)))
+    return ordered, tuple(weights[r] for r in ordered)

@@ -5,6 +5,7 @@ import inspect
 import os
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,8 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 from oracles import brute_induction_search
 
-from lieinduct import induction
+from lieinduct import induction, rep_theory
+from lieinduct.cli import run
 from lieinduct.deletion import _summary_rows, delete_node
 from lieinduct.errors import BadEmbedding, BudgetExceeded, TrivialFirstLevel
 from lieinduct.induction import (
@@ -232,6 +234,33 @@ def test_exceptional_report_g3():
     a2_states = induction_search(rsys("A2"), (1, 0), max_depth=8)
     assert any(s.terminated and len(s.chain) == 7 and s.dbos_dimension == 43
                for s in a2_states)
+
+
+def test_report_checks_each_defining_weight_once(monkeypatch, capsys):
+    # the bracket masks ask again for weights already checked, and each
+    # route checks its first level before its search does; the memo on each
+    # root system computes every (root system, weight) check once
+    computed = Counter()
+    asked = Counter()
+    check = rep_theory._is_defining
+    ask = induction.is_defining
+
+    def counting_check(rs, lam):
+        computed[rs, lam] += 1
+        return check(rs, lam)
+
+    def counting_ask(rs, weight):
+        asked[rs, tuple(weight)] += 1
+        return ask(rs, weight)
+
+    monkeypatch.setattr(rep_theory, "_is_defining", counting_check)
+    monkeypatch.setattr(induction, "is_defining", counting_ask)
+    build_root_system.cache_clear()
+    assert run(["report", "G3", "--depth", "48"]) == 0
+    capsys.readouterr()
+    assert set(computed) == set(asked)
+    assert set(computed.values()) == {1}
+    assert sum(asked.values()) > len(asked)  # some weights were asked again
 
 
 def test_search_depth_is_not_bounded_by_recursion_limit():

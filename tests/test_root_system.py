@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from oracles import patched_cartan_matrix, root_height
+from oracles import patched_cartan_matrix, root_height, tuple_root_closure
 
 from lieinduct.errors import BadEmbedding, InvalidType, InvariantViolation, NonIntegral, NotARoot
 from lieinduct.root_system import (
@@ -17,6 +17,7 @@ from lieinduct.root_system import (
     CartanMatrix,
     DynkinType,
     RootSystem,
+    _root_closure,
     build_root_system,
     cartan_from_edges,
     cartan_matrix,
@@ -303,6 +304,29 @@ def test_cartan_matrix_matches_patched_chain_oracle():
             assert cartan_matrix(t) == patched_cartan_matrix(t), t
             count += 1
     assert count == 32 + 31 + 30 + 29 + 3 + 1 + 1
+
+
+def test_root_closure_matches_tuple_oracle():
+    # every accepted type, roots in order and their weights
+    count = 0
+    for family, (lo, hi) in RANK_RANGES.items():
+        for rank in range(lo, hi + 1):
+            t = DynkinType(family, rank)
+            rs = build_root_system(t)
+            roots, weights = tuple_root_closure(rs.cartan)
+            assert rs.positive_roots == roots, t
+            assert rs.positive_weights == weights, t
+            count += 1
+    assert count == 32 + 31 + 30 + 29 + 3 + 1 + 1
+
+
+def test_root_closure_refuses_a_matrix_not_of_finite_type():
+    # affine A1 and affine A2 have roots of every height; the closure stops
+    # before a coefficient would carry into the next digit of a root code
+    for entries in (((2, -2), (-2, 2)), ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))):
+        cm = CartanMatrix(entries, (1,) * len(entries))
+        with pytest.raises(InvariantViolation, match="not of finite type"):
+            _root_closure(cm)
 
 
 def test_cartan_from_edges_validates():
