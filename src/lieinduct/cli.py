@@ -9,12 +9,12 @@ levels stay plain integers.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
-from typing import Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Sequence
 
 from . import deletion as del_mod
 from . import induction as ind_mod
@@ -30,6 +30,9 @@ from .root_system import (
     parse_dynkin,
     root_stats,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 SCHEMA_VERSION = "1"
 
@@ -513,6 +516,8 @@ _VERBS = {
 
 def _build_parser(verbs: Sequence[str] = tuple(_VERBS)) -> argparse.ArgumentParser:
     """The argument parser with a subparser for each of the given verbs."""
+    import argparse  # only help and usage errors need it: see _parse
+
     p = argparse.ArgumentParser(
         prog="lie-induct",
         description="Exact root-system, deletion and Lie-induction calculations",
@@ -526,18 +531,73 @@ def _build_parser(verbs: Sequence[str] = tuple(_VERBS)) -> argparse.ArgumentPars
     return p
 
 
+def _parse(args: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace _build_parser() gives for a canonical command line, or
+    None for any other.
+
+    Canonical: a verb, then exactly its positionals and its long options in
+    any order.  Each option is given once, spelled in full and followed by a
+    value that does not start with '-'; every required option is present;
+    every value converts with its spec's type and lies in its choices.  Help,
+    '--format=json', abbreviations, '--', values such as '-1' and repeated
+    or unknown arguments are not canonical: run hands them to argparse,
+    which alone prints help and reports usage errors.
+    """
+    if not args or args[0] not in _VERBS:
+        return None
+    verb, *rest = args
+    specs = _VERBS[verb][2]
+    options = {flags[0] for flags, _ in specs if flags[0].startswith("--")}
+    given = {}  # the text of each argument, by its first flag
+    positionals = []
+    tokens = iter(rest)
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        value = next(tokens, "-")
+        if token not in options or token in given or value.startswith("-"):
+            return None
+        given[token] = value
+    names = [flags[0] for flags, _ in specs if flags[0] not in options]
+    if len(positionals) != len(names):
+        return None
+    given.update(zip(names, positionals))
+    ns = SimpleNamespace(verb=verb)
+    for flags, kwargs in specs:
+        flag = flags[0]
+        if flag in given:
+            value = given[flag]
+            if "type" in kwargs:
+                try:
+                    value = kwargs["type"](value)
+                except ValueError:
+                    return None
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                return None
+        elif kwargs.get("required"):
+            return None
+        else:
+            value = kwargs.get("default")
+        setattr(ns, flag[2:].replace("-", "_") if flag in options else flag, value)
+    return ns
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     args = list(argv) if argv is not None else sys.argv[1:]
-    # Only the invoked verb's subparser is built.  Anything else (no verb,
-    # --help, an unknown verb) and leftover arguments are reported by the
-    # parser with every verb, whose usage line lists them all.
-    verbs = args[:1] if args and args[0] in _VERBS else tuple(_VERBS)
-    try:
-        ns, extras = _build_parser(verbs).parse_known_args(args)
-        if extras:
-            _build_parser().parse_args(args)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    ns = _parse(args)
+    if ns is None:
+        # What _parse defers goes to the invoked verb's subparser alone.
+        # Anything else (no verb, --help, an unknown verb) and leftover
+        # arguments go to the parser with every verb, whose usage line
+        # lists them all.
+        verbs = args[:1] if args and args[0] in _VERBS else tuple(_VERBS)
+        try:
+            ns, extras = _build_parser(verbs).parse_known_args(args)
+            if extras:
+                _build_parser().parse_args(args)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     ns.echo = args
     try:
         return _VERBS[ns.verb][0](ns)

@@ -406,8 +406,8 @@ def _is_defining(rs: RootSystem, lam: Vector) -> DefiningCheck:
 
 def short_dominant_root(rs: RootSystem) -> Vector:
     """The dominant root of minimal length (the quasi-minuscule weight)."""
-    shortest = min(rs.positive_roots, key=rs.root_norm)
-    return to_dominant(rs, rs.root_to_weight(shortest))[0]
+    norms = rs.positive_norms
+    return to_dominant(rs, rs.positive_weights[norms.index(min(norms))])[0]
 
 
 def num_short_simple_roots(rs: RootSystem) -> int:

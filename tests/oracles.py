@@ -14,7 +14,8 @@ The search oracle replays the induction search state by state, decomposing
 every bracket pair again with those oracles.  The root-datum oracles
 recompute, call by call, what each RootSystem now precomputes: the Weyl
 product with both factors from the bilinear form, the coroot pairing of every
-positive root, and the height from the rational weight-to-root conversion.
+positive root, the height from the rational weight-to-root conversion, and
+the shortest dominant root from the norm of every positive root.
 The Cartan-matrix oracle builds each finite type as a simple chain and
 patches its entries per family, where the engine reads a symmetrizer and an
 edge list.  The root-closure oracle closes simple-root strings on
@@ -555,6 +556,13 @@ def coroot_weight_class(rs: RootSystem, lam) -> tuple[bool, bool]:
     pairings = [rs.coroot_pairing(lam, alpha) for alpha in rs.positive_roots]
     top = max(pairings + [0])
     return top <= 1, top <= 2 and pairings.count(2) == 1
+
+
+def norm_scan_short_dominant_root(rs: RootSystem) -> tuple:
+    """The dominant root of minimal length: root_norm on every positive root,
+    each call converting the root to weight coordinates again."""
+    shortest = min(rs.positive_roots, key=rs.root_norm)
+    return _dominant_conjugate(rs, rs.root_to_weight(shortest))
 
 
 def root_height(rs: RootSystem, v) -> Fraction:

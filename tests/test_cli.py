@@ -467,23 +467,90 @@ def test_run_reports_leftover_arguments_with_every_verb(capsys):
     assert "highest-root" in expected[1] and "unrecognized arguments: extra" in expected[1]
 
 
-def test_run_builds_only_the_invoked_verb(capsys, monkeypatch):
-    built = []
+def test_run_builds_a_parser_only_for_what_parse_defers(capsys, monkeypatch):
+    built = []  # the verbs of each parser built, in order
     real = cli._build_parser
 
     def spy(*args):
         parser = real(*args)
-        built.append(parser)
+        built.append(list(_verbs(parser)))
         return parser
 
     monkeypatch.setattr(cli, "_build_parser", spy)
-    assert run(["dim", "A2", "w1"]) == 0
-    assert capsys.readouterr().out == "3\n"
-    assert [list(_verbs(p)) for p in built] == [["dim"]]
+    for argv in PARSER_SAMPLES.values():
+        assert run(argv) == 0, argv
+    assert built == []
+    capsys.readouterr()
+    # '--format=json' is valid but not canonical: the verb's own parser reads it
+    assert run(["dim", "A2", "w1", "--format=json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["dimension"] == "3"
+    assert built == [["dim"]]
+    built.clear()
+    assert run(["dim", "A2"]) == 2
+    assert "required: weight" in capsys.readouterr().err
+    assert built == [["dim"]]
     built.clear()
     assert run(["no-such-verb"]) == 2
     assert "no-such-verb" in capsys.readouterr().err
-    assert [list(_verbs(p)) for p in built] == [list(cli._VERBS)]
+    assert built == [list(cli._VERBS)]
+    built.clear()
+    assert run(["dim", "A2", "w1", "extra"]) == 2
+    assert "unrecognized arguments: extra" in capsys.readouterr().err
+    assert built == [["dim"], list(cli._VERBS)]
+
+
+def _argparse_vars(parser, argv):
+    """vars of the parser's namespace, or None when it rejects argv."""
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            return vars(parser.parse_args(argv))
+    except SystemExit:
+        return None
+
+
+# Valid command lines that _parse leaves to argparse.
+DEFERRED = [
+    ["tensor", "E8", "w1", "w1", "--format=json"],
+    ["induct", "A2", "w1", "--dep", "3"],
+    ["dim", "E8", "-1"],
+    ["induct", "A2", "w1", "--depth", "-5"],
+    ["dim", "--", "E8", "w1"],
+    ["induct", "A2", "w1", "--depth", "3", "--depth", "4"],
+]
+
+
+def test_parse_agrees_with_argparse_or_defers():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                           "reference.json")) as fh:
+        corpus = [op.split() for op in json.load(fh)]
+    corpus += PARSER_SAMPLES.values()
+    rng = random.Random(8808)
+    corpus += [_fuzz_op(rng) for _ in range(2000)]
+    corpus += [
+        ["tensor", "E8", "--format", "json", "w1", "w1"],
+        ["delete", "--node", "2", "E6", "--format", "json"],
+        ["report", "G3", "--depth", "5"],
+    ]
+    full = cli._build_parser()
+    deferred = []
+    for argv in corpus:
+        ns = cli._parse(argv)
+        if ns is None:
+            deferred.append(argv)
+        else:
+            assert vars(ns) == _argparse_vars(full, argv), argv
+    # of what argparse accepts, only a value such as '-1' is deferred here
+    assert all(any(t[:1] == "-" and t[1:].isdigit() for t in argv)
+               for argv in deferred if _argparse_vars(full, argv) is not None)
+    for argv in DEFERRED:
+        assert _argparse_vars(full, argv) is not None, argv
+        assert cli._parse(argv) is None, argv
+    for argv in ([], ["-h"], ["report", "--help"], ["no-such-verb"], ["delete", "E6"],
+                 ["dim", "A2"], ["dim", "A2", "w1", "extra"], ["report", "X9"],
+                 ["dim", "A2", "w1", "--format", "xml"], ["induct", "A2", "w1", "--depth", "x"],
+                 ["induct", "A2", "w1", "--depth"]):
+        assert cli._parse(argv) is None, argv
 
 
 def test_report_help_names_the_targets_of_the_table(capsys):
@@ -493,20 +560,24 @@ def test_report_help_names_the_targets_of_the_table(capsys):
     assert "obstruction report for E9, F5 or G3" in out
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
+def test_cli_loads_no_argparse_dataclasses_or_inspect():
     # The records are tuples and plain classes: importing dataclasses, and
     # inspect which it pulls in, would add tens of milliseconds to every CLI
-    # start.  The child reports by its exit code, so the check also runs
-    # under python -O, with the same optimization level as this process.
+    # start.  argparse is imported only to print help or a usage error, so
+    # neither the import nor a valid command line loads it.  The child
+    # reports by its exit code, so the check also runs under python -O, with
+    # the same optimization level as this process.
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import lieinduct.cli\n"
-        "added = sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))\n"
-        "sys.exit(f'import lieinduct.cli loaded {added}' if added else 0)\n"
+        "lieinduct.cli.run(['dim', 'A2', 'w1'])\n"
+        "added = sorted({'argparse', 'dataclasses', 'inspect'} & (set(sys.modules) - before))\n"
+        "sys.exit(f'lieinduct.cli loaded {added}' if added else 0)\n"
     )
     flags = ["-" + "O" * sys.flags.optimize] if sys.flags.optimize else []
     proc = subprocess.run([sys.executable, *flags, "-c", script],
                           capture_output=True, text=True, env=cli_env())
     if proc.returncode != 0:
         pytest.fail(proc.stderr)
+    assert proc.stdout == "3\n"

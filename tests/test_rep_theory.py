@@ -15,6 +15,7 @@ from oracles import (
     coroot_weight_class,
     full_weight_system,
     kostant_dominant_character,
+    norm_scan_short_dominant_root,
     product_weyl_dim,
     unfolded_freudenthal,
     unindexed_dominant_weights,
@@ -35,10 +36,18 @@ from lieinduct.rep_theory import (
     is_defining,
     module_descriptor,
     orbit_size,
+    short_dominant_root,
     weyl_dim,
     weyl_orbit,
 )
-from lieinduct.root_system import CartanMatrix, RootSystem, build_root_system, parse_dynkin
+from lieinduct.root_system import (
+    RANK_RANGES,
+    CartanMatrix,
+    DynkinType,
+    RootSystem,
+    build_root_system,
+    parse_dynkin,
+)
 from lieinduct.tensor_ops import tensor_decompose, wedge2_decompose
 
 
@@ -439,6 +448,17 @@ def test_quasi_minuscule_classification():
     rs = rsys("A3")
     assert classify_weight(rs, (1, 0, 1)).quasi_minuscule
     assert not classify_weight(rs, (0,) * 3).quasi_minuscule
+
+
+def test_short_dominant_root_matches_norm_scan_oracle():
+    # every accepted type, up to the rank cap of the classical families
+    count = 0
+    for family, (lo, hi) in RANK_RANGES.items():
+        for rank in range(lo, hi + 1):
+            rs = build_root_system(DynkinType(family, rank))
+            assert short_dominant_root(rs) == norm_scan_short_dominant_root(rs), rs.type
+            count += 1
+    assert count == 127
 
 
 def test_minuscule_modules_are_single_orbits():
