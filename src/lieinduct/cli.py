@@ -378,6 +378,14 @@ def _depth(ns) -> int:
     return ns.depth
 
 
+class _Labels(dict):
+    """weight -> weight_label(weight), each label made on its first lookup."""
+
+    def __missing__(self, w: tuple[int, ...]) -> str:
+        label = self[w] = weight_label(w)
+        return label
+
+
 def _cmd_induct(ns) -> int:
     rs = _rs(ns.type)
     w = parse_weight(ns.weight, rs.rank)
@@ -401,11 +409,10 @@ def _cmd_induct(ns) -> int:
         _emit(ns, payload, [])
         return EXIT_OK
     lines = [f"{len(states)} chains from V({weight_label(w)}; {rs.type}) to depth {depth}"]
-    chains = [s.weights for s in states]
-    labels = {x: weight_label(x) for x in {x for ws in chains for x in ws}}
-    for s, ws in zip(states, chains):
+    labels = _Labels()
+    for s in states:
         tag = "terminated" if s.terminated else "open"
-        seq = " ".join(map(labels.__getitem__, ws))
+        seq = " ".join(map(labels.__getitem__, s.weights))
         lines.append(f"{seq} | {tag} | dim {s.dbos_dimension}")
     _emit(ns, {}, lines)
     return EXIT_OK

@@ -4,31 +4,33 @@ the deletion summary table, and equivalence under diagram automorphisms.
 Deleting node d partitions the ambient roots by their coordinate at d.  Each
 nonzero level is an irreducible module over the residual algebra; its highest
 weight is read off the unique primitive root of the level (the root that no
-other residual simple root can be added to), and the identification is
-verified exactly by a dimension count.
+other residual simple root can be added to), found by probing root codes.
+
+Only the levels -1 ... -m_d are identified and checked.  A check is exact:
+the level's root count must equal the module's dimension, the roots' residual
+weights must be distinct, and the dominant ones must be the module's dominant
+weights, each of multiplicity one.  The residual Weyl group keeps a root's
+coordinate at d, so the level's weights and the module's form two sets
+invariant under it, and equal dominant parts make them equal.  Level +i is
+the mirror of level -i: its roots and weights are negated, and each factor
+is the dual V(-w0 lam), whose weights are those of V(lam) negated.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple, Sequence
+from operator import neg
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     BijectionFailure,
-    BudgetExceeded,
     EmptyLevel,
     InvalidType,
     IrreducibilityMismatch,
     NonUniquePrimitive,
     Table2Mismatch,
 )
-from .rep_theory import (
-    MAX_WEIGHTS,
-    ModuleDescriptor,
-    freudenthal_character,
-    module_descriptor,
-    orbit_size,
-)
+from .rep_theory import ModuleDescriptor, freudenthal_character, module_descriptor
 from .root_system import (
     DynkinType,
     RootSystem,
@@ -39,6 +41,8 @@ from .root_system import (
     classify_subdiagram,
     diagram_automorphisms,
     parse_dynkin,
+    simple_root_codes,
+    to_dominant,
 )
 
 
@@ -110,39 +114,51 @@ def _residual_weight(rs: RootSystem, index: Sequence[int], beta: Vector) -> Vect
     return tuple(map(rs.root_weights[beta].__getitem__, index))
 
 
-def _primitive_root(rs: RootSystem, d: int, level_roots: Sequence[Vector]) -> Vector:
-    """The unique root of the level that remains a root under no residual
-    simple-root addition (the level's highest weight vector)."""
+def _root(rs: RootSystem, code: int) -> Vector:
+    """The root whose code is code (negative for a negative root)."""
+    alpha = rs.positive_roots[rs.root_codes[abs(code)]]
+    return alpha if code > 0 else tuple(map(neg, alpha))
+
+
+def _primitive_root(rs: RootSystem, d: int, level_codes: Iterable[int]) -> Vector:
+    """The unique root of the level, given by its codes, that remains a root
+    under no residual simple-root addition (the level's highest weight vector).
+
+    A root beta + a_j has the sign of the root beta (beta = -a_j gives zero),
+    so with c the code of |beta| it is a root exactly when c + step_j, for
+    beta > 0, or c - step_j, for beta < 0, is a positive root's code: a digit
+    of at most 6 never carries, and a borrow leaves a digit 7 or a negative
+    int, neither of them a code.
+    """
+    codes = rs.root_codes
+    up = [s for j, s in enumerate(simple_root_codes(rs.rank)) if j != d - 1]
+    down = [-s for s in up]
     prims = []
-    for beta in level_roots:
-        ok = True
-        for j in range(1, rs.rank + 1):
-            if j == d:
-                continue
-            up = list(beta)
-            up[j - 1] += 1
-            if tuple(up) in rs.roots:
-                ok = False
-                break
-        if ok:
-            prims.append(beta)
+    for b in level_codes:
+        c, steps = (b, up) if b > 0 else (-b, down)
+        if not any(c + s in codes for s in steps):
+            prims.append(b)
     if not prims:
         raise EmptyLevel("no primitive vector: level is empty")
     if len(prims) > 1:
         raise NonUniquePrimitive(
-            f"level has {len(prims)} primitive vectors {prims}; expected one"
+            f"level has {len(prims)} primitive vectors "
+            f"{[_root(rs, b) for b in prims]}; expected one"
         )
-    return prims[0]
+    return _root(rs, prims[0])
 
 
 def component_highest_weight(
     rs: RootSystem, d: int, iota: Sequence[int], level: int
 ) -> Vector:
     """Highest weight (global residual coordinates) of a nonzero graded level."""
-    level_roots = [r for r in rs.roots if r[d - 1] == level]
-    if not level_roots:
+    pos = rs.positive_roots
+    level_codes = [
+        s * c for c, i in rs.root_codes.items() for s in (1, -1) if s * pos[i][d - 1] == level
+    ]
+    if not level_codes:
         raise EmptyLevel(f"{rs.type} deletion at {d} has no roots at level {level}")
-    beta = _primitive_root(rs, d, level_roots)
+    beta = _primitive_root(rs, d, level_codes)
     return _residual_weight(rs, [amb - 1 for amb in iota], beta)
 
 
@@ -159,32 +175,11 @@ def _component_factors(
     return tuple(out)
 
 
-def _module_weight_multiset(factors: tuple[ModuleDescriptor, ...]) -> dict[Vector, int]:
-    """Full weight multiset of a product-algebra module (outer product of the
-    factors' weight tables).  The product of the factors' expansion sizes is
-    checked against MAX_WEIGHTS before any weight is built."""
-    characters = []
-    size = 1
-    for f in factors:
-        frs = build_root_system(f.algebra)
-        ch = freudenthal_character(frs, f.highest_weight)
-        size *= sum(orbit_size(frs, w) for w in ch.entries)
-        characters.append((frs, ch))
-    if size > MAX_WEIGHTS:
-        raise BudgetExceeded(
-            f"the outer product of these factors has {size} weights, "
-            f"more than {MAX_WEIGHTS}"
-        )
-    acc: dict[Vector, int] = {(): 1}
-    for frs, ch in characters:
-        table = ch.expand(frs)
-        nxt: dict[Vector, int] = {}
-        for w0, m0 in acc.items():
-            for w1, m1 in table.items():
-                key = w0 + w1
-                nxt[key] = nxt.get(key, 0) + m0 * m1
-        acc = nxt
-    return acc
+def _dual(f: ModuleDescriptor) -> ModuleDescriptor:
+    """V(-w0 lam) for f = V(lam): the module whose weights are f's negated."""
+    frs = build_root_system(f.algebra)
+    lam = to_dominant(frs, tuple(map(neg, f.highest_weight)))[0]
+    return ModuleDescriptor(f.algebra, lam, f.dimension)
 
 
 def check_node(rs: RootSystem, d: int) -> None:
@@ -210,20 +205,23 @@ def delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
 
     index = [amb - 1 for amb in iota_t]
     m_d = rs.highest_root[d - 1]
-    by_level: dict[int, list[Vector]] = {}
-    for r in rs.roots:
-        by_level.setdefault(r[d - 1], []).append(r)
+    pos, codes = rs.positive_roots, rs.root_codes
+    by_level: dict[int, list[int]] = {}  # positive roots' codes per level
+    for c, k in codes.items():
+        by_level.setdefault(pos[k][d - 1], []).append(c)
 
-    nonzero = sorted(k for k in by_level if k != 0)
-    if len(nonzero) != 2 * m_d:
+    positive = sorted(by_level.keys() - {0})
+    if len(positive) != m_d:
         raise IrreducibilityMismatch(
-            f"expected {2 * m_d} nonzero levels, found {len(nonzero)}"
+            f"expected {2 * m_d} nonzero levels, found {2 * len(positive)}"
         )
 
-    levels = []
-    for i in nonzero:
-        roots = tuple(sorted(by_level[i]))
-        beta = _primitive_root(rs, d, roots)
+    lower, upper = [], []
+    for i in positive:
+        level_codes = sorted(by_level[i])  # codes sort as the roots do
+        up_roots = tuple(pos[codes[c]] for c in level_codes)
+        roots = tuple(tuple(map(neg, r)) for r in reversed(up_roots))
+        beta = _primitive_root(rs, d, [-c for c in level_codes])
         weight = _residual_weight(rs, index, beta)
         factors = _component_factors(components, weight)
         dim = 1
@@ -231,16 +229,20 @@ def delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
             dim *= f.dimension
         if dim != len(roots):
             raise IrreducibilityMismatch(
-                f"level {i} of {rs.type} at node {d}: {len(roots)} roots but the "
+                f"level {-i} of {rs.type} at node {d}: {len(roots)} roots but the "
                 f"identified module has dimension {dim}"
             )
         corr = _level_correspondence(rs, index, roots, factors)
-        levels.append(GradedComponent(i, roots, factors, corr))
+        lower.append(GradedComponent(-i, roots, factors, corr))
+        # negating reverses the (weight sum, weight) order of the pairs
+        mirror = tuple((tuple(map(neg, w)), tuple(map(neg, b))) for w, b in reversed(corr))
+        upper.append(GradedComponent(i, up_roots, tuple(map(_dual, factors)), mirror))
+    levels = lower[::-1] + upper
 
     residual_roots = sum(
         2 * len(build_root_system(c.type).positive_roots) for c in components
     )
-    zero_roots = len(by_level.get(0, []))
+    zero_roots = 2 * len(by_level.get(0, ()))
     if zero_roots != residual_roots:
         raise IrreducibilityMismatch(
             f"zero level has {zero_roots} roots; residual root systems have {residual_roots}"
@@ -255,6 +257,12 @@ def _level_correspondence(
     roots: tuple[Vector, ...],
     factors: tuple[ModuleDescriptor, ...],
 ) -> tuple[tuple[Vector, Vector], ...]:
+    """The (residual weight, root) pairs of a level, by descending weight
+    sum and then weight, once the weights are found to be those of the
+    module with these factors, one each (see the module docstring).
+
+    The module's dominant weights are the concatenations of the factors'
+    dominant weights, with the product of their multiplicities."""
     seen: dict[Vector, Vector] = {}
     for beta in roots:
         w = _residual_weight(rs, index, beta)
@@ -263,8 +271,13 @@ def _level_correspondence(
                 f"roots {seen[w]} and {beta} share the residual weight {w}"
             )
         seen[w] = beta
-    expected = _module_weight_multiset(factors)
-    if set(expected) != set(seen) or any(m != 1 for m in expected.values()):
+    dominant: dict[Vector, int] = {(): 1}
+    for f in factors:
+        entries = freudenthal_character(build_root_system(f.algebra), f.highest_weight).entries
+        dominant = {u + v: m * n for u, m in dominant.items() for v, n in entries.items()}
+    if any(m != 1 for m in dominant.values()) or dominant.keys() != {
+        w for w in seen if min(w, default=0) >= 0
+    }:
         raise BijectionFailure(
             "level weights do not match the identified module's weight system"
         )

@@ -28,7 +28,8 @@ do.  No finite-type coefficient exceeds 6 (E8's highest root), so a
 coefficient that would reach 7 stops the closure with InvariantViolation:
 the matrix is not of finite type, and one more probe would carry into the
 next digit and alias another root.  The coefficient tuple and the weight
-of a root are built once, when the closure finds it.
+of a root are built once, when the closure finds it, and the root system
+keeps the codes as RootSystem.root_codes (minus a code for minus a root).
 
 Each RootSystem instance computes its root datum once, on first use, from its
 own Cartan matrix, symmetrizer and positive roots: the weight coordinates of
@@ -41,7 +42,8 @@ checks and full weight tables of rep_theory and tensor_ops) is memoized on
 the instance by RootSystem.memoized, never keyed by type, so a rescaled
 symmetrizer gets its own.  build_root_system is the one process-wide cache:
 clearing it drops every instance and with it every memo.  It fills in the
-positive roots' weights from its root closure, which computes them anyway.
+positive roots' weights and codes from its root closure, which computes
+them anyway.
 """
 
 from __future__ import annotations
@@ -347,6 +349,14 @@ class RootSystem:
         )
 
     @cached_property
+    def root_codes(self) -> dict[int, int]:
+        """The code of each positive root (see the module docstring), mapped
+        to its index in positive_roots; the code of -alpha is minus that of
+        alpha.  build_root_system pre-fills it from its root closure."""
+        steps = simple_root_codes(self.rank)
+        return {sum(map(mul, a, steps)): i for i, a in enumerate(self.positive_roots)}
+
+    @cached_property
     def weyl_denominator(self) -> int:
         """The constant denominator prod (rho, alpha) of the Weyl dimension formula."""
         out = 1
@@ -463,10 +473,18 @@ def _roots_within_support(rs: RootSystem, mask: int) -> tuple[int, ...]:
 _RADIX = 8
 
 
-def _root_closure(cm: CartanMatrix) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
-    """The positive roots of cm, by height and then lexicographically, and
-    their weight coordinates: the p - q closure over simple-root strings, run
-    on root codes (see the module docstring).
+def simple_root_codes(rank: int) -> tuple[int, ...]:
+    """The codes of the simple roots a_1, ..., a_rank: the step of a probe
+    beta + a_i or beta - a_i on a root code."""
+    return tuple(_RADIX ** (rank - 1 - i) for i in range(rank))
+
+
+def _root_closure(
+    cm: CartanMatrix,
+) -> tuple[tuple[Vector, ...], tuple[Vector, ...], tuple[int, ...]]:
+    """The positive roots of cm, by height and then lexicographically, their
+    weight coordinates and their codes: the p - q closure over simple-root
+    strings, run on root codes (see the module docstring).
 
     Each frontier holds the roots of one height.  Adding a_i adds Cartan row
     i to the weight, whose i-th coordinate is the pairing <beta, a_i^vee> =
@@ -476,18 +494,20 @@ def _root_closure(cm: CartanMatrix) -> tuple[tuple[Vector, ...], tuple[Vector, .
     """
     n = cm.rank
     rows = cm.entries
-    steps = [_RADIX ** (n - 1 - i) for i in range(n)]
+    steps = simple_root_codes(n)
     level = {step: (tuple(int(i == j) for j in range(n)), rows[i])
              for i, step in enumerate(steps)}
     known = set(level)
     roots: list[Vector] = []
     weights: list[Vector] = []
+    codes: list[int] = []
     while level:
         nxt = {}
         for code in sorted(level):
             k, w = level[code]
             roots.append(k)
             weights.append(w)
+            codes.append(code)
             for i, step in enumerate(steps):
                 up = code + step
                 if up in known:
@@ -508,16 +528,16 @@ def _root_closure(cm: CartanMatrix) -> tuple[tuple[Vector, ...], tuple[Vector, .
                     known.add(up)
                     nxt[up] = (k[:i] + (ki + 1,) + k[i + 1:], tuple(map(add, w, rows[i])))
         level = nxt
-    return tuple(roots), tuple(weights)
+    return tuple(roots), tuple(weights), tuple(codes)
 
 
 @lru_cache(maxsize=None)
 def build_root_system(t: DynkinType) -> RootSystem:
-    """The root system of t from _root_closure, with its weights pre-filled
-    as positive_weights, after the convention-drift and unique-highest-root
-    checks."""
+    """The root system of t from _root_closure, with its weights and codes
+    pre-filled as positive_weights and root_codes, after the convention-drift
+    and unique-highest-root checks."""
     cm = cartan_matrix(t)
-    ordered, weights = _root_closure(cm)
+    ordered, weights, codes = _root_closure(cm)
     highest = ordered[-1]
     if highest != _expected_highest_root(t):
         raise InvalidType(
@@ -529,7 +549,9 @@ def build_root_system(t: DynkinType) -> RootSystem:
         raise InvalidType(f"highest root of {t} is not unique")
     all_roots = frozenset(ordered) | frozenset(tuple(map(neg, r)) for r in ordered)
     rs = RootSystem(t, cm, ordered, highest, all_roots)
-    vars(rs)["positive_weights"] = weights  # pre-fill the cache
+    vars(rs).update(  # pre-fill the caches
+        positive_weights=weights, root_codes=dict(zip(codes, range(len(codes))))
+    )
     return rs
 
 

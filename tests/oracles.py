@@ -21,6 +21,11 @@ patches its entries per family, where the engine reads a symmetrizer and an
 edge list.  The root-closure oracle closes simple-root strings on
 coefficient tuples, probing every string in full, where the engine probes
 int codes and stops a string once the p - q rule is decided.
+The node-deletion oracle identifies every level, positive ones included,
+from a primitive root found on coefficient tuples, and checks each against
+the module's full weight multiset, the outer product of the factors' full
+weight tables; the engine checks dominant weights at the negative levels
+and mirrors them.
 Nothing in this module calls the engine's character, orbit or decomposition
 code; the decomposition oracles accept a full-table character function so that
 cases too large for the Weyl-group sum can be fed characters from elsewhere.
@@ -31,9 +36,23 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from lieinduct.errors import BudgetExceeded
-from lieinduct.rep_theory import MAX_DOMINANT_WEIGHTS
-from lieinduct.root_system import CartanMatrix, DynkinType, RootSystem
+from lieinduct.deletion import Deletion, GradedComponent, ZeroLevel
+from lieinduct.errors import (
+    BijectionFailure,
+    BudgetExceeded,
+    EmptyLevel,
+    IrreducibilityMismatch,
+    NonUniquePrimitive,
+)
+from lieinduct.rep_theory import MAX_DOMINANT_WEIGHTS, MAX_WEIGHTS, ModuleDescriptor
+from lieinduct.root_system import (
+    CartanMatrix,
+    DynkinType,
+    RootSystem,
+    build_root_system,
+    check_embedding,
+    classify_subdiagram,
+)
 
 
 def invert_rational(matrix):
@@ -638,3 +657,126 @@ def tuple_root_closure(cm: CartanMatrix) -> tuple[tuple, tuple]:
         frontier = nxt
     ordered = tuple(sorted(weights, key=lambda r: (sum(r), r)))
     return ordered, tuple(weights[r] for r in ordered)
+
+
+def tuple_primitive_root(rs: RootSystem, d: int, level_roots) -> tuple:
+    """The unique root of the level that remains a root under no residual
+    simple-root addition, probed on coefficient tuples in rs.roots."""
+    prims = []
+    for beta in level_roots:
+        ok = True
+        for j in range(1, rs.rank + 1):
+            if j == d:
+                continue
+            up = list(beta)
+            up[j - 1] += 1
+            if tuple(up) in rs.roots:
+                ok = False
+                break
+        if ok:
+            prims.append(beta)
+    if not prims:
+        raise EmptyLevel("no primitive vector: level is empty")
+    if len(prims) > 1:
+        raise NonUniquePrimitive(
+            f"level has {len(prims)} primitive vectors {prims}; expected one"
+        )
+    return prims[0]
+
+
+def _full_weight_table(rs: RootSystem, lam) -> dict:
+    """Every weight of V(lam) with its multiplicity, read off the dominant
+    conjugate in weight_system_freudenthal."""
+    dominant = weight_system_freudenthal(rs, lam)
+    return {v: dominant[_dominant_conjugate(rs, v)] for v in full_weight_system(rs, lam)}
+
+
+def module_weight_multiset(factors) -> dict:
+    """Full weight multiset of a product-algebra module: the outer product
+    of the factors' full weight tables.  BudgetExceeded, before any weight
+    is built, when the product of the dimensions exceeds MAX_WEIGHTS."""
+    size = 1
+    for f in factors:
+        size *= f.dimension
+    if size > MAX_WEIGHTS:
+        raise BudgetExceeded(
+            f"the outer product of these factors has up to {size} weights, "
+            f"more than {MAX_WEIGHTS}"
+        )
+    acc = {(): 1}
+    for f in factors:
+        table = _full_weight_table(build_root_system(f.algebra), f.highest_weight)
+        nxt = {}
+        for w0, m0 in acc.items():
+            for w1, m1 in table.items():
+                key = w0 + w1
+                nxt[key] = nxt.get(key, 0) + m0 * m1
+        acc = nxt
+    return acc
+
+
+def _oracle_residual_weight(rs: RootSystem, index, beta) -> tuple:
+    w = rs.root_to_weight(beta)
+    return tuple(w[i] for i in index)
+
+
+def level_correspondence(rs: RootSystem, index, roots, factors) -> tuple:
+    """(residual weight, root) pairs, by descending weight sum and then
+    weight, once the weights are found to be the module's full weight
+    multiset, each of multiplicity one."""
+    seen = {}
+    for beta in roots:
+        w = _oracle_residual_weight(rs, index, beta)
+        if w in seen:
+            raise BijectionFailure(
+                f"roots {seen[w]} and {beta} share the residual weight {w}"
+            )
+        seen[w] = beta
+    expected = module_weight_multiset(factors)
+    if set(expected) != set(seen) or any(m != 1 for m in expected.values()):
+        raise BijectionFailure(
+            "level weights do not match the identified module's weight system"
+        )
+    return tuple(sorted(seen.items(), key=lambda kv: (-sum(kv[0]), kv[0])))
+
+
+def full_multiset_delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
+    """delete_node with every nonzero level identified on its own: roots
+    grouped from rs.roots, the primitive root probed on tuples, factors sized
+    by product_weyl_dim and each level checked on its full weight multiset."""
+    residual_nodes = [i for i in range(1, rs.rank + 1) if i != d]
+    components = classify_subdiagram(rs.cartan.entries, rs.cartan.symmetrizer, residual_nodes)
+    if iota is None:
+        iota_t = tuple(a for c in components for a in c.embedding)
+    else:
+        iota_t = check_embedding(
+            rs.cartan.entries, d, [c.type for c in components], iota, str(rs.type)
+        )
+    index = [amb - 1 for amb in iota_t]
+    by_level = {}
+    for r in rs.roots:
+        by_level.setdefault(r[d - 1], []).append(r)
+    levels = []
+    for i in sorted(k for k in by_level if k != 0):
+        roots = tuple(sorted(by_level[i]))
+        weight = _oracle_residual_weight(rs, index, tuple_primitive_root(rs, d, roots))
+        factors, pos = [], 0
+        for comp in components:
+            sub = weight[pos:pos + comp.type.rank]
+            frs = build_root_system(comp.type)
+            factors.append(ModuleDescriptor(comp.type, sub, product_weyl_dim(frs, sub)))
+            pos += comp.type.rank
+        factors = tuple(factors)
+        dim = 1
+        for f in factors:
+            dim *= f.dimension
+        if dim != len(roots):
+            raise IrreducibilityMismatch(f"level {i}: {len(roots)} roots, dimension {dim}")
+        levels.append(GradedComponent(
+            i, roots, factors, level_correspondence(rs, index, roots, factors)
+        ))
+    residual_roots = sum(
+        2 * len(build_root_system(c.type).positive_roots) for c in components
+    )
+    zero = ZeroLevel(len(by_level.get(0, [])), residual_roots + len(residual_nodes))
+    return Deletion(rs.type, d, components, iota_t, tuple(levels), zero)

@@ -6,7 +6,8 @@ import time
 import pytest
 
 from lieinduct.deletion import (
-    _module_weight_multiset,
+    Deletion,
+    _level_correspondence,
     _summary_rows,
     component_highest_weight,
     delete_node,
@@ -14,9 +15,29 @@ from lieinduct.deletion import (
     verify_table2,
     weight_root_bijection,
 )
-from lieinduct.errors import BadEmbedding, BudgetExceeded, EmptyLevel, InvalidType
+from lieinduct.errors import (
+    BadEmbedding,
+    BijectionFailure,
+    BudgetExceeded,
+    EmptyLevel,
+    InvalidType,
+    NonUniquePrimitive,
+)
 from lieinduct.rep_theory import module_descriptor
 from lieinduct.root_system import DynkinType, build_root_system, parse_dynkin
+
+from oracles import (
+    full_multiset_delete_node,
+    level_correspondence,
+    module_weight_multiset,
+    tuple_primitive_root,
+)
+
+RANK_8_LABELS = (
+    [f"A{l}" for l in range(1, 9)] + [f"B{l}" for l in range(2, 9)]
+    + [f"C{l}" for l in range(3, 9)] + [f"D{l}" for l in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
 
 
 def rsys(label):
@@ -185,11 +206,12 @@ def test_bad_embeddings_rejected():
 
 
 def test_oversized_outer_product_fails_fast():
-    # 2,932 weights per factor, about 2.5e10 in the product: refused up front
+    # the full-multiset oracle: 2,932 weights per factor (dimension 32,768),
+    # about 2.5e10 in the product, refused before any weight is built
     rho = module_descriptor(rsys("A5"), (1, 1, 1, 1, 1))
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded):
-        _module_weight_multiset((rho, rho, rho))
+        module_weight_multiset((rho, rho, rho))
     assert time.perf_counter() - start < 0.5
 
 
@@ -261,13 +283,8 @@ def test_every_corank_one_deletion_identifies():
     # dimension of the identified module, the primitive vector must be unique,
     # and the weight/root correspondence must be a bijection (all enforced
     # inside delete_node)
-    labels = (
-        [f"A{l}" for l in range(1, 9)] + [f"B{l}" for l in range(2, 9)]
-        + [f"C{l}" for l in range(3, 9)] + [f"D{l}" for l in range(4, 9)]
-        + ["E6", "E7", "E8", "F4", "G2"]
-    )
     count = 0
-    for label in labels:
+    for label in RANK_8_LABELS:
         rs = rsys(label)
         for node in range(1, rs.rank + 1):
             d = delete_node(rs, node)
@@ -329,3 +346,96 @@ def test_wedge_consistency_of_second_levels():
             third = d.level(-3).highest_weight
             prod = tensor_decompose(res, first, second)
             assert prod.multiplicity(third) >= 1, row["name"]
+
+
+def assert_matches_full_multiset_oracle(rs, node, iota=None):
+    got = delete_node(rs, node, iota)
+    want = full_multiset_delete_node(rs, node, iota)
+    for field in Deletion._fields:
+        assert getattr(got, field) == getattr(want, field), (str(rs.type), node, field)
+
+
+def test_delete_node_matches_full_multiset_oracle_to_rank_8():
+    # every node of every type through rank 8: the oracle identifies both
+    # signs of every level and checks each on its full weight multiset
+    count = 0
+    for label in RANK_8_LABELS:
+        rs = rsys(label)
+        for node in range(1, rs.rank + 1):
+            assert_matches_full_multiset_oracle(rs, node)
+            count += 1
+    assert count == 161
+
+
+def test_delete_node_matches_full_multiset_oracle_on_table_rows():
+    for row in _summary_rows():
+        assert_matches_full_multiset_oracle(
+            build_root_system(row["ambient"]), row["node"], row["iota"]
+        )
+
+
+@pytest.mark.parametrize("label", ["A32", "D32", "B32", "C32"])
+def test_delete_node_matches_full_multiset_oracle_at_rank_32(label):
+    rs = rsys(label)
+    for node in (1, 16, 32):
+        assert_matches_full_multiset_oracle(rs, node)
+
+
+def test_component_highest_weight_matches_tuple_primitive_root():
+    # every level of every deletion through rank 8, level 0 included: the
+    # code probe finds the primitive roots the tuple probe finds
+    for label in RANK_8_LABELS:
+        rs = rsys(label)
+        for node in range(1, rs.rank + 1):
+            iota = delete_node(rs, node).iota
+            m_d = rs.highest_root[node - 1]
+            for level in range(-m_d - 1, m_d + 2):
+                roots = [r for r in rs.roots if r[node - 1] == level]
+                try:
+                    weight = rs.root_to_weight(tuple_primitive_root(rs, node, roots))
+                except (EmptyLevel, NonUniquePrimitive) as exc:
+                    with pytest.raises(type(exc)):
+                        component_highest_weight(rs, node, iota, level)
+                    continue
+                got = component_highest_weight(rs, node, iota, level)
+                assert got == tuple(weight[a - 1] for a in iota), (label, node, level)
+
+
+def test_level_check_rejects_a_wrong_module_of_the_same_dimension():
+    # A4 at node 1: level -1 is V(w1) of A3; V(w3) has the same dimension
+    rs = rsys("A4")
+    d = delete_node(rs, 1)
+    level = d.level(-1)
+    index = [a - 1 for a in d.iota]
+    a3 = build_root_system(d.residual[0])
+    assert level.factors == (module_descriptor(a3, (1, 0, 0)),)
+    wrong = (module_descriptor(a3, (0, 0, 1)),)
+    assert wrong[0].dimension == level.dimension
+    for check in (_level_correspondence, level_correspondence):
+        with pytest.raises(BijectionFailure):
+            check(rs, index, level.roots, wrong)
+
+
+def test_level_check_rejects_repeated_weights():
+    # G2 at node 1: the roots (-1,0) of level -1 and (-3,-1) of level -3
+    # both have the residual weight w1 of A1
+    rs = rsys("G2")
+    d = delete_node(rs, 1)
+    index = [a - 1 for a in d.iota]
+    roots = ((-3, -1), (-1, 0))
+    for check in (_level_correspondence, level_correspondence):
+        with pytest.raises(BijectionFailure, match="share the residual weight"):
+            check(rs, index, roots, d.level(-1).factors)
+
+
+def test_level_check_rejects_a_weight_of_multiplicity_two():
+    # weights at nodes 1 and 3 of E6 (an A2): a1, a3, a1 + a3 and their
+    # negatives give the six roots of A2, and a2 gives zero; the adjoint
+    # module of A2 has these dominant weights, but the zero weight twice
+    rs = rsys("E6")
+    positive = ((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (1, 0, 1, 0, 0, 0))
+    roots = positive + tuple(tuple(-x for x in r) for r in positive) + ((0, 1, 0, 0, 0, 0),)
+    adjoint = (module_descriptor(rsys("A2"), (1, 1)),)
+    for check in (_level_correspondence, level_correspondence):
+        with pytest.raises(BijectionFailure, match="weight system"):
+            check(rs, [0, 2], roots, adjoint)

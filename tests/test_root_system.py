@@ -316,6 +316,9 @@ def test_root_closure_matches_tuple_oracle():
             roots, weights = tuple_root_closure(rs.cartan)
             assert rs.positive_roots == roots, t
             assert rs.positive_weights == weights, t
+            # the closure's codes, pre-filled, and the codes of the roots
+            copy = RootSystem(t, rs.cartan, roots, rs.highest_root, rs.roots)
+            assert rs.root_codes == copy.root_codes, t
             count += 1
     assert count == 32 + 31 + 30 + 29 + 3 + 1 + 1
 
