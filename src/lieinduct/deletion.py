@@ -19,7 +19,7 @@ is the dual V(-w0 lam), whose weights are those of V(lam) negated.
 from __future__ import annotations
 
 import itertools
-from operator import neg
+from operator import mul, neg
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -108,10 +108,13 @@ class Deletion(NamedTuple):
         return tuple(self.level(-i) for i in range(1, self.m_d + 1))
 
 
-def _residual_weight(rs: RootSystem, index: Sequence[int], beta: Vector) -> Vector:
-    """Weight of an ambient root over the residual algebra: its coordinates
-    at index, the 0-based ambient nodes in residual order (iota - 1)."""
-    return tuple(map(rs.root_weights[beta].__getitem__, index))
+def _residual_weight(rs: RootSystem, index: Sequence[int], code: int) -> Vector:
+    """Weight over the residual algebra of the ambient root with this code:
+    its coordinates at index, the 0-based ambient nodes in residual order
+    (iota - 1), read from the positive root's weight, negated for a negative
+    root."""
+    coords = map(rs.positive_weights[rs.root_codes[abs(code)]].__getitem__, index)
+    return tuple(coords if code > 0 else map(neg, coords))
 
 
 def _root(rs: RootSystem, code: int) -> Vector:
@@ -120,9 +123,10 @@ def _root(rs: RootSystem, code: int) -> Vector:
     return alpha if code > 0 else tuple(map(neg, alpha))
 
 
-def _primitive_root(rs: RootSystem, d: int, level_codes: Iterable[int]) -> Vector:
-    """The unique root of the level, given by its codes, that remains a root
-    under no residual simple-root addition (the level's highest weight vector).
+def _primitive_root(rs: RootSystem, d: int, level_codes: Iterable[int]) -> int:
+    """The code of the unique root of the level, given by its codes, that
+    remains a root under no residual simple-root addition (the level's
+    highest weight vector).
 
     A root beta + a_j has the sign of the root beta (beta = -a_j gives zero),
     so with c the code of |beta| it is a root exactly when c + step_j, for
@@ -145,7 +149,7 @@ def _primitive_root(rs: RootSystem, d: int, level_codes: Iterable[int]) -> Vecto
             f"level has {len(prims)} primitive vectors "
             f"{[_root(rs, b) for b in prims]}; expected one"
         )
-    return _root(rs, prims[0])
+    return prims[0]
 
 
 def component_highest_weight(
@@ -158,8 +162,7 @@ def component_highest_weight(
     ]
     if not level_codes:
         raise EmptyLevel(f"{rs.type} deletion at {d} has no roots at level {level}")
-    beta = _primitive_root(rs, d, level_codes)
-    return _residual_weight(rs, [amb - 1 for amb in iota], beta)
+    return _residual_weight(rs, [amb - 1 for amb in iota], _primitive_root(rs, d, level_codes))
 
 
 def _component_factors(
@@ -221,8 +224,7 @@ def delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
         level_codes = sorted(by_level[i])  # codes sort as the roots do
         up_roots = tuple(pos[codes[c]] for c in level_codes)
         roots = tuple(tuple(map(neg, r)) for r in reversed(up_roots))
-        beta = _primitive_root(rs, d, [-c for c in level_codes])
-        weight = _residual_weight(rs, index, beta)
+        weight = _residual_weight(rs, index, _primitive_root(rs, d, [-c for c in level_codes]))
         factors = _component_factors(components, weight)
         dim = 1
         for f in factors:
@@ -264,8 +266,9 @@ def _level_correspondence(
     The module's dominant weights are the concatenations of the factors'
     dominant weights, with the product of their multiplicities."""
     seen: dict[Vector, Vector] = {}
+    steps = simple_root_codes(rs.rank)
     for beta in roots:
-        w = _residual_weight(rs, index, beta)
+        w = _residual_weight(rs, index, sum(map(mul, beta, steps)))
         if w in seen:
             raise BijectionFailure(
                 f"roots {seen[w]} and {beta} share the residual weight {w}"

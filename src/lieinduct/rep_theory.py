@@ -3,9 +3,11 @@
 Dimensions come from the Weyl product formula.  Orbits are walked down from
 the dominant weight, applying a simple reflection s_i only where the i-th
 coordinate is positive (every other s_i either fixes the weight or leads
-back up).  Multiplicities come from the Freudenthal recursion run over the
-dominant weights alone, with root-string weights looked up through their
-dominant representative; no full weight system is built.
+back up), on weight codes (root_system.WeightCodes): _orbit_codes is the one
+orbit walk, which weyl_orbit decodes and tensor_ops straightens.
+Multiplicities come from the Freudenthal recursion run over the dominant
+weights alone, with root-string weights looked up through their dominant
+representative; no full weight system is built.
 
 The dominant weights of V(lam) are the closure of lam under subtracting
 positive roots while staying dominant: covers among dominant weights differ
@@ -51,6 +53,7 @@ from .root_system import (
     DynkinType,
     RootSystem,
     Vector,
+    WeightCodes,
     _connected_components,
     _identify_component,
     to_dominant,
@@ -144,11 +147,7 @@ class CharacterTable:
 
     def expand(self, rs: RootSystem) -> dict[Vector, int]:
         """Full weight -> multiplicity map via orbit expansion."""
-        size = sum(orbit_size(rs, w) for w in self.entries)
-        if size > MAX_WEIGHTS:
-            raise BudgetExceeded(
-                f"expanding this table gives {size} weights, more than {MAX_WEIGHTS}"
-            )
+        _check_expansion_budget(rs, self.entries)
         full: dict[Vector, int] = {}
         for w, m in self.entries.items():
             for v in weyl_orbit(rs, w):
@@ -283,35 +282,78 @@ def weyl_orbit(rs: RootSystem, weight: Sequence[int]) -> frozenset[Vector]:
     return rs.memoized(_weyl_orbit, to_dominant(rs, tuple(weight))[0])
 
 
-def _check_orbit_budget(rs: RootSystem, w: Sequence[int]) -> None:
-    """Raise BudgetExceeded if the orbit of w has more than MAX_WEIGHTS weights."""
+def _check_orbit_budget(rs: RootSystem, w: Sequence[int]) -> int:
+    """The size of the orbit of w; BudgetExceeded if it is more than
+    MAX_WEIGHTS."""
     size = orbit_size(rs, w)
     if size > MAX_WEIGHTS:
         raise BudgetExceeded(
             f"the orbit of {list(w)} has {size} weights, more than {MAX_WEIGHTS}"
         )
+    return size
+
+
+def _check_walked(found: int, size: int) -> None:
+    """InvariantViolation unless an orbit walk found as many weights as the
+    stabilizer formula gives: a coordinate that overflowed its digit would
+    alias or lose weights."""
+    if found != size:
+        raise InvariantViolation(f"an orbit walk found {found} weights, not {size}")
+
+
+def _check_expansion_budget(rs: RootSystem, dominant: Iterable[Vector]) -> int:
+    """The number of weights in the orbits of these dominant weights;
+    BudgetExceeded if it is more than MAX_WEIGHTS."""
+    size = sum(orbit_size(rs, w) for w in dominant)
+    if size > MAX_WEIGHTS:
+        raise BudgetExceeded(
+            f"expanding this table gives {size} weights, more than {MAX_WEIGHTS}"
+        )
+    return size
 
 
 def _weyl_orbit(rs: RootSystem, w: Vector) -> frozenset[Vector]:
-    """The orbit of the dominant weight w, walked down only.  Every other
-    orbit weight v has some v_i < 0, and s_i v is one step nearer w with a
-    positive i-th coordinate; so applying s_i only where the coordinate is
-    positive reaches the whole orbit."""
-    _check_orbit_budget(rs, w)
-    rows = rs.cartan.entries
-    seen = {w}
-    frontier = [w]
-    while frontier:
+    size = _check_orbit_budget(rs, w)
+    codes = rs.weight_codes(rs.coordinate_bound(w))
+    orbit = _orbit_codes(codes, codes.encode(w))
+    _check_walked(len(orbit), size)
+    return frozenset(map(codes.decode, orbit))
+
+
+def _orbit_codes(codes: WeightCodes, c: int) -> set[int]:
+    """The codes of the orbit of the dominant weight coded c, walked down
+    only.  Every other orbit weight v has some v_i < 0, and s_i v is one step
+    nearer the dominant weight with a positive i-th coordinate; so applying
+    s_i only where the coordinate is positive reaches the whole orbit.  The
+    positive coordinates are the digits whose top bit is set in c - ones.
+
+    The codes must hold every coordinate of the orbit (a bound from
+    RootSystem.coordinate_bound of the dominant weight); were they not to,
+    the walk would stop with InvariantViolation rather than run on."""
+    ones, tops, mask, offset = codes.ones, codes.tops, codes.mask, codes.offset
+    steps = codes.steps
+    seen = {c}
+    frontier = [c]
+    # the weights of each frontier are one reflection longer than the last
+    for _ in range(codes.longest + 1):
         nxt = []
         for v in frontier:
-            for x, row in zip(v, rows):
-                if x > 0:
-                    r = tuple(a - x * b for a, b in zip(v, row))
-                    if r not in seen:
-                        seen.add(r)
-                        nxt.append(r)
+            t = (v - ones) & tops
+            while t:
+                low = t & -t
+                t ^= low
+                shift, row = steps[low.bit_length()]
+                r = v - (((v >> shift) & mask) - offset) * row  # s_i
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append(r)
         frontier = nxt
-    return frozenset(seen)
+        if not frontier:
+            return seen
+    raise InvariantViolation(
+        f"an orbit walk is longer than the longest Weyl group element: a "
+        f"coordinate overflowed its {codes.width}-bit digit"
+    )
 
 
 def orbit_size(rs: RootSystem, weight: Sequence[int]) -> int:

@@ -37,19 +37,34 @@ every root, the pairing vectors and norms of the positive roots, the nodes
 where each positive root's weight is positive as a bitmask, the Weyl
 dimension denominator and an integer height functional.  Every result
 derived from the datum and a key (the root classes per zero-node set, the
-roots within a support, and the characters, orbits, orbit sizes, defining
-checks and full weight tables of rep_theory and tensor_ops) is memoized on
-the instance by RootSystem.memoized, never keyed by type, so a rescaled
-symmetrizer gets its own.  build_root_system is the one process-wide cache:
-clearing it drops every instance and with it every memo.  It fills in the
-positive roots' weights and codes from its root closure, which computes
-them anyway.
+roots within a support, the weight codes per digit width, and the
+characters, orbits, orbit sizes and defining checks of rep_theory) is
+memoized on the instance by RootSystem.memoized, never keyed by type, so a
+rescaled symmetrizer gets its own.  build_root_system is the one
+process-wide cache: clearing it drops every instance and with it every
+memo.  It fills in the positive roots' weights and codes from its root
+closure, which computes them anyway.
+
+Weights are reduced and walked as int codes too (WeightCodes): one digit
+per node, node 1 the lowest, holding the coordinate plus an offset of half
+the digit's range, so a coordinate is negative exactly when its digit's top
+bit is clear.  A simple reflection is one multiply-subtract of a packed
+Cartan row, and the first negative coordinate is the lowest set bit of the
+complemented code masked to the top bits.  dominant_code is the one
+reduction loop; to_dominant encodes, runs it and decodes.  The digit width
+is never fixed: it comes from a bound on every coordinate the caller will
+meet, sum_j c_j |v_j| over the highest coroot's coefficients c_j (at most
+6), since every coordinate of a Weyl conjugate of v is a pairing of v with a
+coroot (RootSystem.coordinate_bound), rounded up to whole bytes.  A weight
+that does not fit its digits raises InvariantViolation when it is encoded
+or decoded, under python -O too.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+import struct
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -317,14 +332,6 @@ class RootSystem:
         return tuple(tuple(sum(map(mul, a, col)) for col in cols) for a in self.positive_roots)
 
     @cached_property
-    def root_weights(self) -> dict[Vector, Vector]:
-        """Weight coordinates of every root, keyed by its root coordinates."""
-        out = dict(zip(self.positive_roots, self.positive_weights))
-        for a, aw in zip(self.positive_roots, self.positive_weights):
-            out[tuple(map(neg, a))] = tuple(map(neg, aw))
-        return out
-
-    @cached_property
     def positive_pairings(self) -> tuple[Vector, ...]:
         """alpha_j * d_j per positive root, so (lambda, alpha) = lambda . this."""
         d = self.cartan.symmetrizer
@@ -355,6 +362,37 @@ class RootSystem:
         alpha.  build_root_system pre-fills it from its root closure."""
         steps = simple_root_codes(self.rank)
         return {sum(map(mul, a, steps)): i for i, a in enumerate(self.positive_roots)}
+
+    @cached_property
+    def highest_coroot(self) -> Vector:
+        """The coefficients c_j of the highest coroot, the highest root of the
+        dual root system, on the simple coroots.
+
+        The coroot of a positive root alpha has the coefficients
+        2 alpha_j d_j / (alpha, alpha), and the highest coroot, the coroot of
+        the highest short root (the last of the shortest positive roots), has
+        the largest of each (at most 6, as in E8).  So |<v, beta^vee>| <=
+        sum_j c_j |v_j| for every root beta, and every coordinate of every
+        Weyl conjugate of v, a pairing <v, beta^vee> with beta = w^-1(a_j),
+        obeys that bound.
+        """
+        norms = self.positive_norms
+        short = min(norms)
+        top = len(norms) - 1 - norms[::-1].index(short)
+        return tuple(2 * x // short for x in self.positive_pairings[top])
+
+    def coordinate_bound(self, w: Sequence[int]) -> int:
+        """sum_j c_j |w_j| (see highest_coroot): no Weyl conjugate of w has a
+        coordinate of larger absolute value."""
+        return sum(map(mul, self.highest_coroot, map(abs, w)))
+
+    def weight_codes(self, bound: int) -> WeightCodes:
+        """The weight codes (see WeightCodes) whose digits hold every
+        coordinate of absolute value at most bound; memoized per digit width."""
+        nbytes = -(-(bound.bit_length() + 1) // 8)  # the bytes whose offset exceeds bound
+        if nbytes <= 8:
+            nbytes = 1 << (nbytes - 1).bit_length()  # 1, 2, 4 or 8, as struct packs
+        return self.memoized(_weight_codes, nbytes)
 
     @cached_property
     def weyl_denominator(self) -> int:
@@ -601,23 +639,106 @@ def root_weight_convert(
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def to_dominant(rs: RootSystem, w: Sequence[int]) -> tuple[Vector, int]:
-    """Dominant Weyl-conjugate of w and the number of simple reflections used.
+# struct item formats of the signed digit widths, in bytes, that struct
+# packs; a wider digit is packed with int.to_bytes.
+_STRUCT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
-    Each step reflects the first negative coordinate and shortens the reducing
-    element by one, so for a regular w (-1)^count is that element's sign.
+
+class WeightCodes(NamedTuple):
+    """Weights packed as ints (see the module docstring): the code of v is
+    sum_j (v_j + offset) << (width * j), offset = 1 << (width - 1).
+
+    v + u is code(v) + code(u) - tops, 2v is 2 code(v) - tops, and s_j(v) is
+    code(v) - v_j * row_j, with Cartan row j packed without offset: integer
+    arithmetic is exact, so each is the code of its weight whenever that
+    weight fits the digits.  The width is whole bytes, so encode and decode
+    go through bytes: XOR with tops turns each digit into the
+    two's-complement form of its coordinate.
     """
-    m = list(w)
-    rows = rs.cartan.entries
-    count = 0
-    while True:
-        for i, x in enumerate(m):
-            if x < 0:
-                break
-        else:
-            return tuple(m), count
-        m = [a - x * r for a, r in zip(m, rows[i])]  # s_i
-        count += 1
+
+    width: int
+    offset: int
+    mask: int  # one digit's bits
+    tops: int  # the top bit of every digit
+    ones: int  # 1 in every digit: the step from the code of v to that of v + rho
+    size: int  # bytes of a code
+    longest: int  # the number of positive roots, the longest Weyl group element's length
+    steps: dict[int, tuple[int, int]]  # bit_length of digit j's top bit -> (width * j, row_j)
+    pack: Callable[..., bytes]  # signed coordinates -> little-endian digits
+    unpack: Callable[[bytes], Vector]
+
+    def encode(self, w: Sequence[int]) -> int:
+        try:
+            return int.from_bytes(self.pack(*w), "little") ^ self.tops
+        except (struct.error, OverflowError):
+            raise InvariantViolation(
+                f"weight {tuple(w)} does not fit {self.width}-bit weight-code digits"
+            ) from None
+
+    def decode(self, c: int) -> Vector:
+        try:
+            return self.unpack((c ^ self.tops).to_bytes(self.size, "little"))
+        except OverflowError:
+            raise InvariantViolation(
+                f"code {c} carries past its {len(self.steps)} {self.width}-bit digits"
+            ) from None
+
+
+def _weight_codes(rs: RootSystem, nbytes: int) -> WeightCodes:
+    n, k = rs.rank, 8 * nbytes
+    places = [1 << (k * j) for j in range(n)]
+    rows = [sum(map(mul, row, places)) for row in rs.cartan.entries]
+    fmt = _STRUCT_FORMATS.get(nbytes)
+    if fmt:
+        packer = struct.Struct(f"<{n}{fmt}")
+        pack, unpack = packer.pack, packer.unpack
+    else:
+        def pack(*w: int) -> bytes:
+            return b"".join(x.to_bytes(nbytes, "little", signed=True) for x in w)
+
+        def unpack(b: bytes) -> Vector:
+            return tuple(
+                int.from_bytes(b[i:i + nbytes], "little", signed=True)
+                for i in range(0, len(b), nbytes)
+            )
+    offset = 1 << (k - 1)
+    return WeightCodes(
+        k, offset, (1 << k) - 1, offset * sum(places), sum(places), n * nbytes,
+        len(rs.positive_roots),
+        {k * (j + 1): (k * j, row) for j, row in enumerate(rows)}, pack, unpack,
+    )
+
+
+def dominant_code(codes: WeightCodes, c: int) -> tuple[int, int]:
+    """The code of the dominant Weyl-conjugate of the weight coded c, and the
+    number of simple reflections used.
+
+    Each step reflects the first negative coordinate, the lowest digit whose
+    top bit is clear, and shortens the reducing element by one, so for a
+    regular weight (-1)^count is that element's sign.  Every weight met is a
+    conjugate of the first, so the caller's bound for it covers them all;
+    were it wrong, the loop would stop with InvariantViolation after as many
+    reflections as the longest element has, not run on.
+    """
+    tops, mask, offset, steps = codes.tops, codes.mask, codes.offset, codes.steps
+    for count in range(codes.longest + 1):
+        t = ~c & tops
+        if not t:
+            return c, count
+        shift, row = steps[(t & -t).bit_length()]
+        c -= (((c >> shift) & mask) - offset) * row  # s_j
+    raise InvariantViolation(
+        f"no dominant code after {codes.longest} reflections, the length of the "
+        f"longest Weyl group element: a coordinate overflowed its {codes.width}-bit digit"
+    )
+
+
+def to_dominant(rs: RootSystem, w: Sequence[int]) -> tuple[Vector, int]:
+    """Dominant Weyl-conjugate of w and the number of simple reflections used
+    (see dominant_code)."""
+    codes = rs.weight_codes(rs.coordinate_bound(w))
+    c, count = dominant_code(codes, codes.encode(w))
+    return codes.decode(c), count
 
 
 def diagram_automorphisms(t: DynkinType) -> tuple[tuple[int, ...], ...]:

@@ -11,18 +11,30 @@ character table.  Exterior and symmetric squares come from the Adams
 operation: Lambda^2 V = (V (x) V - psi^2 V) / 2 and S^2 V = (V (x) V + psi^2 V) / 2,
 where psi^2 V carries the doubled weights 2 nu.
 
+The sum runs on weight codes (root_system.WeightCodes): the orbit of each
+dominant weight of the expanded factor is walked as codes
+(rep_theory._orbit_codes), the shift by a dominant weight plus rho is one
+int addition, the doubled weight 2 nu + rho is 2 code - tops + ones, and
+root_system.dominant_code, the one reduction loop, straightens each code.
+A wall shows as a clear top bit in the code of p - rho, and only the
+highest weights that survive are decoded.  The digit width comes from a
+bound on every coordinate met: each is a coordinate of a Weyl conjugate of
+a dominant p below lam_small + shift + rho (or 2 lam + rho for the doubled
+weights), so RootSystem.coordinate_bound of that weight covers it, and a
+weight that does not fit raises InvariantViolation.
+
 Summands are listed by root-coordinate height of the highest weight, then by
 the weight itself, both descending.
 
-Decompositions are computed on the caller's RootSystem and not cached; only
-the full weight table of a factor (`_full_table`) is, memoized on that
-RootSystem.  A caller that asks for the same product again, such as the
-induction search, keeps its own results.
+Decompositions are computed on the caller's RootSystem and not cached; a
+caller that asks for the same product again, such as the induction search,
+keeps its own results.  Only the factor's character, on that RootSystem,
+is memoized.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import InternalParity, NotACharacter
 from .rep_theory import (
@@ -31,10 +43,13 @@ from .rep_theory import (
     freudenthal_character,
     module_descriptor,
     weyl_dim,
-    _require_dominant,
+    _check_expansion_budget,
     _check_orbit_budget,
+    _check_walked,
+    _orbit_codes,
+    _require_dominant,
 )
-from .root_system import RootSystem, Vector, to_dominant
+from .root_system import RootSystem, Vector, WeightCodes, dominant_code
 
 
 class _DecompositionFields(NamedTuple):
@@ -80,30 +95,47 @@ class DecompositionResult(_DecompositionFields):
         return " + ".join(parts) if parts else "0"
 
 
-def _full_table(rs: RootSystem, lam: Vector) -> dict[Vector, int]:
-    # the top orbit is part of the expansion, so check it before Freudenthal
-    _check_orbit_budget(rs, lam)
-    return freudenthal_character(rs, lam).expand(rs)
+def _orbit_terms(
+    rs: RootSystem, codes: WeightCodes, dominant: Mapping[Vector, int]
+) -> list[tuple[int, int]]:
+    """(code, multiplicity) of every weight of the character with these
+    dominant entries, each orbit walked on codes."""
+    size = _check_expansion_budget(rs, dominant)
+    terms = [
+        (c, m) for mu, m in dominant.items() for c in _orbit_codes(codes, codes.encode(mu))
+    ]
+    _check_walked(len(terms), size)
+    return terms
 
 
 def _straighten(
-    rs: RootSystem, weights: Mapping[Vector, int], shift: Vector
-) -> dict[Vector, int]:
-    """Highest weight -> signed coefficient of sum_nu m(nu) * chi(nu + shift).
+    codes: WeightCodes, terms: Iterable[tuple[int, int]], coeffs: dict[int, int]
+) -> None:
+    """Add m * chi(v - rho) to coeffs, keyed by the code of the highest
+    weight, for each (code of v, m) in terms.
 
-    chi(v) is the Weyl numerator ratio A(v + rho) / A(rho): if to_dominant
-    takes v + rho to a dominant p with c reflections, then p on a wall (a zero
-    coordinate) gives zero and otherwise chi(v) = (-1)^c V(p - rho).  A
-    regular weight has exactly one reducing element, so c has its parity.
+    chi(v - rho) is the Weyl numerator ratio A(v) / A(rho): if dominant_code
+    takes v to a dominant p with k reflections, then p on a wall (a zero
+    coordinate, so a top bit clear in the code of p - rho) gives zero and
+    otherwise chi(v - rho) = (-1)^k V(p - rho).  A regular weight has exactly
+    one reducing element, so k has its parity.
     """
-    shift_rho = [a + 1 for a in shift]
-    out: dict[Vector, int] = {}
-    for nu, m in weights.items():
-        p, count = to_dominant(rs, [a + b for a, b in zip(nu, shift_rho)])
-        if 0 not in p:
-            key = tuple(x - 1 for x in p)
-            out[key] = out.get(key, 0) + (-m if count & 1 else m)
-    return out
+    ones, tops = codes.ones, codes.tops
+    for c, m in terms:
+        p, count = dominant_code(codes, c)
+        p -= ones
+        if not ~p & tops:
+            coeffs[p] = coeffs.get(p, 0) + (-m if count & 1 else m)
+
+
+def _full_weights(rs: RootSystem, codes: WeightCodes, lam: Vector) -> list[tuple[int, int]]:
+    # the top orbit is part of the expansion, so check it before Freudenthal
+    _check_orbit_budget(rs, lam)
+    return _orbit_terms(rs, codes, freudenthal_character(rs, lam).entries)
+
+
+def _decoded(codes: WeightCodes, coeffs: Mapping[int, int]) -> dict[Vector, int]:
+    return {codes.decode(c): m for c, m in coeffs.items() if m}
 
 
 def _result(rs: RootSystem, coeffs: Mapping[Vector, int], source_dim: int) -> DecompositionResult:
@@ -125,8 +157,11 @@ def decompose_character(rs: RootSystem, ch: CharacterTable) -> DecompositionResu
     """Write a genuine character as a sum of irreducibles."""
     if ch.algebra != rs.type:
         raise NotACharacter(f"character over {ch.algebra}, root system is {rs.type}")
-    coeffs = _straighten(rs, ch.expand(rs), (0,) * rs.rank)
-    return _result(rs, coeffs, ch.total_dimension(rs))
+    bound = max(map(rs.coordinate_bound, ch.entries), default=0)
+    codes = rs.weight_codes(bound + rs.coordinate_bound(rs.rho))
+    coeffs: dict[int, int] = {}
+    _straighten(codes, ((c + codes.ones, m) for c, m in _orbit_terms(rs, codes, ch.entries)), coeffs)
+    return _result(rs, _decoded(codes, coeffs), ch.total_dimension(rs))
 
 
 def tensor_decompose(
@@ -137,7 +172,12 @@ def tensor_decompose(
     dl, dm = weyl_dim(rs, lam), weyl_dim(rs, mu)
     # expand the smaller factor by (dimension, weight), in either argument order
     (_, small), (_, big) = sorted([(dl, lam), (dm, mu)])
-    return _result(rs, _straighten(rs, rs.memoized(_full_table, small), big), dl * dm)
+    # every straightened weight is a conjugate of one below small + big + rho
+    codes = rs.weight_codes(rs.coordinate_bound([a + b + 1 for a, b in zip(small, big)]))
+    lift = codes.encode(big) - codes.tops + codes.ones  # nu -> nu + big + rho
+    coeffs: dict[int, int] = {}
+    _straighten(codes, ((c + lift, m) for c, m in _full_weights(rs, codes, small)), coeffs)
+    return _result(rs, _decoded(codes, coeffs), dl * dm)
 
 
 def wedge2_decompose(rs: RootSystem, lam: Sequence[int]) -> DecompositionResult:
@@ -151,14 +191,19 @@ def sym2_decompose(rs: RootSystem, lam: Sequence[int]) -> DecompositionResult:
 
 
 def _square(rs: RootSystem, lam: Vector, sign: int) -> DecompositionResult:
-    table = rs.memoized(_full_table, lam)
-    coeffs = _straighten(rs, table, lam)
-    doubled = {tuple(2 * a for a in w): m for w, m in table.items()}
-    for w, m in _straighten(rs, doubled, (0,) * rs.rank).items():
-        coeffs[w] = coeffs.get(w, 0) + sign * m
-    for w, m in coeffs.items():
+    # both nu + lam + rho and 2 nu + rho are conjugates of weights below 2 lam + rho
+    codes = rs.weight_codes(rs.coordinate_bound([2 * a + 1 for a in lam]))
+    terms = _full_weights(rs, codes, lam)
+    coeffs: dict[int, int] = {}
+    lift = codes.encode(lam) - codes.tops + codes.ones  # nu -> nu + lam + rho
+    _straighten(codes, ((c + lift, m) for c, m in terms), coeffs)
+    lift = codes.ones - codes.tops  # nu -> 2 nu + rho
+    _straighten(codes, ((2 * c + lift, sign * m) for c, m in terms), coeffs)
+    for c, m in coeffs.items():
         if m % 2:
-            raise InternalParity(f"odd coefficient {m} of V({list(w)}) before halving")
-        coeffs[w] = m // 2
+            raise InternalParity(
+                f"odd coefficient {m} of V({list(codes.decode(c))}) before halving"
+            )
+        coeffs[c] = m // 2
     d = weyl_dim(rs, lam)
-    return _result(rs, coeffs, d * (d + sign) // 2)
+    return _result(rs, _decoded(codes, coeffs), d * (d + sign) // 2)

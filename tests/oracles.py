@@ -21,6 +21,10 @@ patches its entries per family, where the engine reads a symmetrizer and an
 edge list.  The root-closure oracle closes simple-root strings on
 coefficient tuples, probing every string in full, where the engine probes
 int codes and stops a string once the p - q rule is decided.
+The tuple Weyl kernel reduces a weight to the dominant chamber, walks an
+orbit and straightens a full weight table on coordinate tuples, rebuilding
+the whole tuple at each reflection, where the engine runs the same steps on
+packed int codes.
 The node-deletion oracle identifies every level, positive ones included,
 from a primitive root found on coefficient tuples, and checks each against
 the module's full weight multiset, the outer product of the factors' full
@@ -363,7 +367,8 @@ def weight_system_freudenthal(rs: RootSystem, lam) -> dict:
         diff = [int(x) for x in _root_coords(rs, [a - b for a, b in zip(lam, mu)])]
         den = form([a + b + 2 for a, b in zip(lam, mu)], diff)
         q, r = divmod(2 * acc, den)
-        assert r == 0 and q > 0, f"Freudenthal oracle gave {2 * acc}/{den} at {mu}"
+        if not (r == 0 and q > 0):
+            raise AssertionError(f"Freudenthal oracle gave {2 * acc}/{den} at {mu}")
         mult[mu] = q
     return mult
 
@@ -428,7 +433,8 @@ def unfolded_freudenthal(rs: RootSystem, lam) -> dict:
                 k += 1
         den = gap + form([2] * n, diff)
         q, r = divmod(2 * acc, den)
-        assert r == 0 and q > 0, f"unfolded Freudenthal gave {2 * acc}/{den} at {mu}"
+        if not (r == 0 and q > 0):
+            raise AssertionError(f"unfolded Freudenthal gave {2 * acc}/{den} at {mu}")
         mult[mu] = q
     return mult
 
@@ -454,17 +460,18 @@ def _peel_full_table(rs: RootSystem, table: dict, character) -> dict:
              if all(w == v or not _dominates(rs, v, w) for v in dominant)),
             None,
         )
-        assert top is not None, "no dominance-maximal entry"
+        if top is None:
+            raise AssertionError("no dominance-maximal entry")
         mult = conv[top]
-        assert mult > 0, f"negative multiplicity {mult} at {top}"
+        if not mult > 0:
+            raise AssertionError(f"negative multiplicity {mult} at {top}")
         result[top] = mult
         for w, m in character(rs, top).items():
             _add(conv, w, -mult * m)
             if conv.get(w) == 0:
                 del conv[w]
-        assert all(m > 0 for m in conv.values()), (
-            "peeling drove a multiplicity negative"
-        )
+        if not all(m > 0 for m in conv.values()):
+            raise AssertionError("peeling drove a multiplicity negative")
     return result
 
 
@@ -503,6 +510,69 @@ def brute_wedge2_decompose(rs: RootSystem, lam, character=None) -> dict:
 
 def brute_sym2_decompose(rs: RootSystem, lam, character=None) -> dict:
     return _brute_square(rs, lam, +1, character)
+
+
+def tuple_to_dominant(rs: RootSystem, w) -> tuple[tuple, int]:
+    """Dominant Weyl-conjugate of w and the number of simple reflections
+    used, on tuples: each step rebuilds the weight reflected at its first
+    negative coordinate."""
+    m = list(w)
+    rows = rs.cartan.entries
+    count = 0
+    while True:
+        for i, x in enumerate(m):
+            if x < 0:
+                break
+        else:
+            return tuple(m), count
+        m = [a - x * r for a, r in zip(m, rows[i])]  # s_i
+        count += 1
+
+
+def tuple_weyl_orbit(rs: RootSystem, w) -> frozenset:
+    """The orbit of the dominant weight w, walked down on tuples, applying
+    s_i only where the i-th coordinate is positive."""
+    w = tuple(w)
+    rows = rs.cartan.entries
+    seen = {w}
+    frontier = [w]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for x, row in zip(v, rows):
+                if x > 0:
+                    r = tuple(a - x * b for a, b in zip(v, row))
+                    if r not in seen:
+                        seen.add(r)
+                        nxt.append(r)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def tuple_straighten(rs: RootSystem, weights: dict, shift) -> dict:
+    """Highest weight -> signed coefficient of sum_nu m(nu) * chi(nu + shift),
+    for a full weight table: nu + shift + rho is reduced by
+    tuple_to_dominant, a wall gives zero and any other point p contributes
+    (-1)^count V(p - rho).  Zero coefficients are dropped."""
+    shift_rho = [a + 1 for a in shift]
+    out: dict = {}
+    for nu, m in weights.items():
+        p, count = tuple_to_dominant(rs, [a + b for a, b in zip(nu, shift_rho)])
+        if 0 not in p:
+            _add(out, tuple(x - 1 for x in p), -m if count & 1 else m)
+    return {w: m for w, m in out.items() if m}
+
+
+def tuple_square(rs: RootSystem, table: dict, lam, sign: int) -> dict:
+    """Exterior (sign -1) or symmetric (sign +1) square of V(lam) from its
+    full weight table, by the Adams operation straightened on tuples."""
+    coeffs = tuple_straighten(rs, table, lam)
+    doubled = {tuple(2 * a for a in w): m for w, m in table.items()}
+    for w, m in tuple_straighten(rs, doubled, (0,) * rs.rank).items():
+        _add(coeffs, w, sign * m)
+    if any(m % 2 for m in coeffs.values()):
+        raise AssertionError("odd coefficient before halving")
+    return {w: m // 2 for w, m in coeffs.items() if m}
 
 
 def _brute_is_defining(rs: RootSystem, lam) -> bool:

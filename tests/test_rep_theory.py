@@ -17,6 +17,7 @@ from oracles import (
     kostant_dominant_character,
     norm_scan_short_dominant_root,
     product_weyl_dim,
+    tuple_weyl_orbit,
     unfolded_freudenthal,
     unindexed_dominant_weights,
     weight_system_freudenthal,
@@ -360,6 +361,29 @@ def test_orbit_size_formula_matches_enumeration():
     ]:
         rs = rsys(label)
         assert orbit_size(rs, weight) == len(weyl_orbit(rs, weight))
+
+
+@pytest.mark.parametrize(
+    "label, weight",
+    [
+        ("E8", w(8, 1)),
+        ("E8", w(8, 8)),
+        ("E7", w(7, 7)),
+        ("D8", (1, 0, 0, 0, 0, 0, 1, 1)),
+        ("B8", w(8, 8)),
+        ("F4", (1, 1, 1, 1)),
+        ("A32", w(32, 3)),
+        ("G2", (50, 70)),
+        ("G2", (1, 42)),
+        ("A1", (128,)),
+        ("A1", (100000,)),
+        ("A1", (10**30,)),
+    ],
+)
+def test_weyl_orbit_matches_tuple_oracle(label, weight):
+    # the orbit walk on codes against the walk on tuples it replaced
+    rs = rsys(label)
+    assert weyl_orbit(rs, weight) == tuple_weyl_orbit(rs, weight)
 
 
 def test_weyl_orbit_matches_group_oracle():

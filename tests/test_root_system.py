@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from oracles import patched_cartan_matrix, root_height, tuple_root_closure
+from oracles import patched_cartan_matrix, root_height, tuple_root_closure, tuple_to_dominant
 
 from lieinduct.errors import BadEmbedding, InvalidType, InvariantViolation, NonIntegral, NotARoot
 from lieinduct.root_system import (
@@ -25,6 +25,7 @@ from lieinduct.root_system import (
     classify_subdiagram,
     coxeter_number,
     diagram_automorphisms,
+    dominant_code,
     highest_root,
     parse_dynkin,
     root_stats,
@@ -156,6 +157,75 @@ def test_to_dominant_examples():
     rs = rsys("A2")
     # s1([1,0]) = [-1,1], so [-1,1] pulls back in one reflection
     assert to_dominant(rs, (-1, 1)) == ((1, 0), 1)
+
+
+# Weights at the edges of the digit widths: a bound of 127 fits 8-bit
+# digits and 128 does not (G2's highest coroot is (2, 3), so (2, 41) and
+# (1, 42) sit on either side), 2^63 needs wider digits than struct packs,
+# and 10^30 is packed with int.to_bytes.
+_NEAR_BOUND = {
+    "A1": [
+        (s * x,)
+        for x in (127, 128, 32767, 32768, 100000, 2**63 - 1, 2**63, 10**30)
+        for s in (1, -1)
+    ],
+    "G2": [
+        (a * x, b * y)
+        for x, y in ((50, 70), (70, 50), (2, 41), (1, 42), (30, 9))
+        for a in (1, -1)
+        for b in (1, -1)
+    ],
+}
+
+
+@pytest.mark.parametrize("label", ["A1", "G2", "F4", "B8", "C8", "D8", "E8", "A32"])
+def test_to_dominant_matches_tuple_oracle(label):
+    # the reduction loop on codes against the tuple loop it replaced: the
+    # same dominant weight and the same number of reflections
+    rs = rsys(label)
+    rng = random.Random(20261019)
+    vectors = [tuple(rng.randint(-6, 6) for _ in range(rs.rank)) for _ in range(20_000)]
+    for v in vectors + _NEAR_BOUND.get(label, []):
+        assert to_dominant(rs, v) == tuple_to_dominant(rs, v), v
+
+
+def test_weight_codes_widths_and_overflow_guard():
+    rs = rsys("G2")
+    assert rs.highest_coroot == (2, 3)
+    assert rs.coordinate_bound((2, -41)) == 127
+    assert [rs.weight_codes(b).width for b in (0, 127, 128, 2**31 - 1, 2**31)] == [
+        8, 8, 16, 32, 64
+    ]
+    assert rs.weight_codes(2**63).width == 72
+    codes = rs.weight_codes(127)
+    for v in [(0, 0), (127, -127), (-128, 5)]:
+        assert codes.decode(codes.encode(v)) == v
+    for v in [(128, 0), (0, -129), (1, 2, 3)]:
+        with pytest.raises(InvariantViolation):
+            codes.encode(v)
+    # a carry out of the top digit, or a borrow below the lowest code
+    for c in (codes.tops << 8, -1):
+        with pytest.raises(InvariantViolation):
+            codes.decode(c)
+    # a coordinate that overflows its digit stops the reduction loop
+    a1 = rsys("A1").weight_codes(127)
+    with pytest.raises(InvariantViolation):
+        dominant_code(a1, a1.encode((-128,)))
+    wide = rs.weight_codes(10**30)
+    assert wide.decode(wide.encode((10**30, -(10**30)))) == (10**30, -(10**30))
+    with pytest.raises(InvariantViolation):
+        wide.encode((2**wide.width, 0))
+
+
+def test_highest_coroot_bounds_every_coroot():
+    # the coroot of the highest short root has the largest coefficient of
+    # every coroot at every node
+    for label in ALL_TYPES:
+        rs = rsys(label)
+        cols = zip(*rs.positive_pairings)
+        assert rs.highest_coroot == tuple(
+            max(2 * x // norm for x, norm in zip(col, rs.positive_norms)) for col in cols
+        ), label
 
 
 def test_to_dominant_stays_in_orbit():
@@ -378,9 +448,7 @@ def test_root_datum_matches_per_call_formulas():
     for label in ALL_TYPES:
         rs = rsys(label)
         n = rs.rank
-        for r in rs.roots:
-            assert rs.root_weights[r] == rs.root_to_weight(r)
-        assert rs.positive_weights == tuple(rs.root_weights[a] for a in rs.positive_roots)
+        assert rs.positive_weights == tuple(map(rs.root_to_weight, rs.positive_roots))
         assert rs.positive_norms == tuple(rs.root_norm(a) for a in rs.positive_roots)
         for a, ap in zip(rs.positive_roots, rs.positive_pairings):
             v = tuple(rng.randint(-3, 3) for _ in range(n))
@@ -400,7 +468,7 @@ def test_root_datum_is_per_instance():
     rs2 = RootSystem(rs.type, scaled, rs.positive_roots, rs.highest_root, rs.roots)
     assert rs2.positive_norms == tuple(2 * x for x in rs.positive_norms)
     assert rs2.weyl_denominator == rs.weyl_denominator * 2 ** len(rs.positive_roots)
-    assert rs2.root_weights == rs.root_weights
+    assert rs2.positive_weights == rs.positive_weights
     assert rs2.height_form == rs.height_form
 
 

@@ -12,11 +12,14 @@ from oracles import (
     brute_sym2_decompose,
     brute_tensor_decompose,
     brute_wedge2_decompose,
+    tuple_square,
+    tuple_straighten,
+    tuple_weyl_orbit,
 )
 
-from lieinduct.errors import NotACharacter
-from lieinduct.rep_theory import CharacterTable, freudenthal_character, weyl_dim
-from lieinduct.root_system import build_root_system, parse_dynkin
+from lieinduct.errors import InvariantViolation, NotACharacter
+from lieinduct.rep_theory import CharacterTable, freudenthal_character, weyl_dim, weyl_orbit
+from lieinduct.root_system import RootSystem, build_root_system, parse_dynkin
 from lieinduct.tensor_ops import (
     decompose_character,
     sym2_decompose,
@@ -282,6 +285,77 @@ def test_straightening_against_oracles_pinned(label, op, lam, mu):
     # the Weyl-group sum is out of reach at these ranks, so the oracle
     # convolves and peels Freudenthal characters instead
     _check_against_oracle(rsys(label), op, lam, mu, _engine_full_character)
+
+
+def _tuple_full_table(rs, lam):
+    # the engine's dominant multiplicities, expanded by the tuple orbit walk
+    return {
+        v: m
+        for mu, m in freudenthal_character(rs, lam).entries.items()
+        for v in tuple_weyl_orbit(rs, mu)
+    }
+
+
+@pytest.mark.parametrize(
+    "label, op, lam, mu",
+    [
+        ("A32", "tensor", w(32, 3), w(32, 5)),
+        ("D32", "wedge2", w(32, 1), None),
+        ("G2", "tensor", (50, 70), (30, 9)),
+        ("A1", "tensor", (100000,), (3,)),
+        ("A1", "tensor", (10**30,), (2,)),
+        ("E8", "sym2", w(8, 1), None),
+        ("B8", "sym2", w(8, 8), None),
+        ("G2", "wedge2", (6, 5), None),
+        ("A1", "tensor", (100,), (50,)),
+        ("A1", "sym2", (100,), None),
+        ("G2", "wedge2", (30, 2), None),
+    ],
+)
+def test_code_straightening_matches_tuple_oracle(label, op, lam, mu):
+    # straightening on codes against the tuple straightening it replaced;
+    # G2 [50,70] needs 16-bit digits, A1 [100000] 32-bit and A1 [10^30]
+    # digits wider than struct packs.  In A1 [100] (x) [50], A1 S^2 [100]
+    # and G2 Lambda^2 [30,2] the factor's own weights fit 8-bit digits but
+    # the straightened ones (up to lam_small + shift + rho, or 2 lam + rho)
+    # do not
+    rs = rsys(label)
+    if op == "tensor":
+        got = tensor_decompose(rs, lam, mu)
+        small, big = sorted([lam, mu], key=lambda v: weyl_dim(rs, v))
+        want = tuple_straighten(rs, _tuple_full_table(rs, small), big)
+    else:
+        sign = -1 if op == "wedge2" else 1
+        got = (wedge2_decompose if op == "wedge2" else sym2_decompose)(rs, lam)
+        want = tuple_square(rs, _tuple_full_table(rs, lam), lam, sign)
+    assert got.as_multiset() == want
+
+
+def test_walks_on_digits_too_narrow_raise(monkeypatch):
+    # with every bound forced to 0 the codes have 8-bit digits, too narrow
+    # for these orbits.  G2 (0, 45) has conjugates with coordinates up to
+    # 135: its walk ends with 2 weights, not 6, all of which decode, so
+    # only the count against the stabilizer formula shows it.  The others
+    # overflow into a carry that decode refuses or a walk that runs past
+    # the longest element.
+    def fresh(label):
+        rs = rsys(label)
+        return RootSystem(rs.type, rs.cartan, rs.positive_roots, rs.highest_root, rs.roots)
+
+    g2, b2 = fresh("G2"), fresh("B2")
+    freudenthal_character(b2, (36, 57))  # memoized with the true bounds
+    monkeypatch.setattr(RootSystem, "coordinate_bound", lambda self, v: 0)
+    with pytest.raises(InvariantViolation, match="orbit walk found 2 weights, not 6"):
+        weyl_orbit(g2, (0, 45))
+    # likewise the weights of B2 (36, 57): 14,120 of 14,236
+    with pytest.raises(InvariantViolation, match="orbit walk found 14120 weights, not 14236"):
+        tensor_decompose(b2, (36, 57), (36, 57))
+    for label, weight in [("A2", (127, 127)), ("G2", (1, 42))]:
+        with pytest.raises(InvariantViolation):
+            weyl_orbit(fresh(label), weight)
+    for label, weight in [("A2", (100, 28)), ("G2", (1, 42))]:
+        with pytest.raises(InvariantViolation):
+            tensor_decompose(fresh(label), weight, weight)
 
 
 def test_summand_order_contract():
