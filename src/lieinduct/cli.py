@@ -5,6 +5,13 @@ Text output is line-oriented; --format json emits a stable document
 multiplicities, orbit and group sizes) are serialized as decimal strings so
 no consumer can lose precision; coordinate vectors, node labels and grading
 levels stay plain integers.
+
+Each verb's handler is a pure function of the namespace and of what run
+resolves from it: the root system of the type positional (for automorphisms,
+the Dynkin type alone), then each weight positional in order, so a bad type
+is reported before a bad weight and the first bad weight before the second.
+A handler returns the JSON payload and the text lines, table2 also its exit
+status, and run emits them once.
 """
 
 from __future__ import annotations
@@ -111,15 +118,10 @@ def _emit(ns, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
-def _rs(label: str) -> RootSystem:
-    return build_root_system(parse_dynkin(label))
+# -- verb handlers: (ns, *resolved) -> (payload, lines) -----------------------
 
 
-# -- verb handlers ----------------------------------------------------------
-
-
-def _cmd_roots(ns) -> int:
-    rs = _rs(ns.type)
+def _cmd_roots(ns, rs: RootSystem):
     pos = [list(r) for r in rs.positive_roots]
     payload = {
         "type": str(rs.type),
@@ -131,12 +133,10 @@ def _cmd_roots(ns) -> int:
     }
     lines = [f"{rs.type}: {rs.num_roots} roots, dim {rs.dimension}, h = {coxeter_number(rs)}"]
     lines += ["(" + ",".join(str(x) for x in r) + ")" for r in rs.positive_roots]
-    _emit(ns, payload, lines)
-    return EXIT_OK
+    return payload, lines
 
 
-def _cmd_highest_root(ns) -> int:
-    rs = _rs(ns.type)
+def _cmd_highest_root(ns, rs: RootSystem):
     st = root_stats(rs, rs.highest_root)
     payload = {
         "type": str(rs.type),
@@ -149,12 +149,10 @@ def _cmd_highest_root(ns) -> int:
         f"height {st.height}",
         f"adjoint weight {weight_label(rs.root_to_weight(rs.highest_root))}",
     ]
-    _emit(ns, payload, lines)
-    return EXIT_OK
+    return payload, lines
 
 
-def _cmd_automorphisms(ns) -> int:
-    t = parse_dynkin(ns.type)
+def _cmd_automorphisms(ns, t: DynkinType):
     autos = diagram_automorphisms(t)
     payload = {
         "type": str(t),
@@ -163,22 +161,15 @@ def _cmd_automorphisms(ns) -> int:
     }
     lines = [f"Aut({t}) has order {len(autos)}"]
     lines += [" ".join(str(x) for x in p) for p in autos]
-    _emit(ns, payload, lines)
-    return EXIT_OK
+    return payload, lines
 
 
-def _cmd_dim(ns) -> int:
-    rs = _rs(ns.type)
-    w = parse_weight(ns.weight, rs.rank)
+def _cmd_dim(ns, rs: RootSystem, w):
     d = rep.weyl_dim(rs, w)
-    payload = {"type": str(rs.type), "weight": list(w), "dimension": str(d)}
-    _emit(ns, payload, [str(d)])
-    return EXIT_OK
+    return {"type": str(rs.type), "weight": list(w), "dimension": str(d)}, [str(d)]
 
 
-def _cmd_character(ns) -> int:
-    rs = _rs(ns.type)
-    w = parse_weight(ns.weight, rs.rank)
+def _cmd_character(ns, rs: RootSystem, w):
     ch = rep.freudenthal_character(rs, w)
     dim = rep.weyl_dim(rs, w)
     rows = [
@@ -197,13 +188,10 @@ def _cmd_character(ns) -> int:
     lines = [f"V({weight_label(w)}; {rs.type}) dim {dim}"]
     for wt, m, size in rows:
         lines.append(f"[{','.join(str(x) for x in wt)}] mult {m} orbit {size}")
-    _emit(ns, payload, lines)
-    return EXIT_OK
+    return payload, lines
 
 
-def _cmd_orbit(ns) -> int:
-    rs = _rs(ns.type)
-    w = parse_weight(ns.weight, rs.rank)
+def _cmd_orbit(ns, rs: RootSystem, w):
     orb = sorted(rep.weyl_orbit(rs, w))
     payload = {
         "type": str(rs.type),
@@ -214,12 +202,10 @@ def _cmd_orbit(ns) -> int:
     lines = [f"orbit size {len(orb)}"] + [
         "[" + ",".join(str(x) for x in v) + "]" for v in orb
     ]
-    _emit(ns, payload, lines)
-    return EXIT_OK
+    return payload, lines
 
 
-def _cmd_defining(ns) -> int:
-    rs = _rs(ns.type)
+def _cmd_defining(ns, rs: RootSystem):
     mods = rep.defining_modules(rs)
     payload = {
         "type": str(rs.type),
@@ -230,12 +216,11 @@ def _cmd_defining(ns) -> int:
     }
     lines = [f"{rs.type}: {len(mods)} defining modules"]
     lines += [f"{weight_label(md.highest_weight)} dim {md.dimension}" for md in mods]
-    _emit(ns, payload, lines)
-    return EXIT_OK
+    return payload, lines
 
 
-def _decomposition_payload(dec: tens.DecompositionResult) -> dict:
-    return {
+def _decomposition(name: str, dec: tens.DecompositionResult):
+    payload = {
         "source_dimension": str(dec.source_dimension),
         "summands": [
             {
@@ -246,46 +231,25 @@ def _decomposition_payload(dec: tens.DecompositionResult) -> dict:
             for md, m in dec.summands
         ],
     }
-
-
-def _decomposition_lines(name: str, dec: tens.DecompositionResult) -> list[str]:
     lines = [f"{name} (dim {dec.source_dimension})"]
     for md, m in dec.summands:
         mult = "" if m == 1 else f" x{m}"
         lines.append(f"V({weight_label(md.highest_weight)}) dim {md.dimension}{mult}")
-    return lines
+    return payload, lines
 
 
-def _cmd_tensor(ns) -> int:
-    rs = _rs(ns.type)
-    w1 = parse_weight(ns.weight1, rs.rank)
-    w2 = parse_weight(ns.weight2, rs.rank)
+def _cmd_tensor(ns, rs: RootSystem, w1, w2):
     dec = tens.tensor_decompose(rs, w1, w2)
-    _emit(ns, _decomposition_payload(dec),
-          _decomposition_lines(f"V({weight_label(w1)}) (x) V({weight_label(w2)})", dec))
-    return EXIT_OK
+    return _decomposition(f"V({weight_label(w1)}) (x) V({weight_label(w2)})", dec)
 
 
-def _cmd_wedge2(ns) -> int:
-    rs = _rs(ns.type)
-    w = parse_weight(ns.weight, rs.rank)
-    dec = tens.wedge2_decompose(rs, w)
-    _emit(ns, _decomposition_payload(dec),
-          _decomposition_lines(f"Wedge2 V({weight_label(w)})", dec))
-    return EXIT_OK
+def _cmd_square(ns, rs: RootSystem, w):
+    """wedge2 and sym2: tensor_ops.wedge2_decompose or sym2_decompose."""
+    dec = getattr(tens, f"{ns.verb}_decompose")(rs, w)
+    return _decomposition(f"{ns.verb.capitalize()} V({weight_label(w)})", dec)
 
 
-def _cmd_sym2(ns) -> int:
-    rs = _rs(ns.type)
-    w = parse_weight(ns.weight, rs.rank)
-    dec = tens.sym2_decompose(rs, w)
-    _emit(ns, _decomposition_payload(dec),
-          _decomposition_lines(f"Sym2 V({weight_label(w)})", dec))
-    return EXIT_OK
-
-
-def _cmd_delete(ns) -> int:
-    rs = _rs(ns.type)
+def _cmd_delete(ns, rs: RootSystem):
     iota = parse_iota(ns.iota, rs, ns.node) if ns.iota else None
     d = del_mod.delete_node(rs, ns.node, iota)
     payload = {
@@ -319,15 +283,12 @@ def _cmd_delete(ns) -> int:
     lines.append(
         f"level 0: residual dim {d.zero_level.residual_dimension} + center 1"
     )
-    _emit(ns, payload, lines)
-    return EXIT_OK
+    return payload, lines
 
 
-def _cmd_equivalences(ns) -> int:
-    t = parse_dynkin(ns.type)
-    rs = build_root_system(t)
+def _cmd_equivalences(ns, rs: RootSystem):
     iota = parse_iota(ns.iota, rs, ns.node) if ns.iota else None
-    ec = del_mod.deletion_equivalences(t, ns.node, iota)
+    ec = del_mod.deletion_equivalences(rs.type, ns.node, iota)
     payload = {
         "ambient": str(ec.ambient),
         "residual": str(ec.residual),
@@ -346,11 +307,11 @@ def _cmd_equivalences(ns) -> int:
     ]
     for node, emb in ec.members:
         lines.append(f"node {node}, iota " + ",".join(f"{i+1}:{a}" for i, a in enumerate(emb)))
-    _emit(ns, payload, lines)
-    return EXIT_OK
+    return payload, lines
 
 
-def _cmd_table2(ns) -> int:
+def _cmd_table2(ns):
+    """The payload, the lines and the exit status: 1 on a mismatch."""
     report = del_mod.verify_table2(raise_on_mismatch=False)
     payload = {
         "ok": report.ok,
@@ -368,8 +329,7 @@ def _cmd_table2(ns) -> int:
     }
     lines = [f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}" for r in report.rows]
     lines.append(f"{'OK' if report.ok else 'MISMATCH'}: {len(report.rows)} rows")
-    _emit(ns, payload, lines)
-    return EXIT_OK if report.ok else EXIT_DOMAIN
+    return payload, lines, EXIT_OK if report.ok else EXIT_DOMAIN
 
 
 def _depth(ns) -> int:
@@ -386,9 +346,7 @@ class _Labels(dict):
         return label
 
 
-def _cmd_induct(ns) -> int:
-    rs = _rs(ns.type)
-    w = parse_weight(ns.weight, rs.rank)
+def _cmd_induct(ns, rs: RootSystem, w):
     depth = _depth(ns)
     states = ind_mod.induction_search(rs, w, max_depth=depth)
     # only the requested format is built: a deep search holds many chains
@@ -406,19 +364,17 @@ def _cmd_induct(ns) -> int:
                 for s in states
             ],
         }
-        _emit(ns, payload, [])
-        return EXIT_OK
+        return payload, []
     lines = [f"{len(states)} chains from V({weight_label(w)}; {rs.type}) to depth {depth}"]
     labels = _Labels()
     for s in states:
         tag = "terminated" if s.terminated else "open"
         seq = " ".join(map(labels.__getitem__, s.weights))
         lines.append(f"{seq} | {tag} | dim {s.dbos_dimension}")
-    _emit(ns, {}, lines)
-    return EXIT_OK
+    return {}, lines
 
 
-def _cmd_report(ns) -> int:
+def _cmd_report(ns):
     depth = _depth(ns)
     rep_doc = ind_mod.exceptional_report(ns.target, max_depth=depth)
     payload = {
@@ -457,8 +413,7 @@ def _cmd_report(ns) -> int:
             + (f"; {r.non_terminated} open" if r.non_terminated else "")
         )
     lines.append(f"verdict: {rep_doc.verdict}")
-    _emit(ns, payload, lines)
-    return EXIT_OK
+    return payload, lines
 
 
 def _jsonable(obj):
@@ -501,8 +456,8 @@ _VERBS = {
         _TYPE, (("weight1",), {"help": _WEIGHT_HELP}),
         (("weight2",), {"help": "second weight"}), _FORMAT,
     ]),
-    "wedge2": (_cmd_wedge2, "decompose an exterior square", [_TYPE, _WEIGHT, _FORMAT]),
-    "sym2": (_cmd_sym2, "decompose a symmetric square", [_TYPE, _WEIGHT, _FORMAT]),
+    "wedge2": (_cmd_square, "decompose an exterior square", [_TYPE, _WEIGHT, _FORMAT]),
+    "sym2": (_cmd_square, "decompose a symmetric square", [_TYPE, _WEIGHT, _FORMAT]),
     "delete": (_cmd_delete, "grade by a node and identify the levels", [
         _TYPE, _FORMAT, _NODE,
         (("--iota",), {"help": "embedding '1:3,2:4,...' or 'table2' (default canonical)"}),
@@ -606,14 +561,25 @@ def run(argv: Sequence[str] | None = None) -> int:
         except SystemExit as exc:
             return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     ns.echo = args
+    handler, _, specs = _VERBS[ns.verb]
     try:
-        return _VERBS[ns.verb][0](ns)
+        resolved = []
+        if "type" in vars(ns):
+            t = parse_dynkin(ns.type)
+            # automorphisms reads the diagram alone: a root system costs up
+            # to 12 ms (A32)
+            resolved.append(t if handler is _cmd_automorphisms else build_root_system(t))
+            resolved += [parse_weight(getattr(ns, flags[0]), t.rank)
+                         for flags, _ in specs if flags[0].startswith("weight")]
+        payload, lines, *status = handler(ns, *resolved)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LieInductError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    _emit(ns, payload, lines)
+    return status[0] if status else EXIT_OK
 
 
 def main() -> None:

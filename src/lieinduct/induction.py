@@ -42,13 +42,12 @@ from .root_system import (
     DynkinType,
     RootSystem,
     Vector,
-    _connected_components,
-    _identify_component,
-    _isomorphisms,
     build_root_system,
     cartan_from_edges,
     cartan_matrix,
     check_embedding,
+    classify_subdiagram,
+    diagram_automorphisms,
 )
 from .tensor_ops import tensor_decompose, wedge2_decompose
 
@@ -338,8 +337,10 @@ def exceptional_routes(name: str) -> list[tuple]:
     """(base, target diagram, deleted node, embedding) for every node of the
     diagrams of EXCEPTIONAL_TARGETS[name] whose deletion leaves a connected base.
 
-    The embedding maximizes the required first level, so the new node meets
-    the lowest canonical label; ties go to the first in lexicographic order.
+    The embeddings of the base are its canonical embedding composed with
+    each of its diagram automorphisms.  The route's embedding maximizes the
+    required first level, so the new node meets the lowest canonical label;
+    ties go to the first in lexicographic order.
     Routes whose base is of the target's family come first; otherwise they
     keep the order of diagram and node.
     """
@@ -348,11 +349,14 @@ def exceptional_routes(name: str) -> list[tuple]:
         c, d = target.entries, target.cartan.symmetrizer
         for node in range(1, target.rank + 1):
             rest = [i for i in range(1, target.rank + 1) if i != node]
-            if len(_connected_components(c, rest)) != 1:
+            components = classify_subdiagram(c, d, rest)
+            if len(components) != 1:
                 continue
-            base = _identify_component(c, d, rest)
-            iota = max(_isomorphisms(build_root_system(base).cartan.entries, c, rest),
-                       key=lambda p: tuple(-c[node - 1][j - 1] for j in p))
+            [(base, canon)] = components
+            embeddings = sorted(
+                tuple(canon[i - 1] for i in p) for p in diagram_automorphisms(base)
+            )
+            iota = max(embeddings, key=lambda p: tuple(-c[node - 1][j - 1] for j in p))
             routes.append((base, target, node, iota))
     routes.sort(key=lambda r: r[0].family != name[0])  # stable
     return routes

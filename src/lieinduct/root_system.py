@@ -32,18 +32,18 @@ of a root are built once, when the closure finds it, and the root system
 keeps the codes as RootSystem.root_codes (minus a code for minus a root).
 
 Each RootSystem instance computes its root datum once, on first use, from its
-own Cartan matrix, symmetrizer and positive roots: the weight coordinates of
-every root, the pairing vectors and norms of the positive roots, the nodes
-where each positive root's weight is positive as a bitmask, the Weyl
-dimension denominator and an integer height functional.  Every result
-derived from the datum and a key (the root classes per zero-node set, the
-roots within a support, the weight codes per digit width, and the
-characters, orbits, orbit sizes and defining checks of rep_theory) is
-memoized on the instance by RootSystem.memoized, never keyed by type, so a
-rescaled symmetrizer gets its own.  build_root_system is the one
-process-wide cache: clearing it drops every instance and with it every
-memo.  It fills in the positive roots' weights and codes from its root
-closure, which computes them anyway.
+own Cartan matrix, symmetrizer and positive roots: the set of every root as
+a coefficient tuple, the weight coordinates of every root, the pairing
+vectors and norms of the positive roots, the nodes where each positive
+root's weight is positive as a bitmask, the Weyl dimension denominator and
+an integer height functional.  Every result derived from the datum and a
+key (the root classes per zero-node set, the roots within a support, the
+weight codes per digit width, and the characters, orbits, orbit sizes and
+defining checks of rep_theory) is memoized on the instance by
+RootSystem.memoized, never keyed by type, so a rescaled symmetrizer gets its
+own.  build_root_system is the one process-wide cache: clearing it drops
+every instance and with it every memo.  It fills in the positive roots'
+weights and codes from its root closure, which computes them anyway.
 
 Weights are reduced and walked as int codes too (WeightCodes): one digit
 per node, node 1 the lowest, holding the coordinate plus an offset of half
@@ -236,7 +236,6 @@ class RootSystem:
     cartan: CartanMatrix
     positive_roots: tuple[Vector, ...]
     highest_root: Vector
-    roots: frozenset[Vector]
 
     def __init__(
         self,
@@ -244,11 +243,10 @@ class RootSystem:
         cartan: CartanMatrix,
         positive_roots: tuple[Vector, ...],
         highest_root: Vector,
-        roots: frozenset[Vector],
     ) -> None:
         vars(self).update(
             type=type, rank=type.rank, cartan=cartan, positive_roots=positive_roots,
-            highest_root=highest_root, roots=roots,
+            highest_root=highest_root,
         )
 
     def __setattr__(self, name: str, value=None) -> None:
@@ -324,6 +322,12 @@ class RootSystem:
                     f = aug[r][col]
                     aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
         return tuple(tuple(row[n:]) for row in aug)
+
+    @cached_property
+    def roots(self) -> frozenset[Vector]:
+        """Every root, positive and negative, as a coefficient tuple."""
+        pr = self.positive_roots
+        return frozenset(pr) | frozenset(tuple(map(neg, r)) for r in pr)
 
     @cached_property
     def positive_weights(self) -> tuple[Vector, ...]:
@@ -427,15 +431,16 @@ class RootSystem:
 
         s_j permutes the positive roots other than a_j, and
         s_j(alpha) = alpha - <alpha, a_j^vee> a_j lowers alpha's j-th root
-        coordinate by the pairing, its j-th weight coordinate; each swapped
-        pair is listed once, from its upper member.
+        coordinate by the pairing, its j-th weight coordinate, so its code by
+        the pairing times a_j's code; each swapped pair is listed once, from
+        its upper member.  root_codes lists the codes in positive_roots order.
         """
-        pr, pw = self.positive_roots, self.positive_weights
-        index = {a: i for i, a in enumerate(pr)}
+        codes, pw = self.root_codes, self.positive_weights
+        steps = simple_root_codes(self.rank)
         return tuple(
             tuple(
-                (i, index[a[:j] + (a[j] - aw[j],) + a[j + 1:]])
-                for i, (a, aw) in enumerate(zip(pr, pw))
+                (i, codes[c - aw[j] * steps[j]])
+                for i, (c, aw) in enumerate(zip(codes, pw))
                 if aw[j] > 0 and aw != row
             )
             for j, row in enumerate(self.cartan.entries)  # row j is a_j's weight
@@ -585,8 +590,7 @@ def build_root_system(t: DynkinType) -> RootSystem:
     heights = [sum(r) for r in ordered]
     if heights.count(max(heights)) != 1:
         raise InvalidType(f"highest root of {t} is not unique")
-    all_roots = frozenset(ordered) | frozenset(tuple(map(neg, r)) for r in ordered)
-    rs = RootSystem(t, cm, ordered, highest, all_roots)
+    rs = RootSystem(t, cm, ordered, highest)
     vars(rs).update(  # pre-fill the caches
         positive_weights=weights, root_codes=dict(zip(codes, range(len(codes))))
     )

@@ -21,10 +21,12 @@ patches its entries per family, where the engine reads a symmetrizer and an
 edge list.  The root-closure oracle closes simple-root strings on
 coefficient tuples, probing every string in full, where the engine probes
 int codes and stops a string once the p - q rule is decided.
-The tuple Weyl kernel reduces a weight to the dominant chamber, walks an
-orbit and straightens a full weight table on coordinate tuples, rebuilding
-the whole tuple at each reflection, where the engine runs the same steps on
-packed int codes.
+The tuple Weyl kernel reduces a weight to the dominant chamber on a list
+of coordinates, changing at each reflection the coordinates where the Cartan
+row is nonzero; it walks an orbit and straightens a full weight table on
+coordinate tuples, where the engine runs the same steps on packed int codes.
+The reflection-edge oracle looks each reflected positive root up by its
+coefficient tuple, where the engine subtracts codes.
 The node-deletion oracle identifies every level, positive ones included,
 from a primitive root found on coefficient tuples, and checks each against
 the module's full weight multiset, the outer product of the factors' full
@@ -512,12 +514,18 @@ def brute_sym2_decompose(rs: RootSystem, lam, character=None) -> dict:
     return _brute_square(rs, lam, +1, character)
 
 
+@lru_cache(maxsize=None)
+def _nonzero_entries(entries) -> tuple:
+    """Per Cartan row, its (column, entry) pairs with a nonzero entry."""
+    return tuple(tuple((j, r) for j, r in enumerate(row) if r) for row in entries)
+
+
 def tuple_to_dominant(rs: RootSystem, w) -> tuple[tuple, int]:
     """Dominant Weyl-conjugate of w and the number of simple reflections
-    used, on tuples: each step rebuilds the weight reflected at its first
-    negative coordinate."""
+    used, on a list: each step reflects the weight at its first negative
+    coordinate, changing only where that Cartan row is nonzero."""
     m = list(w)
-    rows = rs.cartan.entries
+    rows = _nonzero_entries(rs.cartan.entries)
     count = 0
     while True:
         for i, x in enumerate(m):
@@ -525,7 +533,8 @@ def tuple_to_dominant(rs: RootSystem, w) -> tuple[tuple, int]:
                 break
         else:
             return tuple(m), count
-        m = [a - x * r for a, r in zip(m, rows[i])]  # s_i
+        for j, r in rows[i]:  # s_i
+            m[j] -= x * r
         count += 1
 
 
@@ -727,6 +736,21 @@ def tuple_root_closure(cm: CartanMatrix) -> tuple[tuple, tuple]:
         frontier = nxt
     ordered = tuple(sorted(weights, key=lambda r: (sum(r), r)))
     return ordered, tuple(weights[r] for r in ordered)
+
+
+def tuple_reflection_edges(rs: RootSystem) -> tuple:
+    """RootSystem._reflection_edges with each reflected root s_j(alpha) =
+    alpha - <alpha, a_j^vee> a_j found by its coefficient tuple."""
+    pr, pw = rs.positive_roots, rs.positive_weights
+    index = {a: i for i, a in enumerate(pr)}
+    return tuple(
+        tuple(
+            (i, index[a[:j] + (a[j] - aw[j],) + a[j + 1:]])
+            for i, (a, aw) in enumerate(zip(pr, pw))
+            if aw[j] > 0 and aw != row
+        )
+        for j, row in enumerate(rs.cartan.entries)  # row j is a_j's weight
+    )
 
 
 def tuple_primitive_root(rs: RootSystem, d: int, level_roots) -> tuple:

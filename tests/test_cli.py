@@ -164,6 +164,33 @@ def test_usage_error_exit_code(capsys):
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
+# Command lines with more than one fault, and the one fault that is
+# reported: the type before the weights, the weights in order before the
+# depth, the node before the embedding.
+ERROR_PRECEDENCE = [
+    ("dim E9 w9", 1, "error [InvalidType]: E9 out of range: E accepts rank 6..8"),
+    ("tensor E8 w9 [1]", 2, "usage error: w9 does not exist at rank 8"),
+    ("tensor E8 w1 [1,2]", 2, "usage error: weight [1,2] has 2 coordinates, need 8"),
+    ("dim E8 [-1,0,0,0,0,0,0,0]", 1,
+     "error [NotDominant]: weight (-1, 0, 0, 0, 0, 0, 0, 0) is not dominant"),
+    ("induct G2 w9 --depth 0", 2, "usage error: w9 does not exist at rank 2"),
+    ("induct G2 w0", 1,
+     "error [TrivialFirstLevel]: the first level over G2 must be a non-trivial module"),
+    ("report E9 --depth 0", 2, "usage error: depth must be at least 1, got 0"),
+    ("delete E8 --node 9 --iota 1:1", 1, "error [InvalidType]: node 9 out of range for E8"),
+    ("delete B8 --node 5 --iota table2", 2, "usage error: no summary-table row for B8 at node 5"),
+    ("automorphisms A33", 1, "error [InvalidType]: A33 out of range: A accepts rank 1..32"),
+    ("equivalences D4 --node 5", 1, "error [InvalidType]: node 5 out of range for D4"),
+]
+
+
+@pytest.mark.parametrize("op,code,err", ERROR_PRECEDENCE)
+def test_error_precedence(capsys, op, code, err):
+    assert run(op.split()) == code
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", err + "\n")
+
+
 def test_depth_defaults_to_12_and_flag_is_honoured(capsys):
     code, doc = run_json(capsys, "induct", "A2", "w1")
     assert code == 0

@@ -92,7 +92,7 @@ def test_root_system_is_read_only_with_identity_equality():
             setattr(rs, name, None)
         with pytest.raises(AttributeError):
             delattr(rs, name)
-    copy = RootSystem(rs.type, rs.cartan, rs.positive_roots, rs.highest_root, rs.roots)
+    copy = RootSystem(rs.type, rs.cartan, rs.positive_roots, rs.highest_root)
     assert copy != rs and rs == rs
     assert len({rs, copy, rs}) == 2
     assert copy.rank == 3 and copy.positive_weights == rs.positive_weights

@@ -9,7 +9,13 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from oracles import patched_cartan_matrix, root_height, tuple_root_closure, tuple_to_dominant
+from oracles import (
+    patched_cartan_matrix,
+    root_height,
+    tuple_reflection_edges,
+    tuple_root_closure,
+    tuple_to_dominant,
+)
 
 from lieinduct.errors import BadEmbedding, InvalidType, InvariantViolation, NonIntegral, NotARoot
 from lieinduct.root_system import (
@@ -313,7 +319,7 @@ def test_classify_subdiagram_takes_smallest_isomorphism():
 
 def test_coxeter_number_invariant_is_a_typed_error():
     rs = rsys("E8")
-    broken = RootSystem(rs.type, rs.cartan, rs.positive_roots, (1,) * 8, rs.roots)
+    broken = RootSystem(rs.type, rs.cartan, rs.positive_roots, (1,) * 8)
     with pytest.raises(InvariantViolation):
         coxeter_number(broken)
 
@@ -387,10 +393,26 @@ def test_root_closure_matches_tuple_oracle():
             assert rs.positive_roots == roots, t
             assert rs.positive_weights == weights, t
             # the closure's codes, pre-filled, and the codes of the roots
-            copy = RootSystem(t, rs.cartan, roots, rs.highest_root, rs.roots)
+            copy = RootSystem(t, rs.cartan, roots, rs.highest_root)
             assert rs.root_codes == copy.root_codes, t
             count += 1
     assert count == 32 + 31 + 30 + 29 + 3 + 1 + 1
+
+
+def test_reflection_edges_match_tuple_oracle():
+    # every accepted type: the edges found on root codes, and the roots
+    # built only when read
+    count = 0
+    for family, (lo, hi) in RANK_RANGES.items():
+        for rank in range(lo, hi + 1):
+            t = DynkinType(family, rank)
+            rs = build_root_system(t)
+            assert rs._reflection_edges == tuple_reflection_edges(rs), t
+            count += 1
+    assert count == 32 + 31 + 30 + 29 + 3 + 1 + 1
+    rs = build_root_system.__wrapped__(parse_dynkin("E8"))  # a cold build
+    assert "roots" not in vars(rs)
+    assert len(rs.roots) == 240 and "roots" in vars(rs)
 
 
 def test_root_closure_refuses_a_matrix_not_of_finite_type():
@@ -465,7 +487,7 @@ def test_root_datum_is_per_instance():
     # instance, not be looked up by its Dynkin type
     rs = rsys("G2")
     scaled = CartanMatrix(rs.cartan.entries, tuple(2 * d for d in rs.cartan.symmetrizer))
-    rs2 = RootSystem(rs.type, scaled, rs.positive_roots, rs.highest_root, rs.roots)
+    rs2 = RootSystem(rs.type, scaled, rs.positive_roots, rs.highest_root)
     assert rs2.positive_norms == tuple(2 * x for x in rs.positive_norms)
     assert rs2.weyl_denominator == rs.weyl_denominator * 2 ** len(rs.positive_roots)
     assert rs2.positive_weights == rs.positive_weights

@@ -340,7 +340,7 @@ def test_walks_on_digits_too_narrow_raise(monkeypatch):
     # the longest element.
     def fresh(label):
         rs = rsys(label)
-        return RootSystem(rs.type, rs.cartan, rs.positive_roots, rs.highest_root, rs.roots)
+        return RootSystem(rs.type, rs.cartan, rs.positive_roots, rs.highest_root)
 
     g2, b2 = fresh("G2"), fresh("B2")
     freudenthal_character(b2, (36, 57))  # memoized with the true bounds
