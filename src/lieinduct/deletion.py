@@ -40,6 +40,7 @@ from .root_system import (
     check_embedding,
     classify_subdiagram,
     diagram_automorphisms,
+    diagram_embeddings,
     parse_dynkin,
     simple_root_codes,
     to_dominant,
@@ -315,23 +316,26 @@ class EquivalenceClass(NamedTuple):
 
 
 def deletion_equivalences(g: DynkinType, d: int, iota=None) -> EquivalenceClass:
-    """Orbit of the deletion (g, d, g0, iota) under Aut(g) x Aut(g0)."""
+    """Orbit of the deletion (g, d, g0, iota) under Aut(g) x Aut(g0): each
+    node sigma(d), sigma in Aut(g), with every embedding of g0 onto the rest
+    of g, in lexicographic order.  The embeddings of a simple g0 onto one
+    node set are a single Aut(g0)-orbit, so every valid iota gives one class.
+    """
     rs = build_root_system(g)
     seed = delete_node(rs, d, iota)
     if len(seed.components) != 1:
         raise InvalidType("deletion equivalences are defined for simple residuals")
     g0 = seed.components[0].type
     auts_g = diagram_automorphisms(g)
-    auts_g0 = diagram_automorphisms(g0)
-    members = set()
-    for sigma in auts_g:
-        for tau in auts_g0:
-            node = sigma[d - 1]
-            emb = tuple(sigma[seed.iota[tau[j] - 1] - 1] for j in range(g0.rank))
-            members.add((node, emb))
-    return EquivalenceClass(
-        g, g0, tuple(sorted(members)), len(auts_g), len(auts_g0)
+    canon, entries = build_root_system(g0).cartan.entries, rs.cartan.entries
+    nodes = sorted({sigma[d - 1] for sigma in auts_g})
+    members = tuple(
+        (node, emb)
+        for node in nodes
+        for emb in diagram_embeddings(canon, entries, set(range(1, g.rank + 1)) - {node})
     )
+    # Aut(g0) acts on each node's embeddings freely and transitively
+    return EquivalenceClass(g, g0, members, len(auts_g), len(members) // len(nodes))
 
 
 # ---------------------------------------------------------------------------

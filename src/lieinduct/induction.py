@@ -47,7 +47,8 @@ from .root_system import (
     cartan_matrix,
     check_embedding,
     classify_subdiagram,
-    diagram_automorphisms,
+    connected_components,
+    diagram_embeddings,
 )
 from .tensor_ops import tensor_decompose, wedge2_decompose
 
@@ -337,25 +338,20 @@ def exceptional_routes(name: str) -> list[tuple]:
     """(base, target diagram, deleted node, embedding) for every node of the
     diagrams of EXCEPTIONAL_TARGETS[name] whose deletion leaves a connected base.
 
-    The embeddings of the base are its canonical embedding composed with
-    each of its diagram automorphisms.  The route's embedding maximizes the
-    required first level, so the new node meets the lowest canonical label;
-    ties go to the first in lexicographic order.
-    Routes whose base is of the target's family come first; otherwise they
-    keep the order of diagram and node.
+    Of the base's embeddings, in lexicographic order, the route takes the
+    first that maximizes the required first level, so the new node meets the
+    lowest canonical label.  Routes whose base is of the target's family
+    come first; otherwise they keep the order of diagram and node.
     """
     routes = []
     for target in EXCEPTIONAL_TARGETS[name]:
         c, d = target.entries, target.cartan.symmetrizer
         for node in range(1, target.rank + 1):
             rest = [i for i in range(1, target.rank + 1) if i != node]
-            components = classify_subdiagram(c, d, rest)
-            if len(components) != 1:
+            if len(connected_components(c, rest)) != 1:
                 continue
-            [(base, canon)] = components
-            embeddings = sorted(
-                tuple(canon[i - 1] for i in p) for p in diagram_automorphisms(base)
-            )
+            [(base, _)] = classify_subdiagram(c, d, rest)
+            embeddings = diagram_embeddings(build_root_system(base).cartan.entries, c, rest)
             iota = max(embeddings, key=lambda p: tuple(-c[node - 1][j - 1] for j in p))
             routes.append((base, target, node, iota))
     routes.sort(key=lambda r: r[0].family != name[0])  # stable

@@ -54,8 +54,8 @@ from .root_system import (
     RootSystem,
     Vector,
     WeightCodes,
-    _connected_components,
-    _identify_component,
+    component_type,
+    connected_components,
     to_dominant,
     weyl_order,
 )
@@ -365,8 +365,8 @@ def orbit_size(rs: RootSystem, weight: Sequence[int]) -> int:
 def _orbit_size(rs: RootSystem, zero_nodes: tuple[int, ...]) -> int:
     stab = 1
     cartan = rs.cartan
-    for comp in _connected_components(cartan.entries, zero_nodes):
-        stab *= weyl_order(_identify_component(cartan.entries, cartan.symmetrizer, comp))
+    for comp in connected_components(cartan.entries, zero_nodes):
+        stab *= weyl_order(component_type(cartan.entries, cartan.symmetrizer, comp))
     q, r = divmod(weyl_order(rs.type), stab)
     if r:
         raise InvariantViolation(f"stabilizer order {stab} does not divide |W({rs.type})|")

@@ -70,7 +70,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm
 from operator import add, mul, neg
-from typing import Callable, Hashable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import BadEmbedding, InvalidType, InvariantViolation, NonIntegral, NotARoot
 
@@ -751,7 +751,7 @@ def diagram_automorphisms(t: DynkinType) -> tuple[tuple[int, ...], ...]:
     Each permutation is returned as a tuple p with p[i-1] the image of node i.
     """
     c = cartan_matrix(t).entries
-    return tuple(_isomorphisms(c, c, range(1, t.rank + 1)))
+    return tuple(diagram_embeddings(c, c, range(1, t.rank + 1)))
 
 
 def coxeter_number(rs: RootSystem) -> int:
@@ -791,85 +791,56 @@ class SubdiagramComponent(NamedTuple):
     embedding: tuple[int, ...]
 
 
-def _connected_components(entries, nodes: Iterable[int]) -> list[list[int]]:
-    nodes = sorted(nodes)
+def connected_components(entries, nodes: Iterable[int]) -> list[list[int]]:
+    """The connected components of a node subset, each sorted, ordered by
+    their smallest label."""
     remaining = set(nodes)
     comps = []
     while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            a = frontier.pop()
-            for b in list(remaining - comp):
-                if entries[a - 1][b - 1] != 0:
-                    comp.add(b)
-                    frontier.append(b)
+        comp = [min(remaining)]
+        remaining.remove(comp[0])
+        for a in comp:  # comp grows while it is walked
+            linked = {b for b in remaining if entries[a - 1][b - 1]}
+            remaining -= linked
+            comp.extend(linked)
         comps.append(sorted(comp))
-        remaining -= comp
     return comps
 
 
-def _identify_component(entries, symmetrizer, comp: list[int]) -> DynkinType:
-    n = len(comp)
-    if n == 1:
-        return DynkinType("A", 1)
-    # the largest edge multiplicity C[a][b] * C[b][a]
-    mx = max(entries[a - 1][b - 1] * entries[b - 1][a - 1]
-             for a, b in itertools.combinations(comp, 2))
-    if mx == 3:
-        if n != 2:
-            raise InvalidType("triple edge only occurs in rank 2")
-        return DynkinType("G", 2)
-    if mx == 2:
-        # path with one double edge; count nodes on the short-root side
-        short = sum(1 for a in comp if symmetrizer[a - 1] == min(symmetrizer[b - 1] for b in comp))
-        long_ct = n - short
-        if n == 2:
-            return DynkinType("B", 2)
-        if short == 1:
-            return DynkinType("B", n)
-        if long_ct == 1:
-            return DynkinType("C", n)
-        if short == 2 and long_ct == 2:
-            return DynkinType("F", 4)
-        raise InvalidType(f"unrecognized multiply-laced diagram on {comp}")
-    degrees = {a: sum(1 for b in comp if b != a and entries[a - 1][b - 1]) for a in comp}
-    branch = [a for a in comp if degrees[a] == 3]
-    if not branch:
+def component_type(entries, symmetrizer, comp: Sequence[int]) -> DynkinType:
+    """The only Dynkin type a connected component can have, read from its
+    root-length ratio max(d) / min(d): 3 is G; 2 is B (one short node), C
+    (one long node) or F; 1 is A with no node of degree 3, else D when that
+    node has two or more leaf neighbours and E when it has one.
+
+    The shape is not checked here: DynkinType rejects a name such as E9, F5
+    or G3, and classify_subdiagram proves the name by an isomorphism search.
+    """
+    d = [symmetrizer[a - 1] for a in comp]
+    n, short, long = len(comp), min(d), max(d)
+    if long == 3 * short:
+        return DynkinType("G", n)
+    if long == 2 * short:
+        shorts = d.count(short)
+        family = "B" if shorts == 1 else "C" if shorts == n - 1 else "F"
+        return DynkinType(family, n)
+    if long != short:
+        raise InvalidType(f"root lengths on {comp} have the ratio {long}/{short}")
+    neighbours = {a: [b for b in comp if b != a and entries[a - 1][b - 1]] for a in comp}
+    branch = next((a for a in comp if len(neighbours[a]) == 3), None)
+    if branch is None:
         return DynkinType("A", n)
-    if len(branch) > 1 or max(degrees.values()) > 3:
-        raise InvalidType(f"diagram on {comp} is not of finite type")
-    # arm lengths from the unique branch node
-    b = branch[0]
-    arms = []
-    for first in (a for a in comp if entries[b - 1][a - 1] and a != b):
-        length, prev, cur = 1, b, first
-        while True:
-            nxts = [x for x in comp if x not in (prev, cur) and entries[cur - 1][x - 1]]
-            if not nxts:
-                break
-            prev, cur = cur, nxts[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[:2] == [1, 1]:
-        return DynkinType("D", n)
-    if arms == [1, 2, 2]:
-        return DynkinType("E", 6)
-    if arms == [1, 2, 3]:
-        return DynkinType("E", 7)
-    if arms == [1, 2, 4]:
-        return DynkinType("E", 8)
-    raise InvalidType(f"diagram on {comp} is not of finite type")
+    leaves = sum(len(neighbours[b]) == 1 for b in neighbours[branch])
+    return DynkinType("D" if leaves >= 2 else "E", n)
 
 
-def _isomorphisms(canon, entries, labels: Iterable[int]):
+def diagram_embeddings(canon, entries, labels: Iterable[int]) -> Iterator[tuple[int, ...]]:
     """Yield, in lexicographic order, every map p (canonical node i -> ambient
     label p[i-1]) under which `entries` restricted to `labels` equals `canon`.
 
-    One backtracking search serves diagram automorphisms (canon == entries)
-    and subdiagram embeddings; a caller wanting one map takes the first.
+    This one backtracking search gives the diagram automorphisms (canon ==
+    entries), the embedding classify_subdiagram takes (the first), and the
+    embedding sets of report routes and deletion equivalences.
     """
     n = len(canon)
     labels = sorted(labels)
@@ -886,7 +857,7 @@ def _isomorphisms(canon, entries, labels: Iterable[int]):
             if all(
                 canon[i][j] == entries[cand - 1][img[j] - 1]
                 and canon[j][i] == entries[img[j] - 1][cand - 1]
-                for j in range(i)
+                for j in reversed(range(i))  # canonical neighbours of i come mostly just before it
             ):
                 img.append(cand)
                 yield from extend()
@@ -900,17 +871,19 @@ def classify_subdiagram(
 ) -> tuple[SubdiagramComponent, ...]:
     """Split a node subset into components and identify each as a Dynkin type.
 
-    Components are ordered by their smallest ambient label; each embedding is
-    the lexicographically smallest isomorphism (the canonical choice when no
-    explicit embedding is supplied).  Each component's Cartan matrix is read
-    from its root system, which the callers build anyway.
+    Components are ordered by their smallest ambient label.  component_type
+    names each, and the search for its lexicographically smallest embedding
+    (the canonical choice when no explicit embedding is supplied) proves the
+    name: a component not of finite type raises InvalidType, from that
+    search or from DynkinType.  Each component's Cartan matrix is read from
+    its root system, which the callers build anyway.
     """
     comps = []
-    for comp in _connected_components(entries, nodes):
-        t = _identify_component(entries, symmetrizer, comp)
-        iso = next(_isomorphisms(build_root_system(t).cartan.entries, entries, comp), None)
+    for comp in connected_components(entries, nodes):
+        t = component_type(entries, symmetrizer, comp)
+        iso = next(diagram_embeddings(build_root_system(t).cartan.entries, entries, comp), None)
         if iso is None:
-            raise InvalidType(f"classification of {comp} as {t} failed")
+            raise InvalidType(f"the diagram on {comp} is not of finite type")
         comps.append(SubdiagramComponent(t, iso))
     return tuple(comps)
 

@@ -32,6 +32,10 @@ from a primitive root found on coefficient tuples, and checks each against
 the module's full weight multiset, the outer product of the factors' full
 weight tables; the engine checks dominant weights at the negative levels
 and mirrors them.
+The equivalence oracle takes the orbit of a deletion as the products
+sigma o iota o tau over both automorphism groups, each group found by trying
+every node permutation; the engine pairs the nodes of d's orbit with every
+embedding that its one isomorphism search yields.
 Nothing in this module calls the engine's character, orbit or decomposition
 code; the decomposition oracles accept a full-table character function so that
 cases too large for the Weyl-group sum can be fed characters from elsewhere.
@@ -41,12 +45,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import permutations
 
-from lieinduct.deletion import Deletion, GradedComponent, ZeroLevel
+from lieinduct.deletion import Deletion, EquivalenceClass, GradedComponent, ZeroLevel
 from lieinduct.errors import (
     BijectionFailure,
     BudgetExceeded,
     EmptyLevel,
+    InvalidType,
     IrreducibilityMismatch,
     NonUniquePrimitive,
 )
@@ -834,18 +840,24 @@ def level_correspondence(rs: RootSystem, index, roots, factors) -> tuple:
     return tuple(sorted(seen.items(), key=lambda kv: (-sum(kv[0]), kv[0])))
 
 
+def _residual_embedding(rs: RootSystem, d: int, iota) -> tuple:
+    """The residual components at node d and iota as a tuple: the canonical
+    embedding when iota is None, else iota validated by check_embedding."""
+    residual_nodes = [i for i in range(1, rs.rank + 1) if i != d]
+    components = classify_subdiagram(rs.cartan.entries, rs.cartan.symmetrizer, residual_nodes)
+    if iota is None:
+        return components, tuple(a for c in components for a in c.embedding)
+    return components, check_embedding(
+        rs.cartan.entries, d, [c.type for c in components], iota, str(rs.type)
+    )
+
+
 def full_multiset_delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
     """delete_node with every nonzero level identified on its own: roots
     grouped from rs.roots, the primitive root probed on tuples, factors sized
     by product_weyl_dim and each level checked on its full weight multiset."""
     residual_nodes = [i for i in range(1, rs.rank + 1) if i != d]
-    components = classify_subdiagram(rs.cartan.entries, rs.cartan.symmetrizer, residual_nodes)
-    if iota is None:
-        iota_t = tuple(a for c in components for a in c.embedding)
-    else:
-        iota_t = check_embedding(
-            rs.cartan.entries, d, [c.type for c in components], iota, str(rs.type)
-        )
+    components, iota_t = _residual_embedding(rs, d, iota)
     index = [amb - 1 for amb in iota_t]
     by_level = {}
     for r in rs.roots:
@@ -874,3 +886,33 @@ def full_multiset_delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
     )
     zero = ZeroLevel(len(by_level.get(0, [])), residual_roots + len(residual_nodes))
     return Deletion(rs.type, d, components, iota_t, tuple(levels), zero)
+
+
+@lru_cache(maxsize=None)
+def permutation_automorphisms(t: DynkinType) -> tuple:
+    """Every permutation of t's nodes preserving its Cartan matrix, found by
+    trying all of them, in lexicographic order."""
+    c = patched_cartan_matrix(t).entries
+    n = t.rank
+    return tuple(
+        p for p in permutations(range(1, n + 1))
+        if all(c[p[i] - 1][p[j] - 1] == c[i][j] for i in range(n) for j in range(n))
+    )
+
+
+def product_deletion_equivalences(g: DynkinType, d: int, iota=None) -> EquivalenceClass:
+    """The orbit of the deletion (g, d, g0, iota) as the set of
+    (sigma(d), sigma o iota o tau) over every sigma in Aut(g) and tau in
+    Aut(g0), sorted; the engine instead pairs each node of d's Aut(g)-orbit
+    with every embedding of g0 onto the rest."""
+    components, seed = _residual_embedding(build_root_system(g), d, iota)
+    if len(components) != 1:
+        raise InvalidType("deletion equivalences are defined for simple residuals")
+    g0 = components[0].type
+    auts_g, auts_g0 = permutation_automorphisms(g), permutation_automorphisms(g0)
+    members = {
+        (sigma[d - 1], tuple(sigma[seed[tau[j] - 1] - 1] for j in range(g0.rank)))
+        for sigma in auts_g
+        for tau in auts_g0
+    }
+    return EquivalenceClass(g, g0, tuple(sorted(members)), len(auts_g), len(auts_g0))

@@ -30,6 +30,7 @@ from oracles import (
     full_multiset_delete_node,
     level_correspondence,
     module_weight_multiset,
+    product_deletion_equivalences,
     tuple_primitive_root,
 )
 
@@ -275,6 +276,26 @@ def test_e8_equivalence_classes_small():
 def test_equivalences_require_simple_residual():
     with pytest.raises(InvalidType):
         deletion_equivalences(DynkinType("A", 3), 2)
+
+
+def test_deletion_equivalences_match_product_oracle():
+    pairs = 0
+    for label in RANK_8_LABELS:
+        t = parse_dynkin(label)
+        for d in range(1, t.rank + 1):
+            if len(delete_node(build_root_system(t), d).components) != 1:
+                continue
+            pairs += 1
+            expected = product_deletion_equivalences(t, d)
+            assert deletion_equivalences(t, d) == expected, (label, d)
+            # any valid embedding names the same orbit: take the last one at d
+            iota = [emb for node, emb in expected.members if node == d][-1]
+            assert deletion_equivalences(t, d, iota) == expected, (label, d, iota)
+    assert pairs == 68
+    e6 = DynkinType("E", 6)
+    expected = product_deletion_equivalences(e6, 1, (6, 5, 4, 3, 2))
+    assert deletion_equivalences(e6, 1, (6, 5, 4, 3, 2)) == expected
+    assert expected == product_deletion_equivalences(e6, 1)
 
 
 def test_every_corank_one_deletion_identifies():

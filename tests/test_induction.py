@@ -402,6 +402,18 @@ def test_derived_routes_match_the_written_table():
         assert derived == rows, name
 
 
+def test_exceptional_routes_build_only_their_bases():
+    # a rest with more than one component is skipped before any is identified
+    for name in EXCEPTIONAL_TARGETS:
+        build_root_system.cache_clear()
+        bases = {base for base, _, _, _ in exceptional_routes(name)}
+        info = build_root_system.cache_info()
+        assert info.currsize == len(bases), name
+        for base in bases:
+            build_root_system(base)
+        assert build_root_system.cache_info().hits == info.hits + len(bases), name
+
+
 def test_targets_have_their_written_symmetrizers_and_entries():
     # the nonzero off-diagonal entries the targets were first written with
     e9 = {(a, b) for a, b in [(1, 3), (2, 4), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9)]}

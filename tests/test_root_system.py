@@ -29,8 +29,11 @@ from lieinduct.root_system import (
     cartan_matrix,
     check_embedding,
     classify_subdiagram,
+    component_type,
+    connected_components,
     coxeter_number,
     diagram_automorphisms,
+    diagram_embeddings,
     dominant_code,
     highest_root,
     parse_dynkin,
@@ -315,6 +318,46 @@ def test_classify_subdiagram_takes_smallest_isomorphism():
                 canon = cartan_matrix(comp.type).entries
                 smallest = _brute_isomorphisms(canon, entries, comp.embedding)[0]
                 assert comp.embedding == smallest, (label, sorted(nodes))
+
+
+def _accepted_types(rank):
+    return [DynkinType(f, rank) for f, (lo, hi) in RANK_RANGES.items() if lo <= rank <= hi]
+
+
+def test_component_type_names_the_one_type_that_embeds():
+    """Every connected component of every node subset through rank 9, and of
+    seeded subsets at rank 32: the named type's diagram embeds in it, and no
+    other accepted type of its rank does."""
+    rng = random.Random(20261019)
+    cases = set()
+    for t in (t for r in range(1, 10) for t in _accepted_types(r)):
+        cm = cartan_matrix(t)
+        for k in range(1, t.rank + 1):
+            for nodes in itertools.combinations(range(1, t.rank + 1), k):
+                cases.update((cm, tuple(c)) for c in connected_components(cm.entries, nodes))
+    for family in "ABCD":
+        cm = cartan_matrix(DynkinType(family, 32))
+        for _ in range(40):
+            nodes = rng.sample(range(1, 33), rng.randint(1, 32))
+            cases.update((cm, tuple(c)) for c in connected_components(cm.entries, nodes))
+    for cm, comp in cases:
+        named = component_type(cm.entries, cm.symmetrizer, comp)
+        for t in _accepted_types(len(comp)):
+            found = next(diagram_embeddings(cartan_matrix(t).entries, cm.entries, comp), None)
+            assert (found is not None) == (t == named), (cm.symmetrizer, comp, named, t)
+
+
+def test_classify_subdiagram_rejects_shapes_not_of_finite_type():
+    from lieinduct.induction import EXCEPTIONAL_TARGETS
+
+    shapes = [
+        cartan_from_edges([1, 1, 1], [(1, 2), (2, 3), (1, 3)]),  # affine A2
+        cartan_from_edges([1] * 5, [(1, 2), (1, 3), (1, 4), (1, 5)]),  # affine D4
+        cartan_from_edges([1, 2, 4], [(1, 2), (2, 3)]),  # root lengths 1 : 2 : 4
+    ] + [target.cartan for targets in EXCEPTIONAL_TARGETS.values() for target in targets]
+    for cm in shapes:
+        with pytest.raises(InvalidType):
+            classify_subdiagram(cm.entries, cm.symmetrizer, range(1, cm.rank + 1))
 
 
 def test_coxeter_number_invariant_is_a_typed_error():
