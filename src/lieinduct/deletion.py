@@ -192,21 +192,28 @@ def check_node(rs: RootSystem, d: int) -> None:
         raise InvalidType(f"node {d} out of range for {rs.type}")
 
 
-def delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
-    """Grade the ambient roots by the coordinate at node d and identify every
-    nonzero level as an irreducible residual module."""
+def _residual(
+    rs: RootSystem, d: int, iota=None
+) -> tuple[tuple[SubdiagramComponent, ...], tuple[int, ...]]:
+    """The residual components at node d, and iota as a tuple: the canonical
+    embedding when iota is None, else iota validated by check_embedding.
+    InvalidType for a node out of range, before anything else."""
     check_node(rs, d)
     residual_nodes = [i for i in range(1, rs.rank + 1) if i != d]
     components = classify_subdiagram(
         rs.cartan.entries, rs.cartan.symmetrizer, residual_nodes
     )
     if iota is None:
-        iota_t = tuple(itertools.chain.from_iterable(c.embedding for c in components))
-    else:
-        iota_t = check_embedding(
-            rs.cartan.entries, d, [c.type for c in components], iota, str(rs.type)
-        )
+        return components, tuple(itertools.chain.from_iterable(c.embedding for c in components))
+    return components, check_embedding(
+        rs.cartan.entries, d, [c.type for c in components], iota, str(rs.type)
+    )
 
+
+def delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
+    """Grade the ambient roots by the coordinate at node d and identify every
+    nonzero level as an irreducible residual module."""
+    components, iota_t = _residual(rs, d, iota)
     index = [amb - 1 for amb in iota_t]
     m_d = rs.highest_root[d - 1]
     pos, codes = rs.positive_roots, rs.root_codes
@@ -250,7 +257,7 @@ def delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
         raise IrreducibilityMismatch(
             f"zero level has {zero_roots} roots; residual root systems have {residual_roots}"
         )
-    zero = ZeroLevel(zero_roots, residual_roots + len(residual_nodes))
+    zero = ZeroLevel(zero_roots, residual_roots + rs.rank - 1)
     return Deletion(rs.type, d, components, iota_t, tuple(levels), zero)
 
 
@@ -320,12 +327,13 @@ def deletion_equivalences(g: DynkinType, d: int, iota=None) -> EquivalenceClass:
     node sigma(d), sigma in Aut(g), with every embedding of g0 onto the rest
     of g, in lexicographic order.  The embeddings of a simple g0 onto one
     node set are a single Aut(g0)-orbit, so every valid iota gives one class.
+    iota is validated and g0 named as delete_node does, without its levels.
     """
     rs = build_root_system(g)
-    seed = delete_node(rs, d, iota)
-    if len(seed.components) != 1:
+    components = _residual(rs, d, iota)[0]
+    if len(components) != 1:
         raise InvalidType("deletion equivalences are defined for simple residuals")
-    g0 = seed.components[0].type
+    g0 = components[0].type
     auts_g = diagram_automorphisms(g)
     canon, entries = build_root_system(g0).cartan.entries, rs.cartan.entries
     nodes = sorted({sigma[d - 1] for sigma in auts_g})

@@ -22,7 +22,9 @@ dominant weight mu with zero nodes J, every w in the stabilizer W_J gives
 the root alpha and the root w(alpha) the same term, so the sum over the
 positive roots is a sum over the classes O ∩ Φ⁺ of the W_J-orbits O of roots:
 one root string is walked per class, at its first member, and weighted by
-the class size.  The classes come from RootSystem.positive_root_classes.
+the class size.  The classes come from RootSystem.positive_root_classes,
+which labels each positive root with the one J-dominant root of its class
+in a single pass from the highest root down.
 
 Character tables store dominant entries only; full tables are recovered by
 orbit expansion on demand.  Characters, orbits, orbit sizes and defining
@@ -33,8 +35,13 @@ more than MAX_WEIGHTS weights, judged up front from exact orbit sizes; a
 character refuses, as its dominant-weight closure grows, a module with more
 than MAX_DOMINANT_WEIGHTS dominant weights.
 is_defining runs the closure with a cap of two: a third dominant weight
-answers "not defining" at once, so the check never refuses and computes
-multiplicities only for modules with at most two dominant weights.
+answers "not defining" at once, so the check never refuses.  Below the cap
+no recursion runs: one dominant weight lam has multiplicity 1, and with a
+second, mu, the Weyl dimension is |W lam| + m_mu |W mu|, which gives m_mu
+by exact division.  The candidates it is asked about read the minuscule
+fundamental weights off the highest coroot: <w_i, alpha^vee> is the
+coefficient of alpha^vee at node i, and the highest coroot has the largest
+of each, so w_i is minuscule exactly when that coefficient is 1.
 """
 
 from __future__ import annotations
@@ -421,29 +428,32 @@ def is_defining(rs: RootSystem, weight: Sequence[int]) -> DefiningCheck:
     """All weight multiplicities 1 and at most two dominant weights.
 
     The dominant-weight closure runs first with cap 2; a third dominant
-    weight settles "not defining" before any multiplicity is computed.
-    Memoized per weight."""
+    weight settles "not defining" before any multiplicity is computed, and
+    a second one's multiplicity comes from the dimension formula (see the
+    module docstring).  Memoized per weight."""
     return rs.memoized(_is_defining, _require_dominant(rs, weight))
 
 
 def _is_defining(rs: RootSystem, lam: Vector) -> DefiningCheck:
     try:
-        _dominant_weights(rs, lam, cap=2)
+        dominant = _dominant_weights(rs, lam, cap=2)
     except BudgetExceeded:
         # the closure found a third dominant weight: not defining
         return DefiningCheck(
             False, 3, None, "3 or more dominant weights (more than two Weyl orbits)"
         )
-    table = freudenthal_character(rs, lam).entries
-    worst_w, worst_m = max(table.items(), key=lambda it: it[1])
-    if worst_m > 1:
-        return DefiningCheck(
-            False,
-            len(table),
-            worst_m,
-            f"weight {list(worst_w)} has multiplicity {worst_m}",
+    if len(dominant) == 1:
+        return DefiningCheck(True, 1, 1, None)
+    # lam and one lower dominant weight mu: dim V(lam) = |W lam| + m_mu |W mu|
+    mu = list(dominant)[1]
+    m, r = divmod(weyl_dim(rs, lam) - orbit_size(rs, lam), orbit_size(rs, mu))
+    if r or m <= 0:
+        raise InvariantViolation(
+            f"V({list(lam)}) of {rs.type}: the dimension formula gives no multiplicity at {mu}"
         )
-    return DefiningCheck(True, len(table), worst_m, None)
+    if m > 1:
+        return DefiningCheck(False, 2, m, f"weight {list(mu)} has multiplicity {m}")
+    return DefiningCheck(True, 2, 1, None)
 
 
 def short_dominant_root(rs: RootSystem) -> Vector:
@@ -471,10 +481,9 @@ def _howe_candidates(rs: RootSystem) -> set[Vector]:
     n = rs.rank
     zero = (0,) * n
     cands = {zero}
-    for i in range(n):
-        w = tuple(int(j == i) for j in range(n))
-        if classify_weight(rs, w).minuscule:
-            cands.add(w)
+    for i, c in enumerate(rs.highest_coroot):
+        if c == 1:  # <w_i, alpha^vee> is alpha^vee's coefficient at i
+            cands.add(tuple(int(j == i) for j in range(n)))
     if num_short_simple_roots(rs) == 1:
         cands.add(short_dominant_root(rs))
     if rs.type == DynkinType("C", 3):

@@ -35,11 +35,12 @@ Each RootSystem instance computes its root datum once, on first use, from its
 own Cartan matrix, symmetrizer and positive roots: the set of every root as
 a coefficient tuple, the weight coordinates of every root, the pairing
 vectors and norms of the positive roots, the nodes where each positive
-root's weight is positive as a bitmask, the Weyl dimension denominator and
-an integer height functional.  Every result derived from the datum and a
-key (the root classes per zero-node set, the roots within a support, the
-weight codes per digit width, and the characters, orbits, orbit sizes and
-defining checks of rep_theory) is memoized on the instance by
+root's weight is positive and those where it is negative as bitmasks, the
+Weyl dimension denominator and an integer height functional.  Every result
+derived from the datum and a key (the root classes per zero-node set, the
+roots within a support, the weight codes per digit width, and the
+characters, orbits, orbit sizes and defining checks of rep_theory) is
+memoized on the instance by
 RootSystem.memoized, never keyed by type, so a rescaled symmetrizer gets its
 own.  build_root_system is the one process-wide cache: clearing it drops
 every instance and with it every memo.  It fills in the positive roots'
@@ -425,25 +426,30 @@ class RootSystem:
         return tuple(x // g for x in h), den // g
 
     @cached_property
-    def _reflection_edges(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per node j, the pairs (i, k) of positive-root indices with
-        s_j(alpha_i) = alpha_k and <alpha_i, a_j^vee> > 0, alpha_i != a_j.
+    def negative_nodes(self) -> tuple[int, ...]:
+        """Per positive root, the bitmask of the nodes (bit j for the 0-based
+        node j) where its weight is negative."""
+        bits = [1 << j for j in range(self.rank)]
+        negative = (0).__gt__
+        return tuple(
+            sum(itertools.compress(bits, map(negative, aw))) for aw in self.positive_weights
+        )
 
-        s_j permutes the positive roots other than a_j, and
-        s_j(alpha) = alpha - <alpha, a_j^vee> a_j lowers alpha's j-th root
-        coordinate by the pairing, its j-th weight coordinate, so its code by
-        the pairing times a_j's code; each swapped pair is listed once, from
-        its upper member.  root_codes lists the codes in positive_roots order.
+    @cached_property
+    def _raising(self) -> tuple[dict[int, int], ...]:
+        """Per node j, the positive-root index i of each alpha_i with
+        <alpha_i, a_j^vee> < 0, mapped to the index k of alpha_k = s_j(alpha_i).
+
+        s_j(alpha) = alpha - <alpha, a_j^vee> a_j raises alpha's j-th root
+        coordinate by minus the pairing, its j-th weight coordinate, so its
+        code by that much times a_j's code; alpha_k is a higher positive root.
+        root_codes lists the codes in positive_roots order.
         """
         codes, pw = self.root_codes, self.positive_weights
         steps = simple_root_codes(self.rank)
         return tuple(
-            tuple(
-                (i, codes[c - aw[j] * steps[j]])
-                for i, (c, aw) in enumerate(zip(codes, pw))
-                if aw[j] > 0 and aw != row
-            )
-            for j, row in enumerate(self.cartan.entries)  # row j is a_j's weight
+            {i: codes[c - aw[j] * step] for i, (c, aw) in enumerate(zip(codes, pw)) if aw[j] < 0}
+            for j, step in enumerate(steps)
         )
 
     @cached_property
@@ -487,23 +493,26 @@ class RootSystem:
 
 
 def _root_classes(rs: RootSystem, zero_nodes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """A union-find over the edges alpha - s_j(alpha), j in zero_nodes, of
-    RootSystem._reflection_edges gives the classes."""
-    parent = list(range(len(rs.positive_roots)))
+    """One pass from the highest root down labels each positive root with
+    the J-dominant root of its W_J-orbit, J = zero_nodes.
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    edges = rs._reflection_edges
-    for j in zero_nodes:
-        for i, k in edges[j]:
-            a, b = find(i), find(k)
-            if a != b:  # the smaller index stays the class's first member
-                parent[max(a, b)] = min(a, b)
-    return tuple(sorted(Counter(find(i) for i in range(len(parent))).items()))
+    A root whose weight is negative at some j in J takes the label of
+    s_j(alpha), a higher positive root in the same orbit, for the first such
+    j (RootSystem._raising); any other root is J-dominant and labels itself.
+    Each W_J-orbit of roots that meets the positive roots meets them in
+    exactly one J-dominant root, so the labels are the classes, and the last
+    root a label reaches is the class's first member.
+    """
+    jmask = sum(1 << j for j in zero_nodes)
+    raising, negs = rs._raising, rs.negative_nodes
+    label = list(range(len(negs)))
+    first = {}
+    for i in reversed(label):
+        low = negs[i] & jmask
+        if low:
+            label[i] = label[raising[(low & -low).bit_length() - 1][i]]
+        first[label[i]] = i
+    return tuple(sorted((first[lab], size) for lab, size in Counter(label).items()))
 
 
 def _roots_within_support(rs: RootSystem, mask: int) -> tuple[int, ...]:
@@ -840,10 +849,16 @@ def diagram_embeddings(canon, entries, labels: Iterable[int]) -> Iterator[tuple[
 
     This one backtracking search gives the diagram automorphisms (canon ==
     entries), the embedding classify_subdiagram takes (the first), and the
-    embedding sets of report routes and deletion equivalences.
+    embedding sets of report routes and deletion equivalences.  A canonical
+    node with a neighbour placed before it can only go to an ambient
+    neighbour of that neighbour's image, so only those are tried, in
+    ascending order; the maps yielded are the same.
     """
     n = len(canon)
     labels = sorted(labels)
+    # per canonical node, the last canonical neighbour placed before it
+    anchors = [next((j for j in reversed(range(i)) if canon[i][j]), None) for i in range(n)]
+    near: dict[int, list[int]] = {}  # ambient label -> its neighbours in labels, ascending
     img: list[int] = []
 
     def extend():
@@ -851,7 +866,15 @@ def diagram_embeddings(canon, entries, labels: Iterable[int]) -> Iterator[tuple[
         if i == n:
             yield tuple(img)
             return
-        for cand in labels:
+        k = anchors[i]
+        if k is None:
+            cands = labels
+        else:
+            a = img[k]
+            cands = near.get(a)
+            if cands is None:
+                cands = near[a] = [b for b in labels if b != a and entries[a - 1][b - 1]]
+        for cand in cands:
             if cand in img:
                 continue
             if all(

@@ -26,7 +26,11 @@ of coordinates, changing at each reflection the coordinates where the Cartan
 row is nonzero; it walks an orbit and straightens a full weight table on
 coordinate tuples, where the engine runs the same steps on packed int codes.
 The reflection-edge oracle looks each reflected positive root up by its
-coefficient tuple, where the engine subtracts codes.
+coefficient tuple, where the engine adds codes, and the root-class oracle
+runs a union-find over those edges, where the engine labels each root in
+one pass from the highest root down.  The defining-check oracle reads the
+record off a whole dominant character, where the engine solves the
+dimension formula for the one multiplicity it needs.
 The node-deletion oracle identifies every level, positive ones included,
 from a primitive root found on coefficient tuples, and checks each against
 the module's full weight multiset, the outer product of the factors' full
@@ -43,6 +47,7 @@ cases too large for the Weyl-group sum can be fed characters from elsewhere.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations
@@ -56,7 +61,12 @@ from lieinduct.errors import (
     IrreducibilityMismatch,
     NonUniquePrimitive,
 )
-from lieinduct.rep_theory import MAX_DOMINANT_WEIGHTS, MAX_WEIGHTS, ModuleDescriptor
+from lieinduct.rep_theory import (
+    MAX_DOMINANT_WEIGHTS,
+    MAX_WEIGHTS,
+    DefiningCheck,
+    ModuleDescriptor,
+)
 from lieinduct.root_system import (
     CartanMatrix,
     DynkinType,
@@ -597,6 +607,28 @@ def _brute_is_defining(rs: RootSystem, lam) -> bool:
     return len(table) <= 2 and max(table.values()) == 1
 
 
+def character_defining_check(rs: RootSystem, lam, character) -> DefiningCheck:
+    """The DefiningCheck record read off the whole dominant character, as
+    given by character(rs, lam): more than two dominant weights, or a
+    character refused with BudgetExceeded, is "3 or more"; otherwise the
+    largest multiplicity, the first in weight order among equals, is the
+    witness when it exceeds 1."""
+    try:
+        table = dict(sorted(character(rs, tuple(lam)).items()))
+    except BudgetExceeded:
+        table = None
+    if table is None or len(table) > 2:
+        return DefiningCheck(
+            False, 3, None, "3 or more dominant weights (more than two Weyl orbits)"
+        )
+    worst_w, worst_m = max(table.items(), key=lambda it: it[1])
+    if worst_m > 1:
+        return DefiningCheck(
+            False, len(table), worst_m, f"weight {list(worst_w)} has multiplicity {worst_m}"
+        )
+    return DefiningCheck(True, len(table), worst_m, None)
+
+
 def _brute_dimension(rs: RootSystem, lam) -> int:
     return sum(kostant_full_character(rs, tuple(lam)).values())
 
@@ -745,8 +777,10 @@ def tuple_root_closure(cm: CartanMatrix) -> tuple[tuple, tuple]:
 
 
 def tuple_reflection_edges(rs: RootSystem) -> tuple:
-    """RootSystem._reflection_edges with each reflected root s_j(alpha) =
-    alpha - <alpha, a_j^vee> a_j found by its coefficient tuple."""
+    """Per node j, the pairs (i, k) of positive-root indices with
+    s_j(alpha_i) = alpha_k and <alpha_i, a_j^vee> > 0, alpha_i != a_j, each
+    reflected root s_j(alpha) = alpha - <alpha, a_j^vee> a_j found by its
+    coefficient tuple."""
     pr, pw = rs.positive_roots, rs.positive_weights
     index = {a: i for i, a in enumerate(pr)}
     return tuple(
@@ -757,6 +791,27 @@ def tuple_reflection_edges(rs: RootSystem) -> tuple:
         )
         for j, row in enumerate(rs.cartan.entries)  # row j is a_j's weight
     )
+
+
+def union_find_root_classes(rs: RootSystem, zero_nodes) -> tuple:
+    """RootSystem.positive_root_classes by a union-find over the edges
+    alpha - s_j(alpha), j in zero_nodes, of tuple_reflection_edges: the
+    classes as (smallest index, size), sorted."""
+    parent = list(range(len(rs.positive_roots)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    edges = tuple_reflection_edges(rs)
+    for j in zero_nodes:
+        for i, k in edges[j]:
+            a, b = find(i), find(k)
+            if a != b:  # the smaller index stays the class's first member
+                parent[max(a, b)] = min(a, b)
+    return tuple(sorted(Counter(find(i) for i in range(len(parent))).items()))
 
 
 def tuple_primitive_root(rs: RootSystem, d: int, level_roots) -> tuple:

@@ -12,6 +12,7 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 
 from oracles import (
+    character_defining_check,
     coroot_weight_class,
     full_weight_system,
     kostant_dominant_character,
@@ -31,11 +32,13 @@ from lieinduct.rep_theory import (
     MAX_WEIGHTS,
     CharacterTable,
     _dominant_weights,
+    _howe_candidates,
     classify_weight,
     defining_modules,
     freudenthal_character,
     is_defining,
     module_descriptor,
+    num_short_simple_roots,
     orbit_size,
     short_dominant_root,
     weyl_dim,
@@ -552,8 +555,12 @@ def test_support_indexed_closure_matches_unindexed_oracle():
                     _dominant_weights(rs, lam, cap=len(expected) - 1)
 
 
-def test_is_defining_matches_full_character_decision():
+def _seeded_defining_weights():
+    """(label, weight) pairs: every fundamental weight, three seeded sparse
+    weights and m*w1 (m = 2, 3, 4) of every type through rank 8, and A2's
+    (100, 100), which is refused as a character."""
     rng = random.Random(20261102)
+    out = []
     for label in ALL_LABELS:
         rs = rsys(label)
         n = rs.rank
@@ -561,17 +568,61 @@ def test_is_defining_matches_full_character_decision():
         lams += [_sparse_weight(rng, rs, 150) for _ in range(3)]
         lams += [(m,) + (0,) * (n - 1) for m in (2, 3, 4)]
         if label == "A2":
-            lams.append((100, 100))  # refused as a character
-        for lam in lams:
-            try:
-                table = freudenthal_character(rs, lam).entries
-            except BudgetExceeded:
-                expected = False
-            else:
-                expected = max(table.values()) == 1 and len(table) <= 2
-            assert is_defining(rs, lam).ok == expected, (label, lam)
+            lams.append((100, 100))
+        out += [(label, lam) for lam in lams]
+    return out
+
+
+def test_is_defining_matches_full_character_decision():
+    for label, lam in _seeded_defining_weights():
+        rs = rsys(label)
+        try:
+            table = freudenthal_character(rs, lam).entries
+        except BudgetExceeded:
+            expected = False
+        else:
+            expected = max(table.values()) == 1 and len(table) <= 2
+        assert is_defining(rs, lam).ok == expected, (label, lam)
     with pytest.raises(BudgetExceeded):
         freudenthal_character(rsys("A2"), (100, 100))
+
+
+def _full_character(rs, lam):
+    return freudenthal_character(rs, lam).entries
+
+
+def test_is_defining_records_match_character_oracle():
+    # whole DefiningCheck records, witness text included: every Howe
+    # candidate through rank 8 and at rank 32, and the seeded weights above
+    cases = [(label, lam) for label in ALL_LABELS + ["A32", "B32", "C32", "D32"]
+             for lam in sorted(_howe_candidates(rsys(label)))]
+    cases += _seeded_defining_weights()
+    for label, lam in cases:
+        rs = rsys(label)
+        assert is_defining(rs, lam) == character_defining_check(rs, lam, _full_character), (
+            label, lam)
+    assert sum(not is_defining(rsys(label), lam).ok for label, lam in cases) > 100
+
+
+def test_howe_candidates_take_minuscule_nodes_from_the_highest_coroot():
+    # a fundamental weight is a candidate when classify_weight calls it
+    # minuscule; any other fundamental candidate is the quasi-minuscule
+    # weight of a type with one short simple root, or w3 of C3
+    count = 0
+    for family, (lo, hi) in RANK_RANGES.items():
+        for rank in range(lo, hi + 1):
+            rs = build_root_system(DynkinType(family, rank))
+            cands = _howe_candidates(rs)
+            for i in range(rank):
+                wi = w(rank, i + 1)
+                if classify_weight(rs, wi).minuscule:
+                    assert wi in cands, (rs.type, i + 1)
+                elif wi in cands:
+                    assert wi == short_dominant_root(rs) and num_short_simple_roots(rs) == 1 or (
+                        rs.type == DynkinType("C", 3) and wi == (0, 0, 1)), (rs.type, i + 1)
+                count += 1
+    assert count == sum(range(1, 33)) + sum(range(2, 33)) + sum(range(3, 33)) + sum(
+        range(4, 33)) + 6 + 7 + 8 + 4 + 2
 
 
 def test_is_defining_matches_brute_force():

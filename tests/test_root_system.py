@@ -15,6 +15,7 @@ from oracles import (
     tuple_reflection_edges,
     tuple_root_closure,
     tuple_to_dominant,
+    union_find_root_classes,
 )
 
 from lieinduct.errors import BadEmbedding, InvalidType, InvariantViolation, NonIntegral, NotARoot
@@ -442,20 +443,48 @@ def test_root_closure_matches_tuple_oracle():
     assert count == 32 + 31 + 30 + 29 + 3 + 1 + 1
 
 
-def test_reflection_edges_match_tuple_oracle():
-    # every accepted type: the edges found on root codes, and the roots
+def test_raising_table_matches_tuple_oracle():
+    # every accepted type: per node j, each reflection edge of the tuple
+    # oracle read from its lower end, found on root codes; the lower ends
+    # are the roots whose negative-node mask holds j; and the roots are
     # built only when read
     count = 0
     for family, (lo, hi) in RANK_RANGES.items():
         for rank in range(lo, hi + 1):
             t = DynkinType(family, rank)
             rs = build_root_system(t)
-            assert rs._reflection_edges == tuple_reflection_edges(rs), t
+            for j, edges in enumerate(tuple_reflection_edges(rs)):
+                assert rs._raising[j] == {k: i for i, k in edges}, (t, j)
+                lower = {i for i, nodes in enumerate(rs.negative_nodes) if nodes >> j & 1}
+                assert lower == {k for _, k in edges}, (t, j)
             count += 1
     assert count == 32 + 31 + 30 + 29 + 3 + 1 + 1
     rs = build_root_system.__wrapped__(parse_dynkin("E8"))  # a cold build
     assert "roots" not in vars(rs)
     assert len(rs.roots) == 240 and "roots" in vars(rs)
+
+
+def test_root_classes_match_union_find_oracle():
+    # every zero set through rank 6, seeded ones (with the empty and the
+    # full set) up to rank 32
+    rng = random.Random(20261019)
+    count = 0
+    for family, (lo, hi) in RANK_RANGES.items():
+        for rank in range(lo, hi + 1):
+            rs = build_root_system(DynkinType(family, rank))
+            if rank <= 6:
+                zero_sets = [tuple(j for j in range(rank) if bits >> j & 1)
+                             for bits in range(1 << rank)]
+            else:
+                zero_sets = [(), tuple(range(rank))] + [
+                    tuple(sorted(rng.sample(range(rank), rng.randint(1, rank - 1))))
+                    for _ in range(4)
+                ]
+            for zero in zero_sets:
+                assert rs.positive_root_classes(zero) == union_find_root_classes(rs, zero), (
+                    rs.type, zero)
+                count += 1
+    assert count == 566 + 6 * 106
 
 
 def test_root_closure_refuses_a_matrix_not_of_finite_type():
