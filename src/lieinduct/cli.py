@@ -367,9 +367,14 @@ def _cmd_induct(ns, rs: RootSystem, w):
         return payload, []
     lines = [f"{len(states)} chains from V({weight_label(w)}; {rs.type}) to depth {depth}"]
     labels = _Labels()
+    # states come in pre-order, so heads[n - 1] holds the labels of the
+    # chain's prefix, the latest chain of length n - 1, each with a space
+    heads = [""]
     for s in states:
+        n = len(s.chain)
+        seq = heads[n - 1] + labels[s.chain[-1].highest_weight]
+        heads[n:] = [seq + " "]
         tag = "terminated" if s.terminated else "open"
-        seq = " ".join(map(labels.__getitem__, s.weights))
         lines.append(f"{seq} | {tag} | dim {s.dbos_dimension}")
     return {}, lines
 

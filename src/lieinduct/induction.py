@@ -20,6 +20,16 @@ A search decomposes each bracket it meets once and keeps the result, the
 defining summands as a bitmask over the search's interned modules, for that
 search only; b_j (x) b_i reuses b_i (x) b_j.
 
+One kernel, _admissible, checks every level.  A chain of length n is held
+by its places: per distinct module a, the bitset P_a of the levels holding
+it and its mirror R_a, P_a reversed within n bits.  Levels i and n + 1 - i
+hold a and b iff P_a & R_b has bit i - 1, so a state costs a few int ANDs
+over its distinct modules.  The pairs are applied by the level of their
+shallower member and the square last, the order in which a walk over the
+levels meets them, so the same brackets are decomposed.  A child extends its
+parent's chain tuple by one descriptor and shifts its mirrors up one level;
+no state rebuilds its chain.
+
 The assembled algebra built from a base g0 and a chain has dimension
 dim g0 + 1 + 2 * sum(dim b_j): the centrally extended middle plus the chain
 and its dual.
@@ -28,7 +38,7 @@ and its dual.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, TrivialFirstLevel
 from .rep_theory import (
@@ -176,7 +186,9 @@ class _BracketMasks(dict):
     exterior square of a level is keyed (id, _SQUARE).  Two equal modules at
     different levels bracket by their tensor product, so (a, a) and
     (a, _SQUARE) are different keys.  V(a) (x) V(b) is V(b) (x) V(a), so a
-    tensor key reuses the mask of its commuted key when that is known.
+    tensor key reuses the mask of its commuted key when that is known.  The
+    search kernel, _admissible, finds the pairs that meet from a chain's
+    position bitsets and looks up only those.
     """
 
     def __init__(self, rs: RootSystem) -> None:
@@ -184,9 +196,6 @@ class _BracketMasks(dict):
         self.rs = rs
         self.ids: dict[ModuleDescriptor, int] = {}
         self.modules: list[ModuleDescriptor] = []
-        # mask -> its ids by descending highest weight, the order in which
-        # the search pushes children
-        self.children: dict[int, tuple[int, ...]] = {}
 
     def intern(self, md: ModuleDescriptor) -> int:
         i = self.ids.get(md)
@@ -209,27 +218,51 @@ class _BracketMasks(dict):
         self[key] = mask
         return mask
 
-    def candidates(self, chain: tuple[int, ...]) -> tuple[int, ...]:
-        """Ids of the nonzero modules admissible at the level below chain,
-        by descending highest weight."""
-        n = len(chain)
-        common = -1  # every bit set: no pair has constrained the level yet
-        # levels i and n + 1 - i pair by their tensor product for i < n + 1 - i
-        for key in zip(chain[: n // 2], reversed(chain)):
-            common &= self[key]
-            if not common:
-                return ()
-        # the square of a line is zero: no constraint, no producer
-        if n % 2 and self.modules[chain[n // 2]].dimension != 1:
-            common &= self[chain[n // 2], _SQUARE]
-        if common <= 0:
-            return ()  # no common summand, or nothing can feed the bracket
-        found = self.children.get(common)
-        if found is None:
-            ids = [i for i in range(common.bit_length()) if common >> i & 1]
-            ids.sort(key=lambda i: self.modules[i].highest_weight, reverse=True)
-            found = self.children[common] = tuple(ids)
-        return found
+
+def _places(ids: Sequence[int]) -> dict[int, tuple[int, int]]:
+    """The places of a chain of module ids of length n: id -> (P, R), in
+    order of first appearance, where P has bit q when level q + 1 holds the
+    module and R is P mirrored, bit n - 1 - q."""
+    n = len(ids)
+    places: dict[int, tuple[int, int]] = {}
+    for q, a in enumerate(ids):
+        p, r = places.get(a, (0, 0))
+        places[a] = p | 1 << q, r | 1 << (n - 1 - q)
+    return places
+
+
+def _admissible(masks: _BracketMasks, n: int, places: dict[int, tuple[int, int]]) -> int:
+    """The ids admissible at level n + 1 below a chain of length n with
+    these places, as a bitmask (0: only zero).  For a = b only the bits
+    below the middle count: an odd chain's middle level brackets by its
+    exterior square, applied last."""
+    low = (1 << (n >> 1)) - 1
+    met = []
+    seen = []
+    for a, (pa, ra) in places.items():
+        meet = pa & ra & low
+        if meet:
+            met.append(((meet & -meet).bit_length(), a, a))
+        for b, pb, _ in seen:
+            meet = pb & ra
+            if meet:  # b is shallower at its lowest bit, a at its highest
+                i, j = (meet & -meet).bit_length(), n + 1 - meet.bit_length()
+                met.append((i, b, a) if i < j else (j, a, b))
+        seen.append((a, pa, ra))
+    met.sort()
+    common = -1  # every bit set: no pair has constrained the level yet
+    for _, a, b in met:
+        common &= masks[a, b]
+        if not common:
+            return 0
+    if n & 1:  # the square of a line is zero: no constraint, no producer
+        h = n >> 1
+        for a, pa, _ in seen:
+            if pa >> h & 1:
+                break
+        if masks.modules[a].dimension != 1:
+            common &= masks[a, _SQUARE]
+    return common if common > 0 else 0  # -1: nothing can feed the bracket
 
 
 def next_level_candidates(
@@ -245,9 +278,65 @@ def next_level_candidates(
     if None in chain:
         return (None,)  # a zero factor forces zero from here on
     masks = _BracketMasks(rs)
-    ids = tuple(masks.intern(md) for md in chain)
-    found = [masks.modules[i] for i in masks.candidates(ids)]
+    places = _places([masks.intern(md) for md in chain])
+    common = _admissible(masks, len(chain), places)
+    found = [md for i, md in enumerate(masks.modules) if common >> i & 1]
     return (None, *sorted(found, key=lambda md: (md.dimension, md.highest_weight)))
+
+
+def _chains(
+    rs: RootSystem, b1, max_depth: int
+) -> Iterator[tuple[tuple[ModuleDescriptor, ...], bool, int]]:
+    """(chain, terminated, DBOS dimension) of every admissible chain starting
+    from b1, in pre-order: each chain right after its prefix, and siblings
+    by ascending highest weight.  See induction_search."""
+    if max_depth < 1:
+        raise ValueError("max_depth must be at least 1")
+    first = _as_descriptor(rs, b1)
+    if first.is_trivial:
+        raise TrivialFirstLevel(
+            f"the first level over {rs.type} must be a non-trivial module"
+        )
+    if not is_defining(rs, first.highest_weight).ok:
+        return
+
+    masks = _BracketMasks(rs)
+    modules = masks.modules
+    order: dict[int, tuple[int, ...]] = {}  # mask -> its ids by descending weight
+    # A stack entry is a chain, its DBOS dimension and its places.  A child
+    # adds one module and 2 * its dimension, shifts every mirror up one and
+    # sets the new level's bits.  Children are pushed by descending weight,
+    # so they pop in ascending order.
+    stack = [((first,), dbos_dimension(rs, (first,)), _places([masks.intern(first)]))]
+    levels = 1
+    while stack:
+        chain, dim, places = stack.pop()
+        n = len(chain)
+        if n == max_depth:
+            yield chain, False, dim
+            continue
+        yield chain, True, dim
+        common = _admissible(masks, n, places)
+        if not common:
+            continue
+        children = order.get(common)
+        if children is None:
+            ids = [i for i in range(common.bit_length()) if common >> i & 1]
+            ids.sort(key=lambda i: modules[i].highest_weight, reverse=True)
+            children = order[common] = tuple(ids)
+        levels += len(children) * (n + 1)
+        if levels > MAX_SEARCH_LEVELS:
+            raise BudgetExceeded(
+                f"the search from {first} to depth {max_depth} holds chains of "
+                f"more than {MAX_SEARCH_LEVELS} levels in all"
+            )
+        bit = 1 << n
+        for c in children:
+            md = modules[c]
+            grown = {a: (pa, ra << 1) for a, (pa, ra) in places.items()}
+            pa, ra = grown.get(c, (0, 0))
+            grown[c] = pa | bit, ra | 1
+            stack.append((chain + (md,), dim + 2 * md.dimension, grown))
 
 
 def induction_search(
@@ -262,47 +351,13 @@ def induction_search(
     non-terminated.  A non-defining b1 admits no chains at all.  The search
     runs on an explicit stack, so its depth is not bounded by Python's
     recursion limit; it raises BudgetExceeded once the chains it holds
-    would add up to more than MAX_SEARCH_LEVELS levels.
+    would add up to more than MAX_SEARCH_LEVELS levels.  Every chain follows
+    its prefix: the chain of a state of length n > 1 without its last level
+    is the chain of the latest earlier state of length n - 1.
     """
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
-    first = _as_descriptor(rs, b1)
-    if first.is_trivial:
-        raise TrivialFirstLevel(
-            f"the first level over {rs.type} must be a non-trivial module"
-        )
-    if not is_defining(rs, first.highest_weight).ok:
-        return []
-
-    masks = _BracketMasks(rs)
-    modules = masks.modules
-    states: list[InductionState] = []
-    # Chains are tuples of module ids, each with its DBOS dimension: a child
-    # adds 2 * dim(candidate).  Children are pushed by descending weight, so
-    # they pop in ascending order and every chain is emitted after its
-    # prefix and before the chains that exceed it: sorted by weights.
-    stack: list[tuple[tuple[int, ...], int]] = [
-        ((masks.intern(first),), dbos_dimension(rs, (first,)))
-    ]
-    levels = 1
-    while stack:
-        chain, dim = stack.pop()
-        open_ended = len(chain) == max_depth
-        states.append(InductionState(
-            rs.type, tuple(map(modules.__getitem__, chain)), not open_ended, dim
-        ))
-        if open_ended:
-            continue
-        children = masks.candidates(chain)
-        levels += len(children) * (len(chain) + 1)
-        if levels > MAX_SEARCH_LEVELS:
-            raise BudgetExceeded(
-                f"the search from {first} to depth {max_depth} holds chains of "
-                f"more than {MAX_SEARCH_LEVELS} levels in all"
-            )
-        for c in children:
-            stack.append((chain + (c,), dim + 2 * modules[c].dimension))
-    return states
+    t = rs.type
+    return [InductionState(t, chain, terminated, dim)
+            for chain, terminated, dim in _chains(rs, b1, max_depth)]
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +426,17 @@ def _route_report(
     row_matches = check_new_row(base, iota, required, target, node)
     defining = (not all(x == 0 for x in required)) and is_defining(rs, required).ok
     dim_b1 = weyl_dim(rs, required)
-    dims: tuple[int, ...] = ()
+    dims: set[int] = set()
     non_term = 0
     if defining:
-        states = induction_search(rs, required, max_depth=max_depth)
-        dims = tuple(sorted({s.dbos_dimension for s in states if s.terminated}))
-        non_term = sum(1 for s in states if not s.terminated)
+        for _, terminated, dim in _chains(rs, required, max_depth):
+            if terminated:
+                dims.add(dim)
+            else:
+                non_term += 1
     return RouteReport(
         base, target.name, node, iota, required, row_matches,
-        defining, dim_b1, dims, non_term,
+        defining, dim_b1, tuple(sorted(dims)), non_term,
     )
 
 

@@ -46,7 +46,9 @@ of each, so w_i is minuscule exactly when that coefficient is 1.
 
 from __future__ import annotations
 
-from operator import mul
+from itertools import repeat
+from math import prod
+from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -183,13 +185,19 @@ def _require_dominant(rs: RootSystem, w: Sequence[int]) -> Vector:
 
 
 def weyl_dim(rs: RootSystem, weight: Sequence[int]) -> int:
-    """Exact dimension of V(weight) by the product over positive roots."""
+    """Exact dimension of V(weight): the product over the positive roots of
+    (weight + rho, alpha), divided by the product of the (rho, alpha).
+
+    (weight, alpha) is summed over supp(weight) only, one pairing column
+    per node, so a root that misses the support keeps the factor
+    (rho, alpha) that the denominator cancels.
+    """
     lam = _require_dominant(rs, weight)
-    lam_rho = [x + 1 for x in lam]
-    num = 1
-    for ap in rs.positive_pairings:
-        num *= sum(map(mul, lam_rho, ap))
-    q, r = divmod(num, rs.weyl_denominator)
+    factors: Iterable[int] = rs.rho_pairings
+    for column, x in zip(rs.pairing_columns, lam):
+        if x:
+            factors = map(add, factors, map(mul, column, repeat(x)))
+    q, r = divmod(prod(factors), rs.weyl_denominator)
     if r:
         raise InvariantViolation(f"Weyl dimension product of {lam} does not divide exactly")
     return q

@@ -69,7 +69,7 @@ import struct
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd, lcm, prod
 from operator import add, mul, neg
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -400,12 +400,21 @@ class RootSystem:
         return self.memoized(_weight_codes, nbytes)
 
     @cached_property
+    def pairing_columns(self) -> tuple[Vector, ...]:
+        """positive_pairings by node: entry j holds alpha_j * d_j for every
+        positive root, so (lambda, alpha) sums lambda_j times entry j over
+        supp(lambda)."""
+        return tuple(zip(*self.positive_pairings))
+
+    @cached_property
+    def rho_pairings(self) -> Vector:
+        """(rho, alpha) per positive root."""
+        return tuple(map(sum, self.positive_pairings))
+
+    @cached_property
     def weyl_denominator(self) -> int:
         """The constant denominator prod (rho, alpha) of the Weyl dimension formula."""
-        out = 1
-        for ap in self.positive_pairings:
-            out *= sum(ap)
-        return out
+        return prod(self.rho_pairings)
 
     @cached_property
     def height_form(self) -> tuple[Vector, int]:

@@ -40,9 +40,15 @@ The equivalence oracle takes the orbit of a deletion as the products
 sigma o iota o tau over both automorphism groups, each group found by trying
 every node permutation; the engine pairs the nodes of d's orbit with every
 embedding that its one isomorphism search yields.
-Nothing in this module calls the engine's character, orbit or decomposition
-code; the decomposition oracles accept a full-table character function so that
-cases too large for the Weyl-group sum can be fed characters from elsewhere.
+The pairwise search oracle replays the walk over level pairs that the
+search kernel replaced: each state pairs level i with level n + 1 - i for
+every i in turn and rebuilds its chain of descriptors from its ids.  It
+reads the engine's own bracket masks and defining check, so it checks the
+kernel's position bitsets, mirrors and pair order alone.
+Apart from those, nothing in this module calls the engine's character,
+orbit or decomposition code; the decomposition oracles accept a full-table
+character function so that cases too large for the Weyl-group sum can be fed
+characters from elsewhere.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ from functools import cached_property, lru_cache
 from itertools import permutations
 
 from lieinduct.deletion import Deletion, EquivalenceClass, GradedComponent, ZeroLevel
+from lieinduct.induction import _SQUARE, _BracketMasks
 from lieinduct.errors import (
     BijectionFailure,
     BudgetExceeded,
@@ -66,6 +73,7 @@ from lieinduct.rep_theory import (
     MAX_WEIGHTS,
     DefiningCheck,
     ModuleDescriptor,
+    is_defining,
 )
 from lieinduct.root_system import (
     CartanMatrix,
@@ -672,6 +680,57 @@ def brute_induction_search(rs: RootSystem, b1, max_depth: int) -> list:
 
     walk([b1])
     return sorted(out)
+
+
+def pairwise_admissible(masks: _BracketMasks, chain: tuple) -> int:
+    """The ids admissible below a chain of module ids, as a bitmask: the
+    masks of the pairs (level i, level n + 1 - i) for i = 1, 2, ... in turn,
+    stopping at the first empty intersection, then the square of the middle
+    level of an odd chain unless that level is a line."""
+    n = len(chain)
+    common = -1
+    for key in zip(chain[: n // 2], reversed(chain)):
+        common &= masks[key]
+        if not common:
+            return 0
+    if n % 2 and masks.modules[chain[n // 2]].dimension != 1:
+        common &= masks[chain[n // 2], _SQUARE]
+    return max(common, 0)
+
+
+def pairwise_next_level_candidates(rs: RootSystem, chain) -> tuple:
+    """Zero and the modules admissible below a chain of descriptors with no
+    zero level, by (dimension, highest weight)."""
+    masks = _BracketMasks(rs)
+    common = pairwise_admissible(masks, tuple(masks.intern(md) for md in chain))
+    found = [md for i, md in enumerate(masks.modules) if common >> i & 1]
+    return (None, *sorted(found, key=lambda md: (md.dimension, md.highest_weight)))
+
+
+def pairwise_induction_search(rs: RootSystem, b1, max_depth: int) -> list:
+    """(chain of descriptors, terminated, DBOS dimension) of every admissible
+    chain from b1, in the order of the search: depth first, children by
+    ascending highest weight.  Each state sums its dimension again."""
+    masks = _BracketMasks(rs)
+    modules = masks.modules
+    first = ModuleDescriptor(rs.type, tuple(b1), product_weyl_dim(rs, b1))
+    if not is_defining(rs, first.highest_weight).ok:  # as the masks check
+        return []
+    out = []
+    stack = [(masks.intern(first),)]
+    while stack:
+        chain = stack.pop()
+        mds = tuple(modules[i] for i in chain)
+        dim = rs.dimension + 1 + 2 * sum(md.dimension for md in mds)
+        if len(chain) == max_depth:
+            out.append((mds, False, dim))
+            continue
+        out.append((mds, True, dim))
+        common = pairwise_admissible(masks, chain)
+        ids = [i for i in range(common.bit_length()) if common >> i & 1]
+        ids.sort(key=lambda i: modules[i].highest_weight, reverse=True)
+        stack.extend(chain + (i,) for i in ids)
+    return out
 
 
 def product_weyl_dim(rs: RootSystem, lam) -> int:

@@ -11,7 +11,11 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from oracles import brute_induction_search
+from oracles import (
+    brute_induction_search,
+    pairwise_induction_search,
+    pairwise_next_level_candidates,
+)
 
 from lieinduct import induction, rep_theory
 from lieinduct.cli import run
@@ -307,6 +311,100 @@ def test_search_matches_per_state_oracle_on_seeded_draws():
         states = induction_search(rsys(label), b1, max_depth=depth)
         got = [(s.weights, s.terminated, s.dbos_dimension) for s in states]
         assert got == brute_induction_search(rsys(label), b1, depth), (label, b1, depth)
+
+
+def _route_starts():
+    """(base label, first level) of every E9/F5/G3 route."""
+    starts = []
+    for name in EXCEPTIONAL_TARGETS:
+        for base, target, node, iota in exceptional_routes(name):
+            c = target.entries
+            starts.append((str(base), tuple(-c[node - 1][j - 1] for j in iota)))
+    return starts
+
+
+RANK_8_LABELS = (
+    [f"A{l}" for l in range(1, 9)] + [f"B{l}" for l in range(2, 9)]
+    + [f"C{l}" for l in range(3, 9)] + [f"D{l}" for l in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def _seeded_triples(count=32, seed=2110):
+    """(type, non-trivial defining first level, depth <= 24) drawn to rank 8."""
+    rng = random.Random(seed)
+    pools = {}
+    for label in RANK_8_LABELS:
+        weights = sorted(m.highest_weight for m in defining_modules(rsys(label))
+                         if not m.is_trivial)
+        if weights:
+            pools[label] = weights
+    triples = []
+    for _ in range(count):
+        label = rng.choice(sorted(pools))
+        triples.append((label, rng.choice(pools[label]), rng.randint(1, 24)))
+    return triples
+
+
+def _kernel_cases():
+    return ([("G2", (1, 0), 192)] + [(label, b1, 96) for label, b1 in _route_starts()]
+            + _seeded_triples())
+
+
+def test_search_kernel_matches_pairwise_walk(monkeypatch):
+    # state for state, and the same brackets decomposed in the same order:
+    # the kernel meets the pairs in the order the walk over levels does
+    calls = _count_brackets(monkeypatch)
+    cases = _kernel_cases()
+    assert len(cases) == 44 and sum(depth for _, _, depth in cases) > 1500
+    for label, b1, depth in cases:
+        rs = rsys(label)
+        calls.clear()
+        got = [(s.chain, s.terminated, s.dbos_dimension)
+               for s in induction_search(rs, b1, max_depth=depth)]
+        kernel_calls = list(calls)
+        calls.clear()
+        assert got == pairwise_induction_search(rs, b1, depth), (label, b1, depth)
+        assert kernel_calls == calls, (label, b1, depth)
+
+
+def test_next_level_candidates_match_pairwise_walk_on_every_prefix():
+    # every chain a search holds is the prefix of its children; each call
+    # decomposes its brackets afresh, so the routes stop at depth 48
+    checked = 0
+    for label, b1, depth in _seeded_triples() + [(l, b, 48) for l, b in _route_starts()]:
+        rs = rsys(label)
+        for s in induction_search(rs, b1, max_depth=depth):
+            n = len(s.chain)
+            got = next_level_candidates(rs, s.chain, -n - 1)
+            assert got == pairwise_next_level_candidates(rs, s.chain), (label, s.weights)
+            checked += 1
+    assert checked > 1000
+
+
+def test_every_chain_follows_its_prefix():
+    # the pre-order the induct text formatter relies on: the chain of a
+    # state of length n > 1, without its last level, is the chain of the
+    # latest earlier state of length n - 1
+    for label, b1, depth in [("G2", (1, 0), 96), ("A2", (1, 0), 48), ("A8", w(8, 3), 30),
+                             *_seeded_triples()]:
+        latest = {}
+        for s in induction_search(rsys(label), b1, max_depth=depth):
+            n = len(s.chain)
+            if n > 1:
+                assert s.chain[:-1] == latest[n - 1], (label, b1, s.weights)
+            latest[n] = s.chain
+
+
+@pytest.mark.parametrize("depth", [12, 48, 96])
+def test_report_summaries_match_the_search_states(depth):
+    for name in EXCEPTIONAL_TARGETS:
+        for r in exceptional_report(name, max_depth=depth).routes:
+            states = (induction_search(rsys(str(r.base)), r.required_weight, max_depth=depth)
+                      if r.b1_defining else [])
+            dims = tuple(sorted({s.dbos_dimension for s in states if s.terminated}))
+            assert r.terminated_dims == dims, (name, str(r.base), depth)
+            assert r.non_terminated == sum(not s.terminated for s in states), (name, depth)
 
 
 def _count_brackets(monkeypatch):

@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+import itertools
 import os
 import pkgutil
 import random
@@ -320,6 +321,24 @@ def test_weyl_dim_and_classify_match_per_call_formulas():
             assert weyl_dim(rs, lam) == product_weyl_dim(rs, lam), (label, lam)
             cls = classify_weight(rs, lam)
             assert (cls.minuscule, cls.quasi_minuscule) == coroot_weight_class(rs, lam)
+
+
+def test_weyl_dim_over_the_support_matches_product_oracle():
+    # (lam, alpha) is summed over supp(lam) only: every weight with entries
+    # <= 2 to rank 4, the Howe candidates to rank 8, and seeded weights at
+    # rank 32 on supports of every size
+    cases = [(label, lam) for label in ALL_LABELS if rsys(label).rank <= 4
+             for lam in itertools.product(range(3), repeat=rsys(label).rank)]
+    cases += [(label, lam) for label in ALL_LABELS for lam in sorted(_howe_candidates(rsys(label)))]
+    rng = random.Random(20261021)
+    for label in ["A32", "B32", "C32", "D32"]:
+        for size in [0, 1, 2, 3, 5, 8, 16, 32]:
+            nodes = set(rng.sample(range(32), size))
+            cases.append((label, tuple(rng.randint(1, 2) if j in nodes else 0 for j in range(32))))
+    assert len(cases) > 700
+    for label, lam in cases:
+        rs = rsys(label)
+        assert weyl_dim(rs, lam) == product_weyl_dim(rs, lam), (label, lam)
 
 
 def _check_against_weight_system_oracle(rs, lam):
