@@ -79,7 +79,7 @@ def parse_iota(text: str, rs: RootSystem, node: int):
     An out-of-range node is a domain error, as it is without an embedding."""
     del_mod.check_node(rs, node)
     if text == "table2":
-        for row in del_mod._summary_rows():
+        for row in del_mod.summary_rows():
             if row["ambient"] == rs.type and row["node"] == node:
                 return row["iota"]
         raise UsageError(f"no summary-table row for {rs.type} at node {node}")
@@ -338,12 +338,16 @@ def _depth(ns) -> int:
     return ns.depth
 
 
-class _Labels(dict):
-    """weight -> weight_label(weight), each label made on its first lookup."""
+class _Memo(dict):
+    """key -> make(key), each value made on its first lookup and shared."""
 
-    def __missing__(self, w: tuple[int, ...]) -> str:
-        label = self[w] = weight_label(w)
-        return label
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def _cmd_induct(ns, rs: RootSystem, w):
@@ -351,13 +355,14 @@ def _cmd_induct(ns, rs: RootSystem, w):
     states = ind_mod.induction_search(rs, w, max_depth=depth)
     # only the requested format is built: a deep search holds many chains
     if ns.format == "json":
+        levels = _Memo(list)  # one list per distinct weight, shared by every chain
         payload = {
             "base": str(rs.type),
             "b1": list(w),
             "max_depth": depth,
             "chains": [
                 {
-                    "levels": [list(x) for x in s.weights],
+                    "levels": [levels[x] for x in s.weights],
                     "terminated": s.terminated,
                     "dimension": str(s.dbos_dimension),
                 }
@@ -366,7 +371,7 @@ def _cmd_induct(ns, rs: RootSystem, w):
         }
         return payload, []
     lines = [f"{len(states)} chains from V({weight_label(w)}; {rs.type}) to depth {depth}"]
-    labels = _Labels()
+    labels = _Memo(weight_label)
     # states come in pre-order, so heads[n - 1] holds the labels of the
     # chain's prefix, the latest chain of length n - 1, each with a space
     heads = [""]

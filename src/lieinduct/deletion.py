@@ -295,12 +295,6 @@ def _level_correspondence(
     return tuple(sorted(seen.items(), key=lambda kv: (-sum(kv[0]), kv[0])))
 
 
-def weight_root_bijection(comp: GradedComponent) -> tuple[tuple[Vector, Vector], ...]:
-    """The weight <-> root matching of a graded component (validated at
-    construction time)."""
-    return comp.correspondence
-
-
 # ---------------------------------------------------------------------------
 # Equivalence of deletions under diagram automorphisms.
 # ---------------------------------------------------------------------------
@@ -360,7 +354,7 @@ def _w(rank: int, idx: int, scale: int = 1) -> Vector:
     return tuple(out)
 
 
-def _summary_rows() -> list[dict]:
+def summary_rows() -> list[dict]:
     """Concrete instances of the 19 summary rows, family rows instantiated at
     every ambient rank 2..8 where both types are valid and the stated weights
     exist (the wedge-square label needs residual rank >= 2)."""
@@ -454,7 +448,7 @@ def verify_table2(raise_on_mismatch: bool = True) -> Table2Report:
     """Run every summary-table deletion and check the module columns, the
     node multiplicity, and the rank-one special case."""
     results: list[RowResult] = []
-    for row in _summary_rows():
+    for row in summary_rows():
         rs = build_root_system(row["ambient"])
         deletion = delete_node(rs, row["node"], row["iota"])
         expected = tuple(row["expected"])

@@ -3,8 +3,10 @@
 Dimensions come from the Weyl product formula.  Orbits are walked down from
 the dominant weight, applying a simple reflection s_i only where the i-th
 coordinate is positive (every other s_i either fixes the weight or leads
-back up), on weight codes (root_system.WeightCodes): _orbit_codes is the one
-orbit walk, which weyl_orbit decodes and tensor_ops straightens.
+back up), on weight codes (root_system.WeightCodes).  orbit_codes is the one
+orbit expansion: it turns a table's dominant entries into the codes of all
+their weights, which weyl_orbit and CharacterTable.expand decode and
+tensor_ops straightens.
 Multiplicities come from the Freudenthal recursion run over the dominant
 weights alone, with root-string weights looked up through their dominant
 representative; no full weight system is built.
@@ -31,7 +33,8 @@ orbit expansion on demand.  Characters, orbits, orbit sizes and defining
 checks are memoized on the RootSystem passed in (RootSystem.memoized), not
 keyed by type.
 Orbit enumeration and expansion refuse, with BudgetExceeded, any request of
-more than MAX_WEIGHTS weights, judged up front from exact orbit sizes; a
+more than MAX_WEIGHTS weights, judged up front from exact orbit sizes (for
+a module, its top orbit before its character is computed); a
 character refuses, as its dominant-weight closure grows, a module with more
 than MAX_DOMINANT_WEIGHTS dominant weights.
 is_defining runs the closure with a cap of two: a third dominant weight
@@ -156,12 +159,8 @@ class CharacterTable:
 
     def expand(self, rs: RootSystem) -> dict[Vector, int]:
         """Full weight -> multiplicity map via orbit expansion."""
-        _check_expansion_budget(rs, self.entries)
-        full: dict[Vector, int] = {}
-        for w, m in self.entries.items():
-            for v in weyl_orbit(rs, w):
-                full[v] = m
-        return full
+        codes = rs.weight_codes(max(map(rs.coordinate_bound, self.entries), default=0))
+        return {codes.decode(c): m for c, m in orbit_codes(rs, codes, self.entries)}
 
     def __eq__(self, other) -> bool:
         return (
@@ -297,45 +296,54 @@ def weyl_orbit(rs: RootSystem, weight: Sequence[int]) -> frozenset[Vector]:
     return rs.memoized(_weyl_orbit, to_dominant(rs, tuple(weight))[0])
 
 
-def _check_orbit_budget(rs: RootSystem, w: Sequence[int]) -> int:
-    """The size of the orbit of w; BudgetExceeded if it is more than
-    MAX_WEIGHTS."""
+def _check_orbit_budget(rs: RootSystem, w: Vector) -> None:
+    """BudgetExceeded if the orbit of w has more than MAX_WEIGHTS weights."""
     size = orbit_size(rs, w)
     if size > MAX_WEIGHTS:
         raise BudgetExceeded(
             f"the orbit of {list(w)} has {size} weights, more than {MAX_WEIGHTS}"
         )
-    return size
 
 
-def _check_walked(found: int, size: int) -> None:
-    """InvariantViolation unless an orbit walk found as many weights as the
-    stabilizer formula gives: a coordinate that overflowed its digit would
-    alias or lose weights."""
-    if found != size:
-        raise InvariantViolation(f"an orbit walk found {found} weights, not {size}")
+def _weyl_orbit(rs: RootSystem, w: Vector) -> frozenset[Vector]:
+    _check_orbit_budget(rs, w)
+    codes = rs.weight_codes(rs.coordinate_bound(w))
+    return frozenset(codes.decode(c) for c, _ in orbit_codes(rs, codes, {w: 1}))
 
 
-def _check_expansion_budget(rs: RootSystem, dominant: Iterable[Vector]) -> int:
-    """The number of weights in the orbits of these dominant weights;
-    BudgetExceeded if it is more than MAX_WEIGHTS."""
+def orbit_codes(
+    rs: RootSystem, codes: WeightCodes, dominant: Mapping[Vector, int]
+) -> list[tuple[int, int]]:
+    """(code, m) for every weight in the orbits of these dominant weights,
+    m the multiplicity of its orbit's dominant weight: the one orbit
+    expansion.
+
+    BudgetExceeded before any walk if the orbits hold more than MAX_WEIGHTS
+    weights in all, judged from their exact sizes.  The codes must hold
+    every coordinate of the orbits (RootSystem.coordinate_bound of each
+    dominant weight); InvariantViolation unless the walks find as many
+    weights as the stabilizer formula gives, since a coordinate that
+    overflowed its digit would alias or lose weights."""
     size = sum(orbit_size(rs, w) for w in dominant)
     if size > MAX_WEIGHTS:
         raise BudgetExceeded(
             f"expanding this table gives {size} weights, more than {MAX_WEIGHTS}"
         )
-    return size
+    terms = [(c, m) for w, m in dominant.items() for c in _walk_orbit(codes, codes.encode(w))]
+    if len(terms) != size:
+        raise InvariantViolation(f"an orbit walk found {len(terms)} weights, not {size}")
+    return terms
 
 
-def _weyl_orbit(rs: RootSystem, w: Vector) -> frozenset[Vector]:
-    size = _check_orbit_budget(rs, w)
-    codes = rs.weight_codes(rs.coordinate_bound(w))
-    orbit = _orbit_codes(codes, codes.encode(w))
-    _check_walked(len(orbit), size)
-    return frozenset(map(codes.decode, orbit))
+def module_codes(rs: RootSystem, codes: WeightCodes, lam: Vector) -> list[tuple[int, int]]:
+    """orbit_codes of the dominant multiplicities of V(lam).  The top orbit
+    is part of the expansion, so its budget is checked before the
+    Freudenthal recursion runs."""
+    _check_orbit_budget(rs, lam)
+    return orbit_codes(rs, codes, freudenthal_character(rs, lam).entries)
 
 
-def _orbit_codes(codes: WeightCodes, c: int) -> set[int]:
+def _walk_orbit(codes: WeightCodes, c: int) -> set[int]:
     """The codes of the orbit of the dominant weight coded c, walked down
     only.  Every other orbit weight v has some v_i < 0, and s_i v is one step
     nearer the dominant weight with a positive i-th coordinate; so applying

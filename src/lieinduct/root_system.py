@@ -615,11 +615,6 @@ def build_root_system(t: DynkinType) -> RootSystem:
     return rs
 
 
-def highest_root(rs: RootSystem) -> Vector:
-    """The unique maximal-height root."""
-    return rs.highest_root
-
-
 class RootStats(NamedTuple):
     height: int
     support: tuple[int, ...]

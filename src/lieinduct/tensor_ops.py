@@ -11,11 +11,12 @@ character table.  Exterior and symmetric squares come from the Adams
 operation: Lambda^2 V = (V (x) V - psi^2 V) / 2 and S^2 V = (V (x) V + psi^2 V) / 2,
 where psi^2 V carries the doubled weights 2 nu.
 
-The sum runs on weight codes (root_system.WeightCodes): the orbit of each
-dominant weight of the expanded factor is walked as codes
-(rep_theory._orbit_codes), the shift by a dominant weight plus rho is one
-int addition, the doubled weight 2 nu + rho is 2 code - tops + ones, and
-root_system.dominant_code, the one reduction loop, straightens each code.
+The sum runs on weight codes (root_system.WeightCodes): the expanded factor
+comes as codes from rep_theory.orbit_codes (module_codes for a module
+V(lam)), which also refuses an oversized expansion; the shift by a dominant
+weight plus rho is one int addition, the doubled weight 2 nu + rho is
+2 code - tops + ones, and root_system.dominant_code, the one reduction
+loop, straightens each code.
 A wall shows as a clear top bit in the code of p - rho, and only the
 highest weights that survive are decoded.  The digit width comes from a
 bound on every coordinate met: each is a coordinate of a Weyl conjugate of
@@ -40,14 +41,10 @@ from .errors import InternalParity, NotACharacter
 from .rep_theory import (
     CharacterTable,
     ModuleDescriptor,
-    freudenthal_character,
+    module_codes,
     module_descriptor,
+    orbit_codes,
     weyl_dim,
-    _check_expansion_budget,
-    _check_orbit_budget,
-    _check_walked,
-    _orbit_codes,
-    _require_dominant,
 )
 from .root_system import RootSystem, Vector, WeightCodes, dominant_code
 
@@ -95,19 +92,6 @@ class DecompositionResult(_DecompositionFields):
         return " + ".join(parts) if parts else "0"
 
 
-def _orbit_terms(
-    rs: RootSystem, codes: WeightCodes, dominant: Mapping[Vector, int]
-) -> list[tuple[int, int]]:
-    """(code, multiplicity) of every weight of the character with these
-    dominant entries, each orbit walked on codes."""
-    size = _check_expansion_budget(rs, dominant)
-    terms = [
-        (c, m) for mu, m in dominant.items() for c in _orbit_codes(codes, codes.encode(mu))
-    ]
-    _check_walked(len(terms), size)
-    return terms
-
-
 def _straighten(
     codes: WeightCodes, terms: Iterable[tuple[int, int]], coeffs: dict[int, int]
 ) -> None:
@@ -126,12 +110,6 @@ def _straighten(
         p -= ones
         if not ~p & tops:
             coeffs[p] = coeffs.get(p, 0) + (-m if count & 1 else m)
-
-
-def _full_weights(rs: RootSystem, codes: WeightCodes, lam: Vector) -> list[tuple[int, int]]:
-    # the top orbit is part of the expansion, so check it before Freudenthal
-    _check_orbit_budget(rs, lam)
-    return _orbit_terms(rs, codes, freudenthal_character(rs, lam).entries)
 
 
 def _decoded(codes: WeightCodes, coeffs: Mapping[int, int]) -> dict[Vector, int]:
@@ -160,40 +138,40 @@ def decompose_character(rs: RootSystem, ch: CharacterTable) -> DecompositionResu
     bound = max(map(rs.coordinate_bound, ch.entries), default=0)
     codes = rs.weight_codes(bound + rs.coordinate_bound(rs.rho))
     coeffs: dict[int, int] = {}
-    _straighten(codes, ((c + codes.ones, m) for c, m in _orbit_terms(rs, codes, ch.entries)), coeffs)
+    _straighten(codes, ((c + codes.ones, m) for c, m in orbit_codes(rs, codes, ch.entries)), coeffs)
     return _result(rs, _decoded(codes, coeffs), ch.total_dimension(rs))
 
 
 def tensor_decompose(
     rs: RootSystem, lam: Sequence[int], mu: Sequence[int]
 ) -> DecompositionResult:
-    lam = _require_dominant(rs, lam)
-    mu = _require_dominant(rs, mu)
-    dl, dm = weyl_dim(rs, lam), weyl_dim(rs, mu)
+    lam, mu = tuple(lam), tuple(mu)
+    dl, dm = weyl_dim(rs, lam), weyl_dim(rs, mu)  # NotDominant for lam, then mu
     # expand the smaller factor by (dimension, weight), in either argument order
     (_, small), (_, big) = sorted([(dl, lam), (dm, mu)])
     # every straightened weight is a conjugate of one below small + big + rho
     codes = rs.weight_codes(rs.coordinate_bound([a + b + 1 for a, b in zip(small, big)]))
     lift = codes.encode(big) - codes.tops + codes.ones  # nu -> nu + big + rho
     coeffs: dict[int, int] = {}
-    _straighten(codes, ((c + lift, m) for c, m in _full_weights(rs, codes, small)), coeffs)
+    _straighten(codes, ((c + lift, m) for c, m in module_codes(rs, codes, small)), coeffs)
     return _result(rs, _decoded(codes, coeffs), dl * dm)
 
 
 def wedge2_decompose(rs: RootSystem, lam: Sequence[int]) -> DecompositionResult:
     """Exterior square of V(lam)."""
-    return _square(rs, _require_dominant(rs, lam), -1)
+    return _square(rs, tuple(lam), -1)
 
 
 def sym2_decompose(rs: RootSystem, lam: Sequence[int]) -> DecompositionResult:
     """Symmetric square of V(lam)."""
-    return _square(rs, _require_dominant(rs, lam), +1)
+    return _square(rs, tuple(lam), +1)
 
 
 def _square(rs: RootSystem, lam: Vector, sign: int) -> DecompositionResult:
+    d = weyl_dim(rs, lam)  # NotDominant first
     # both nu + lam + rho and 2 nu + rho are conjugates of weights below 2 lam + rho
     codes = rs.weight_codes(rs.coordinate_bound([2 * a + 1 for a in lam]))
-    terms = _full_weights(rs, codes, lam)
+    terms = module_codes(rs, codes, lam)
     coeffs: dict[int, int] = {}
     lift = codes.encode(lam) - codes.tops + codes.ones  # nu -> nu + lam + rho
     _straighten(codes, ((c + lift, m) for c, m in terms), coeffs)
@@ -205,5 +183,4 @@ def _square(rs: RootSystem, lam: Vector, sign: int) -> DecompositionResult:
                 f"odd coefficient {m} of V({list(codes.decode(c))}) before halving"
             )
         coeffs[c] = m // 2
-    d = weyl_dim(rs, lam)
     return _result(rs, _decoded(codes, coeffs), d * (d + sign) // 2)

@@ -13,7 +13,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 from oracles import brute_tensor_decompose
 
 from lieinduct.cli import run
-from lieinduct.deletion import _summary_rows, delete_node, deletion_equivalences, verify_table2
+from lieinduct.deletion import delete_node, deletion_equivalences, summary_rows, verify_table2
 from lieinduct.induction import dbos_dimension, exceptional_report, induction_search
 from lieinduct.rep_theory import defining_modules, freudenthal_character, weyl_dim
 from lieinduct.root_system import (
@@ -271,7 +271,7 @@ def test_criterion_7_property_suites():
 
 def test_criterion_8_deletion_induction_round_trip():
     seen_e8 = seen_g2 = 0
-    for row in _summary_rows():
+    for row in summary_rows():
         rs = build_root_system(row["ambient"])
         d = delete_node(rs, row["node"], row["iota"])
         res = build_root_system(d.residual[0])

@@ -181,6 +181,14 @@ ERROR_PRECEDENCE = [
     ("delete B8 --node 5 --iota table2", 2, "usage error: no summary-table row for B8 at node 5"),
     ("automorphisms A33", 1, "error [InvalidType]: A33 out of range: A accepts rank 1..32"),
     ("equivalences D4 --node 5", 1, "error [InvalidType]: node 5 out of range for D4"),
+    # rho's orbit is refused from its exact size; tensor and the squares
+    # refuse it before the character of V(rho), past the dominant-weight cap
+    *((op, 1, "error [BudgetExceeded]: the orbit of [1, 1, 1, 1, 1, 1, 1, 1] has "
+       "696729600 weights, more than 2000000")
+      for op in ["orbit E8 [1,1,1,1,1,1,1,1]",
+                 "tensor E8 [1,1,1,1,1,1,1,1] [1,1,1,1,1,1,1,1]",
+                 "wedge2 E8 [1,1,1,1,1,1,1,1]",
+                 "sym2 E8 [1,1,1,1,1,1,1,1]"]),
 ]
 
 
@@ -367,6 +375,49 @@ def test_library_has_no_assert_statements():
             with open(os.path.join(pkg, name)) as fh:
                 tree = ast.parse(fh.read())
             assert not any(isinstance(n, ast.Assert) for n in ast.walk(tree)), name
+
+
+def test_every_library_name_has_one_owner():
+    # No module imports a sibling's underscore name (from .x import _y) or
+    # reads one as an attribute (del_mod._summary_rows): a name another
+    # module needs is public in its owner.  Same-module access is fine.
+    import ast
+    import lieinduct
+
+    pkg = os.path.dirname(lieinduct.__file__)
+    leaks = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            tree = ast.parse(fh.read())
+        siblings = set()  # local names bound to sibling modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module is None:
+                        siblings.add(alias.asname or alias.name)
+                    elif alias.name.startswith("_"):
+                        leaks.append(f"{name} imports {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in siblings and node.attr.startswith("_")
+                    and not node.attr.startswith("__")):
+                leaks.append(f"{name} reads {node.value.id}.{node.attr}")
+    assert leaks == []
+    # the package root binds __version__ alone and loads no submodule
+    script = (
+        "import sys, lieinduct\n"
+        "print(sorted(m for m in sys.modules if m.startswith('lieinduct.')))\n"
+        "print(sorted(k for k in vars(lieinduct) if not k.startswith('__')))\n"
+        "print(lieinduct.__version__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded, public, version = proc.stdout.splitlines()
+    assert (loaded, public) == ("[]", "[]")
+    assert version
 
 
 GOLDEN_COMMANDS = {

@@ -8,12 +8,11 @@ import pytest
 from lieinduct.deletion import (
     Deletion,
     _level_correspondence,
-    _summary_rows,
     component_highest_weight,
     delete_node,
     deletion_equivalences,
+    summary_rows,
     verify_table2,
-    weight_root_bijection,
 )
 from lieinduct.errors import (
     BadEmbedding,
@@ -109,7 +108,7 @@ def test_dimension_bookkeeping():
 
 
 def test_component_highest_weight_is_negated_row():
-    for row in _summary_rows():
+    for row in summary_rows():
         rs = build_root_system(row["ambient"])
         d_node = row["node"]
         iota = row["iota"]
@@ -126,7 +125,7 @@ def test_lowest_weight_of_deepest_level_is_minus_highest_root():
         rs = rsys(label)
         d = delete_node(rs, node, iota)
         deepest = d.level(-d.m_d)
-        pairs = weight_root_bijection(deepest)
+        pairs = deepest.correspondence
         lowest_weight = min(pairs, key=lambda p: sum(p[0]))
         minus_top = tuple(-x for x in rs.highest_root)
         assert lowest_weight[1] == minus_top
@@ -137,7 +136,7 @@ def test_b_family_bijection_chain():
     for l in [3, 5]:
         rs = rsys(f"B{l + 1}")
         d = delete_node(rs, 1, tuple(range(2, l + 2)))
-        pairs = dict(weight_root_bijection(d.level(-1)))
+        pairs = dict(d.level(-1).correspondence)
         weight = w(l, 1)
         accum = [0] * (l + 1)
         accum[0] = -1
@@ -152,7 +151,7 @@ def test_b_family_bijection_chain():
 def test_g2_level_minus_one_bijection():
     rs = rsys("G2")
     d = delete_node(rs, 1, (2,))
-    pairs = dict(weight_root_bijection(d.level(-1)))
+    pairs = dict(d.level(-1).correspondence)
     assert pairs[(1,)] == (-1, 0)
     assert pairs[(-1,)] == (-1, -1)
 
@@ -330,7 +329,7 @@ def test_a_family_bijection_chain():
     # supported on the tail segments
     rs = rsys("A4")
     d = delete_node(rs, 4)
-    pairs = dict(weight_root_bijection(d.level(-1)))
+    pairs = dict(d.level(-1).correspondence)
     expected = {
         (0, 0, 1): (0, 0, 0, -1),
         (0, 1, -1): (0, 0, -1, -1),
@@ -344,7 +343,7 @@ def test_c_family_symmetric_square_bijection_top():
     # the highest vector of the symmetric square maps to the last simple root
     rs = rsys("C4")
     d = delete_node(rs, 4, (3, 2, 1))
-    pairs = dict(weight_root_bijection(d.level(-1)))
+    pairs = dict(d.level(-1).correspondence)
     assert pairs[(2, 0, 0)] == (0, 0, 0, -1)
 
 
@@ -353,7 +352,7 @@ def test_wedge_consistency_of_second_levels():
     # square of the first
     from lieinduct.tensor_ops import tensor_decompose, wedge2_decompose
 
-    for row in _summary_rows():
+    for row in summary_rows():
         rs = build_root_system(row["ambient"])
         d = delete_node(rs, row["node"], row["iota"])
         if d.m_d < 2 or len(d.components) != 1:
@@ -389,7 +388,7 @@ def test_delete_node_matches_full_multiset_oracle_to_rank_8():
 
 
 def test_delete_node_matches_full_multiset_oracle_on_table_rows():
-    for row in _summary_rows():
+    for row in summary_rows():
         assert_matches_full_multiset_oracle(
             build_root_system(row["ambient"]), row["node"], row["iota"]
         )

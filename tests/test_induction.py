@@ -19,7 +19,7 @@ from oracles import (
 
 from lieinduct import induction, rep_theory
 from lieinduct.cli import run
-from lieinduct.deletion import _summary_rows, delete_node
+from lieinduct.deletion import delete_node, summary_rows
 from lieinduct.errors import BadEmbedding, BudgetExceeded, TrivialFirstLevel
 from lieinduct.induction import (
     E9_DIAGRAM,
@@ -89,7 +89,7 @@ def test_check_new_row_rejects_bad_embeddings():
 
 def test_check_new_row_on_all_deletion_rows():
     # inverse consistency: every summary deletion passes its own row check
-    for row in _summary_rows():
+    for row in summary_rows():
         rs = build_root_system(row["ambient"])
         d = delete_node(rs, row["node"], row["iota"])
         assert check_new_row(
@@ -188,7 +188,7 @@ def test_dbos_dimensions_named():
 
 
 def test_round_trip_all_deletion_rows():
-    for row in _summary_rows():
+    for row in summary_rows():
         rs = build_root_system(row["ambient"])
         d = delete_node(rs, row["node"], row["iota"])
         res = build_root_system(d.residual[0])

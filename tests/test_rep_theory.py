@@ -427,7 +427,7 @@ def test_expand_work_budget():
     big = [(1, 1, 1, 0, 0, 0, 0, 0), (2, 1, 1, 0, 0, 0, 0, 0), (1, 2, 1, 0, 0, 0, 0, 0)]
     assert all(orbit_size(rs, v) < MAX_WEIGHTS for v in big)
     assert sum(orbit_size(rs, v) for v in big) > MAX_WEIGHTS
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="expanding this table gives 2903040 weights"):
         CharacterTable(rs.type, dict.fromkeys(big, 1)).expand(rs)
 
 

@@ -36,7 +36,6 @@ from lieinduct.root_system import (
     diagram_automorphisms,
     diagram_embeddings,
     dominant_code,
-    highest_root,
     parse_dynkin,
     root_stats,
     root_weight_convert,
@@ -98,7 +97,7 @@ def test_highest_roots_table():
         "G2": (3, 2),
     }
     for label, coords in expected.items():
-        assert highest_root(rsys(label)) == coords
+        assert rsys(label).highest_root == coords
 
 
 def test_root_stats():
