@@ -312,7 +312,7 @@ def _cmd_equivalences(ns, rs: RootSystem):
 
 def _cmd_table2(ns):
     """The payload, the lines and the exit status: 1 on a mismatch."""
-    report = del_mod.verify_table2(raise_on_mismatch=False)
+    report = del_mod.verify_table2()
     payload = {
         "ok": report.ok,
         "rows": [

@@ -28,7 +28,6 @@ from .errors import (
     InvalidType,
     IrreducibilityMismatch,
     NonUniquePrimitive,
-    Table2Mismatch,
 )
 from .rep_theory import ModuleDescriptor, freudenthal_character, module_descriptor
 from .root_system import (
@@ -151,19 +150,6 @@ def _primitive_root(rs: RootSystem, d: int, level_codes: Iterable[int]) -> int:
             f"{[_root(rs, b) for b in prims]}; expected one"
         )
     return prims[0]
-
-
-def component_highest_weight(
-    rs: RootSystem, d: int, iota: Sequence[int], level: int
-) -> Vector:
-    """Highest weight (global residual coordinates) of a nonzero graded level."""
-    pos = rs.positive_roots
-    level_codes = [
-        s * c for c, i in rs.root_codes.items() for s in (1, -1) if s * pos[i][d - 1] == level
-    ]
-    if not level_codes:
-        raise EmptyLevel(f"{rs.type} deletion at {d} has no roots at level {level}")
-    return _residual_weight(rs, [amb - 1 for amb in iota], _primitive_root(rs, d, level_codes))
 
 
 def _component_factors(
@@ -440,11 +426,8 @@ class Table2Report(NamedTuple):
     def ok(self) -> bool:
         return all(r.ok for r in self.rows)
 
-    def failures(self) -> list[RowResult]:
-        return [r for r in self.rows if not r.ok]
 
-
-def verify_table2(raise_on_mismatch: bool = True) -> Table2Report:
+def verify_table2() -> Table2Report:
     """Run every summary-table deletion and check the module columns, the
     node multiplicity, and the rank-one special case."""
     results: list[RowResult] = []
@@ -481,8 +464,4 @@ def verify_table2(raise_on_mismatch: bool = True) -> Table2Report:
     results.append(RowResult("A1/1/-", ok1, del1.m_d, ((),), ((),),
                              "ok" if ok1 else "rank-one deletion malformed"))
 
-    report = Table2Report(tuple(results))
-    if raise_on_mismatch and not report.ok:
-        bad = ", ".join(f"{r.name} ({r.detail})" for r in report.failures())
-        raise Table2Mismatch(f"summary rows failed: {bad}")
-    return report
+    return Table2Report(tuple(results))

@@ -18,7 +18,7 @@ class NotARoot(LieInductError):
 
 
 class NonIntegral(LieInductError):
-    """Weight-to-root conversion produced non-integer coordinates."""
+    """A coroot pairing that must be an integer is not."""
 
 
 class NotDominant(LieInductError):
@@ -65,7 +65,3 @@ class BadEmbedding(LieInductError):
 
 class TrivialFirstLevel(LieInductError):
     """Induction started from the trivial module."""
-
-
-class Table2Mismatch(LieInductError):
-    """A deletion summary row failed verification."""

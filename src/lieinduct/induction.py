@@ -54,7 +54,6 @@ from .root_system import (
     Vector,
     build_root_system,
     cartan_from_edges,
-    cartan_matrix,
     check_embedding,
     classify_subdiagram,
     connected_components,
@@ -82,10 +81,6 @@ class TargetDiagram(NamedTuple):
     @property
     def rank(self) -> int:
         return self.cartan.rank
-
-    @classmethod
-    def from_dynkin(cls, t: DynkinType) -> "TargetDiagram":
-        return cls(str(t), cartan_matrix(t))
 
 
 # Hypothetical rank-9/5/3 diagrams, each a symmetrizer and its edges.  F5 and
@@ -123,7 +118,7 @@ def check_new_row(
     g0: DynkinType,
     iota,
     weight: Sequence[int],
-    target: TargetDiagram | DynkinType,
+    target: TargetDiagram,
     target_node: int,
 ) -> bool:
     """Would deleting target_node from target produce V(weight; g0)?
@@ -131,8 +126,6 @@ def check_new_row(
     True iff the negated target-Cartan row at target_node, restricted along
     the embedding, equals the weight; an invalid embedding raises BadEmbedding.
     """
-    if isinstance(target, DynkinType):
-        target = TargetDiagram.from_dynkin(target)
     c = target.entries
     iota_t = check_embedding(c, target_node, [g0], iota, target.name)
     row = tuple(-c[target_node - 1][iota_t[j] - 1] for j in range(g0.rank))
@@ -156,21 +149,10 @@ class InductionState(NamedTuple):
         return tuple(map(_highest_weight, self.chain))
 
 
-def dbos_dimension(rs: RootSystem, chain: Sequence) -> int:
-    """dim g0 + 1 + 2 * sum of chain dimensions."""
-    total = 0
-    for item in chain:
-        if isinstance(item, ModuleDescriptor):
-            total += item.dimension
-        else:
-            total += weyl_dim(rs, item)
-    return rs.dimension + 1 + 2 * total
-
-
-def _as_descriptor(rs: RootSystem, b) -> ModuleDescriptor:
-    if isinstance(b, ModuleDescriptor):
-        return b
-    return module_descriptor(rs, b)
+def dbos_dimension(rs: RootSystem, chain: Sequence[Sequence[int]]) -> int:
+    """dim g0 + 1 + 2 * the sum of the dimensions of the chain's highest
+    weights."""
+    return rs.dimension + 1 + 2 * sum(weyl_dim(rs, w) for w in chain)
 
 
 _SQUARE = -1  # partner id of the exterior square Lambda^2 b_i
@@ -285,14 +267,14 @@ def next_level_candidates(
 
 
 def _chains(
-    rs: RootSystem, b1, max_depth: int
+    rs: RootSystem, b1: Sequence[int], max_depth: int
 ) -> Iterator[tuple[tuple[ModuleDescriptor, ...], bool, int]]:
     """(chain, terminated, DBOS dimension) of every admissible chain starting
     from b1, in pre-order: each chain right after its prefix, and siblings
     by ascending highest weight.  See induction_search."""
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
-    first = _as_descriptor(rs, b1)
+    first = module_descriptor(rs, b1)
     if first.is_trivial:
         raise TrivialFirstLevel(
             f"the first level over {rs.type} must be a non-trivial module"
@@ -307,7 +289,7 @@ def _chains(
     # adds one module and 2 * its dimension, shifts every mirror up one and
     # sets the new level's bits.  Children are pushed by descending weight,
     # so they pop in ascending order.
-    stack = [((first,), dbos_dimension(rs, (first,)), _places([masks.intern(first)]))]
+    stack = [((first,), rs.dimension + 1 + 2 * first.dimension, _places([masks.intern(first)]))]
     levels = 1
     while stack:
         chain, dim, places = stack.pop()
@@ -341,7 +323,7 @@ def _chains(
 
 def induction_search(
     rs: RootSystem,
-    b1,
+    b1: Sequence[int],
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> list[InductionState]:
     """All admissible chains starting from b1, to the given depth, sorted by

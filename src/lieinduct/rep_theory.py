@@ -107,52 +107,22 @@ def module_descriptor(rs: RootSystem, weight: Sequence[int]) -> ModuleDescriptor
 
 
 class CharacterTable:
-    """Finite map weight -> multiplicity for a module or virtual character.
+    """Finite map weight -> multiplicity of a genuine character: a negative
+    multiplicity raises NotACharacter.
 
     Only dominant representatives are stored; Weyl invariance makes this
     lossless.  Instances are treated as immutable once returned.
     """
 
-    __slots__ = ("algebra", "entries", "virtual")
+    __slots__ = ("algebra", "entries")
 
-    def __init__(
-        self,
-        algebra: DynkinType,
-        entries: Mapping[Vector, int],
-        virtual: bool = False,
-    ) -> None:
+    def __init__(self, algebra: DynkinType, entries: Mapping[Vector, int]) -> None:
         self.algebra = algebra
         self.entries = {tuple(w): int(m) for w, m in entries.items() if m != 0}
-        self.virtual = virtual
         if any(x < 0 for w in self.entries for x in w):
             raise NotACharacter("tables are keyed by dominant representatives")
-        if not virtual and any(m < 0 for m in self.entries.values()):
+        if any(m < 0 for m in self.entries.values()):
             raise NotACharacter("genuine characters need non-negative multiplicities")
-
-    @classmethod
-    def from_weights(cls, rs: RootSystem, weights: Iterable[Sequence[int]]) -> "CharacterTable":
-        """Build a table from a full weight list (with repetition), verifying
-        Weyl invariance and collapsing to dominant representatives."""
-        full: dict[Vector, int] = {}
-        for w in weights:
-            w = tuple(w)
-            full[w] = full.get(w, 0) + 1
-        dominant: dict[Vector, int] = {}
-        for w, m in full.items():
-            if all(x >= 0 for x in w):
-                dominant[w] = m
-        covered = 0
-        for w, m in dominant.items():
-            orbit = weyl_orbit(rs, w)
-            for v in orbit:
-                if full.get(v, 0) != m:
-                    raise NotACharacter(
-                        f"multiplicity not constant on the orbit of {w}"
-                    )
-            covered += m * len(orbit)
-        if covered != sum(full.values()):
-            raise NotACharacter("weight list is not a union of full Weyl orbits")
-        return cls(rs.type, dominant)
 
     def total_dimension(self, rs: RootSystem) -> int:
         return sum(m * orbit_size(rs, w) for w, m in self.entries.items())
@@ -167,11 +137,10 @@ class CharacterTable:
             isinstance(other, CharacterTable)
             and self.algebra == other.algebra
             and self.entries == other.entries
-            and self.virtual == other.virtual
         )
 
     def __repr__(self) -> str:
-        return f"CharacterTable({self.algebra}, {self.entries!r}, virtual={self.virtual})"
+        return f"CharacterTable({self.algebra}, {self.entries!r})"
 
 
 def _require_dominant(rs: RootSystem, w: Sequence[int]) -> Vector:

@@ -630,32 +630,6 @@ def root_stats(rs: RootSystem, r: Sequence[int]) -> RootStats:
     return RootStats(height=sum(r), support=support, mult=r)
 
 
-def root_weight_convert(
-    rs: RootSystem,
-    v: Sequence[int],
-    direction: str,
-    require_integral: bool = True,
-):
-    """Convert between root and fundamental-weight coordinates.
-
-    direction is "root-to-weight" or "weight-to-root".  The weight-to-root
-    direction is exact over rationals; with require_integral it raises
-    NonIntegral on weights outside the root lattice.
-    """
-    if direction in ("root-to-weight", "root->weight"):
-        return rs.root_to_weight(v)
-    if direction in ("weight-to-root", "weight->root"):
-        k = rs.weight_to_root(v)
-        if require_integral:
-            if any(x.denominator != 1 for x in k):
-                raise NonIntegral(
-                    f"weight {tuple(v)} of {rs.type} is not in the root lattice"
-                )
-            return tuple(int(x) for x in k)
-        return k
-    raise ValueError(f"unknown direction {direction!r}")
-
-
 # struct item formats of the signed digit widths, in bytes, that struct
 # packs; a wider digit is packed with int.to_bytes.
 _STRUCT_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}

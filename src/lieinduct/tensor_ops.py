@@ -84,13 +84,6 @@ class DecompositionResult(_DecompositionFields):
     def as_multiset(self) -> dict[Vector, int]:
         return {md.highest_weight: m for md, m in self.summands}
 
-    def __str__(self) -> str:
-        parts = []
-        for md, m in self.summands:
-            label = f"V([{','.join(str(x) for x in md.highest_weight)}])"
-            parts.append(label if m == 1 else f"{m}*{label}")
-        return " + ".join(parts) if parts else "0"
-
 
 def _straighten(
     codes: WeightCodes, terms: Iterable[tuple[int, int]], coeffs: dict[int, int]

@@ -420,6 +420,33 @@ def test_every_library_name_has_one_owner():
     assert version
 
 
+def test_no_library_function_takes_a_true_or_false_option():
+    # A parameter defaulting to True or False is an option; the library has
+    # one path per result, so none takes such a parameter.
+    import ast
+    import lieinduct
+
+    pkg = os.path.dirname(lieinduct.__file__)
+    options = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = args.posonlyargs + args.args
+                defaults = list(zip(params[len(params) - len(args.defaults):], args.defaults))
+                defaults += zip(args.kwonlyargs, args.kw_defaults)
+                options += [
+                    f"{name}: {node.name}({arg.arg}={default.value})"
+                    for arg, default in defaults
+                    if isinstance(default, ast.Constant) and isinstance(default.value, bool)
+                ]
+    assert options == []
+
+
 GOLDEN_COMMANDS = {
     "highest_root_e8.json": ["highest-root", "E8"],
     "dim_a5_w3.json": ["dim", "A5", "w3"],

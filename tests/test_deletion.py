@@ -2,13 +2,15 @@
 equivalence classes."""
 
 import time
+from operator import mul
 
 import pytest
 
 from lieinduct.deletion import (
     Deletion,
     _level_correspondence,
-    component_highest_weight,
+    _primitive_root,
+    _root,
     delete_node,
     deletion_equivalences,
     summary_rows,
@@ -23,7 +25,7 @@ from lieinduct.errors import (
     NonUniquePrimitive,
 )
 from lieinduct.rep_theory import module_descriptor
-from lieinduct.root_system import DynkinType, build_root_system, parse_dynkin
+from lieinduct.root_system import DynkinType, build_root_system, parse_dynkin, simple_root_codes
 
 from oracles import (
     full_multiset_delete_node,
@@ -112,7 +114,7 @@ def test_component_highest_weight_is_negated_row():
         rs = build_root_system(row["ambient"])
         d_node = row["node"]
         iota = row["iota"]
-        got = component_highest_weight(rs, d_node, iota, -1)
+        got = delete_node(rs, d_node, iota).level(-1).highest_weight
         expected = tuple(
             -rs.cartan.entry(d_node, amb) for amb in iota
         )
@@ -191,8 +193,17 @@ def test_empty_level_raises():
     d = delete_node(rs, 2)
     with pytest.raises(EmptyLevel):
         d.level(-3)
+
+
+def test_primitive_root_refuses_empty_and_ambiguous_levels():
+    # G2 at node 2: level 0 holds a1 and -a1, and neither takes another a1
+    rs = rsys("G2")
+    pos = rs.positive_roots
+    level_0 = [s * c for c, i in rs.root_codes.items() for s in (1, -1) if pos[i][1] == 0]
+    with pytest.raises(NonUniquePrimitive, match="2 primitive vectors"):
+        _primitive_root(rs, 2, level_0)
     with pytest.raises(EmptyLevel):
-        component_highest_weight(rs, 2, (1,), -5)
+        _primitive_root(rs, 2, [])
 
 
 def test_bad_embeddings_rejected():
@@ -403,22 +414,28 @@ def test_delete_node_matches_full_multiset_oracle_at_rank_32(label):
 
 def test_component_highest_weight_matches_tuple_primitive_root():
     # every level of every deletion through rank 8, level 0 included: the
-    # code probe finds the primitive roots the tuple probe finds
+    # code probe finds the primitive roots the tuple probe finds, and each
+    # nonzero level's highest weight is its primitive root's weight
     for label in RANK_8_LABELS:
         rs = rsys(label)
+        steps = simple_root_codes(rs.rank)
         for node in range(1, rs.rank + 1):
-            iota = delete_node(rs, node).iota
+            d = delete_node(rs, node)
             m_d = rs.highest_root[node - 1]
             for level in range(-m_d - 1, m_d + 2):
                 roots = [r for r in rs.roots if r[node - 1] == level]
+                codes = [sum(map(mul, r, steps)) for r in roots]
                 try:
-                    weight = rs.root_to_weight(tuple_primitive_root(rs, node, roots))
+                    root = tuple_primitive_root(rs, node, roots)
                 except (EmptyLevel, NonUniquePrimitive) as exc:
                     with pytest.raises(type(exc)):
-                        component_highest_weight(rs, node, iota, level)
+                        _primitive_root(rs, node, codes)
                     continue
-                got = component_highest_weight(rs, node, iota, level)
-                assert got == tuple(weight[a - 1] for a in iota), (label, node, level)
+                assert _root(rs, _primitive_root(rs, node, codes)) == root, (label, node, level)
+                if level:
+                    weight = rs.root_to_weight(root)
+                    got = d.level(level).highest_weight
+                    assert got == tuple(weight[a - 1] for a in d.iota), (label, node, level)
 
 
 def test_level_check_rejects_a_wrong_module_of_the_same_dimension():

@@ -37,7 +37,7 @@ from lieinduct.induction import (
     next_level_candidates,
 )
 from lieinduct.rep_theory import defining_modules, is_defining, module_descriptor
-from lieinduct.root_system import DynkinType, build_root_system, parse_dynkin
+from lieinduct.root_system import DynkinType, build_root_system, cartan_matrix, parse_dynkin
 
 
 def rsys(label):
@@ -92,9 +92,9 @@ def test_check_new_row_on_all_deletion_rows():
     for row in summary_rows():
         rs = build_root_system(row["ambient"])
         d = delete_node(rs, row["node"], row["iota"])
+        target = TargetDiagram(str(row["ambient"]), cartan_matrix(row["ambient"]))
         assert check_new_row(
-            d.residual[0], d.iota, d.level(-1).highest_weight,
-            row["ambient"], row["node"],
+            d.residual[0], d.iota, d.level(-1).highest_weight, target, row["node"],
         ), row["name"]
 
 
@@ -536,7 +536,7 @@ def test_targets_have_their_written_symmetrizers_and_entries():
 
 
 def test_target_diagram_from_dynkin():
-    td = TargetDiagram.from_dynkin(DynkinType("F", 4))
+    td = TargetDiagram("F4", cartan_matrix(DynkinType("F", 4)))
     assert td.rank == 4
     assert td.entries[1][2] == -2
     assert set(EXCEPTIONAL_TARGETS) == {"E9", "F5", "G3"}
@@ -545,7 +545,8 @@ def test_target_diagram_from_dynkin():
 def test_target_names_follow_the_table(monkeypatch):
     assert induction.target_names() == "E9, F5 or G3"
     # a new key needs no prose written for it, and gets no analysis block
-    monkeypatch.setitem(EXCEPTIONAL_TARGETS, "A3", (TargetDiagram.from_dynkin(DynkinType("A", 3)),))
+    a3 = TargetDiagram("A3", cartan_matrix(DynkinType("A", 3)))
+    monkeypatch.setitem(EXCEPTIONAL_TARGETS, "A3", (a3,))
     assert induction.target_names() == "E9, F5, G3 or A3"
     with pytest.raises(ValueError, match="expected E9, F5, G3 or A3"):
         exceptional_report("X9")

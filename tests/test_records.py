@@ -18,6 +18,7 @@ from lieinduct.root_system import (
     DynkinType,
     RootSystem,
     build_root_system,
+    cartan_matrix,
     classify_subdiagram,
     parse_dynkin,
     root_stats,
@@ -67,7 +68,7 @@ def _records():
         deletion_equivalences(DynkinType("D", 4), 1),
         row,
         Table2Report((row,)),
-        TargetDiagram.from_dynkin(DynkinType("G", 2)),
+        TargetDiagram("G2", cartan_matrix(DynkinType("G", 2))),
         induction_search(rs, (1, 0), max_depth=3)[0],
         report.routes[0],
         report,

@@ -693,14 +693,6 @@ def test_a_family_exponent_failure_is_monotone():
         assert flags == [True, False, False, False, False]
 
 
-def test_character_table_from_weights_roundtrip():
-    rs = rsys("A2")
-    full = freudenthal_character(rs, (1, 1)).expand(rs)
-    weights = [v for v, m in full.items() for _ in range(m)]
-    table = CharacterTable.from_weights(rs, weights)
-    assert table.entries == freudenthal_character(rs, (1, 1)).entries
-
-
 def test_module_descriptor():
     rs = rsys("E6")
     md = module_descriptor(rs, w(6, 6))

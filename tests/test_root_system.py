@@ -18,7 +18,7 @@ from oracles import (
     union_find_root_classes,
 )
 
-from lieinduct.errors import BadEmbedding, InvalidType, InvariantViolation, NonIntegral, NotARoot
+from lieinduct.errors import BadEmbedding, InvalidType, InvariantViolation, NotARoot
 from lieinduct.root_system import (
     RANK_RANGES,
     CartanMatrix,
@@ -38,7 +38,6 @@ from lieinduct.root_system import (
     dominant_code,
     parse_dynkin,
     root_stats,
-    root_weight_convert,
     to_dominant,
     weyl_order,
 )
@@ -132,11 +131,11 @@ def test_mult_bounded_by_highest_root():
 def test_weight_conversion_table_anchors():
     for l in range(3, 9):
         rs = rsys(f"B{l}")
-        w = root_weight_convert(rs, (1,) + (2,) * (l - 1), "root-to-weight")
+        w = rs.root_to_weight((1,) + (2,) * (l - 1))
         assert w == tuple(int(i == 1) for i in range(l))
     for l in range(3, 9):
         rs = rsys(f"C{l}")
-        k = root_weight_convert(rs, (2,) + (0,) * (l - 1), "weight-to-root")
+        k = rs.weight_to_root((2,) + (0,) * (l - 1))
         assert k == (2,) * (l - 1) + (1,)
 
 
@@ -144,18 +143,15 @@ def test_weight_conversion_zero_and_roundtrip():
     for label in ["A3", "B3", "C3", "D4", "F4", "G2"]:
         rs = rsys(label)
         zero = (0,) * rs.rank
-        assert root_weight_convert(rs, zero, "root-to-weight") == zero
+        assert rs.root_to_weight(zero) == zero
         for r in rs.roots:
-            w = root_weight_convert(rs, r, "root-to-weight")
-            assert root_weight_convert(rs, w, "weight-to-root") == r
+            assert rs.weight_to_root(rs.root_to_weight(r)) == r
 
 
 def test_weight_conversion_rejects_non_root_lattice():
     rs = rsys("B3")
     spin = (0, 0, 1)
-    with pytest.raises(NonIntegral):
-        root_weight_convert(rs, spin, "weight-to-root")
-    frac = root_weight_convert(rs, spin, "weight-to-root", require_integral=False)
+    frac = rs.weight_to_root(spin)
     assert any(x.denominator != 1 for x in frac)
 
 
@@ -387,7 +383,7 @@ def test_root_set_closure():
             w = rs.root_to_weight(r)
             for i in range(1, rs.rank + 1):
                 refl = rs.reflect(w, i)
-                back = root_weight_convert(rs, refl, "weight-to-root")
+                back = rs.weight_to_root(refl)
                 assert back in rs.roots
         heights = sorted(sum(r) for r in rs.positive_roots)
         assert heights.count(heights[-1]) == 1
