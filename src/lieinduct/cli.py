@@ -35,7 +35,6 @@ from .root_system import (
     coxeter_number,
     diagram_automorphisms,
     parse_dynkin,
-    root_stats,
 )
 
 if TYPE_CHECKING:
@@ -137,16 +136,16 @@ def _cmd_roots(ns, rs: RootSystem):
 
 
 def _cmd_highest_root(ns, rs: RootSystem):
-    st = root_stats(rs, rs.highest_root)
+    height = sum(rs.highest_root)
     payload = {
         "type": str(rs.type),
         "coordinates": list(rs.highest_root),
-        "height": str(st.height),
+        "height": str(height),
         "adjoint_weight": list(rs.root_to_weight(rs.highest_root)),
     }
     lines = [
         f"{rs.type} highest root ({','.join(str(x) for x in rs.highest_root)})",
-        f"height {st.height}",
+        f"height {height}",
         f"adjoint weight {weight_label(rs.root_to_weight(rs.highest_root))}",
     ]
     return payload, lines

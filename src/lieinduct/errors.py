@@ -13,14 +13,6 @@ class InvalidType(LieInductError):
     """Dynkin type outside the accepted family/rank ranges."""
 
 
-class NotARoot(LieInductError):
-    """A coordinate vector that is not a root of the given system."""
-
-
-class NonIntegral(LieInductError):
-    """A coroot pairing that must be an integer is not."""
-
-
 class NotDominant(LieInductError):
     """A dominant weight was required."""
 

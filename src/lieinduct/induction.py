@@ -149,12 +149,6 @@ class InductionState(NamedTuple):
         return tuple(map(_highest_weight, self.chain))
 
 
-def dbos_dimension(rs: RootSystem, chain: Sequence[Sequence[int]]) -> int:
-    """dim g0 + 1 + 2 * the sum of the dimensions of the chain's highest
-    weights."""
-    return rs.dimension + 1 + 2 * sum(weyl_dim(rs, w) for w in chain)
-
-
 _SQUARE = -1  # partner id of the exterior square Lambda^2 b_i
 
 
@@ -195,7 +189,7 @@ class _BracketMasks(dict):
                    else tensor_decompose(rs, lam, self.modules[b].highest_weight))
             mask = 0
             for md, _ in dec.summands:
-                if is_defining(rs, md.highest_weight).ok:
+                if is_defining(rs, md.highest_weight):
                     mask |= 1 << self.intern(md)
         self[key] = mask
         return mask
@@ -247,25 +241,6 @@ def _admissible(masks: _BracketMasks, n: int, places: dict[int, tuple[int, int]]
     return common if common > 0 else 0  # -1: nothing can feed the bracket
 
 
-def next_level_candidates(
-    rs: RootSystem, chain: Sequence[ModuleDescriptor | None], level: int
-) -> tuple[ModuleDescriptor | None, ...]:
-    """Admissible modules for the given (negative) level, zero included.
-
-    chain holds levels -1 .. level+1; entry None is the zero module.
-    """
-    depth = -level
-    if len(chain) != depth - 1 or depth < 2:
-        raise ValueError(f"chain of length {len(chain)} cannot precede level {level}")
-    if None in chain:
-        return (None,)  # a zero factor forces zero from here on
-    masks = _BracketMasks(rs)
-    places = _places([masks.intern(md) for md in chain])
-    common = _admissible(masks, len(chain), places)
-    found = [md for i, md in enumerate(masks.modules) if common >> i & 1]
-    return (None, *sorted(found, key=lambda md: (md.dimension, md.highest_weight)))
-
-
 def _chains(
     rs: RootSystem, b1: Sequence[int], max_depth: int
 ) -> Iterator[tuple[tuple[ModuleDescriptor, ...], bool, int]]:
@@ -279,7 +254,7 @@ def _chains(
         raise TrivialFirstLevel(
             f"the first level over {rs.type} must be a non-trivial module"
         )
-    if not is_defining(rs, first.highest_weight).ok:
+    if not is_defining(rs, first.highest_weight):
         return
 
     masks = _BracketMasks(rs)
@@ -406,7 +381,7 @@ def _route_report(
     c = target.entries
     required = tuple(-c[node - 1][iota[j] - 1] for j in range(base.rank))
     row_matches = check_new_row(base, iota, required, target, node)
-    defining = (not all(x == 0 for x in required)) and is_defining(rs, required).ok
+    defining = (not all(x == 0 for x in required)) and is_defining(rs, required)
     dim_b1 = weyl_dim(rs, required)
     dims: set[int] = set()
     non_term = 0

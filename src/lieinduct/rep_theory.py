@@ -54,13 +54,7 @@ from math import prod
 from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import (
-    BudgetExceeded,
-    InvariantViolation,
-    NonIntegral,
-    NotACharacter,
-    NotDominant,
-)
+from .errors import BudgetExceeded, InvariantViolation, NotACharacter, NotDominant
 from .root_system import (
     DynkinType,
     RootSystem,
@@ -365,52 +359,9 @@ def _orbit_size(rs: RootSystem, zero_nodes: tuple[int, ...]) -> int:
     return q
 
 
-class WeightClass(NamedTuple):
-    minuscule: bool
-    quasi_minuscule: bool
-
-
-def classify_weight(rs: RootSystem, weight: Sequence[int]) -> WeightClass:
-    """Minuscule / quasi-minuscule flags under the coroot pairing.
-
-    The zero weight counts as minuscule; quasi-minuscule means the pairing
-    reaches 2 on exactly one root and never exceeds it.
-    """
-    lam = _require_dominant(rs, weight)
-    max_pairing = 0
-    count_two = 0
-    for alpha, ap, norm in zip(rs.positive_roots, rs.positive_pairings, rs.positive_norms):
-        num = 2 * sum(map(mul, lam, ap))
-        if num % norm:
-            raise NonIntegral(f"coroot pairing of {lam} with {alpha} is not integral")
-        p = num // norm
-        if p > max_pairing:
-            max_pairing = p
-        if p == 2:
-            count_two += 1
-    return WeightClass(
-        minuscule=max_pairing <= 1,
-        quasi_minuscule=max_pairing <= 2 and count_two == 1,
-    )
-
-
-class DefiningCheck(NamedTuple):
-    """The verdict of is_defining.  dominant_count is the number of dominant
-    weights, capped at 3: past two the closure stops at the third and the
-    character is not computed, so dominant_count is 3, a lower bound, and
-    max_multiplicity is None."""
-
-    ok: bool
-    dominant_count: int
-    max_multiplicity: int | None
-    witness: str | None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def is_defining(rs: RootSystem, weight: Sequence[int]) -> DefiningCheck:
-    """All weight multiplicities 1 and at most two dominant weights.
+def is_defining(rs: RootSystem, weight: Sequence[int]) -> bool:
+    """Whether V(weight) has at most two dominant weights and every weight
+    multiplicity 1.
 
     The dominant-weight closure runs first with cap 2; a third dominant
     weight settles "not defining" before any multiplicity is computed, and
@@ -419,16 +370,13 @@ def is_defining(rs: RootSystem, weight: Sequence[int]) -> DefiningCheck:
     return rs.memoized(_is_defining, _require_dominant(rs, weight))
 
 
-def _is_defining(rs: RootSystem, lam: Vector) -> DefiningCheck:
+def _is_defining(rs: RootSystem, lam: Vector) -> bool:
     try:
         dominant = _dominant_weights(rs, lam, cap=2)
     except BudgetExceeded:
-        # the closure found a third dominant weight: not defining
-        return DefiningCheck(
-            False, 3, None, "3 or more dominant weights (more than two Weyl orbits)"
-        )
+        return False  # the closure found a third dominant weight
     if len(dominant) == 1:
-        return DefiningCheck(True, 1, 1, None)
+        return True
     # lam and one lower dominant weight mu: dim V(lam) = |W lam| + m_mu |W mu|
     mu = list(dominant)[1]
     m, r = divmod(weyl_dim(rs, lam) - orbit_size(rs, lam), orbit_size(rs, mu))
@@ -436,9 +384,7 @@ def _is_defining(rs: RootSystem, lam: Vector) -> DefiningCheck:
         raise InvariantViolation(
             f"V({list(lam)}) of {rs.type}: the dimension formula gives no multiplicity at {mu}"
         )
-    if m > 1:
-        return DefiningCheck(False, 2, m, f"weight {list(mu)} has multiplicity {m}")
-    return DefiningCheck(True, 2, 1, None)
+    return m == 1
 
 
 def short_dominant_root(rs: RootSystem) -> Vector:
@@ -485,6 +431,6 @@ def defining_modules(rs: RootSystem) -> list[ModuleDescriptor]:
     out = [
         module_descriptor(rs, w)
         for w in _howe_candidates(rs)
-        if is_defining(rs, w).ok
+        if is_defining(rs, w)
     ]
     return sorted(out, key=lambda md: (md.dimension, md.highest_weight))

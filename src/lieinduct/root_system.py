@@ -17,8 +17,7 @@ Conventions (fixed once, validated by the highest-root round-trip tests):
   undirected edges, made a validated CartanMatrix by cartan_from_edges.
   The classical families stop at rank MAX_CLASSICAL_RANK.
 
-No floating point is used anywhere; weight-to-root conversion is exact over
-``fractions.Fraction``.
+No floating point is used anywhere.
 
 The positive roots come from a p - q closure over simple-root strings run
 on int codes: a root's coefficients are the digits of one int in radix 8,
@@ -67,13 +66,12 @@ import itertools
 import re
 import struct
 from collections import Counter, defaultdict
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm, prod
 from operator import add, mul, neg
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
-from .errors import BadEmbedding, InvalidType, InvariantViolation, NonIntegral, NotARoot
+from .errors import BadEmbedding, InvalidType, InvariantViolation
 
 Vector = tuple[int, ...]
 T = TypeVar("T")
@@ -141,10 +139,6 @@ class CartanMatrix(NamedTuple):
     @property
     def rank(self) -> int:
         return len(self.entries)
-
-    def entry(self, i: int, j: int) -> int:
-        """Entry for 1-based node labels i, j."""
-        return self.entries[i - 1][j - 1]
 
     def validate(self) -> None:
         n = self.rank
@@ -268,7 +262,7 @@ class RootSystem:
         """dim g = |R| + rank."""
         return self.num_roots + self.rank
 
-    # -- coordinate conversions ------------------------------------------
+    # -- root coordinates and the bilinear form ---------------------------
 
     def root_to_weight(self, k: Sequence[int]) -> Vector:
         """m_j = sum_i k_i C[i][j]."""
@@ -276,53 +270,12 @@ class RootSystem:
         n = self.rank
         return tuple(sum(k[i] * c[i][j] for i in range(n)) for j in range(n))
 
-    def weight_to_root(self, m: Sequence[int | Fraction]) -> tuple[Fraction, ...]:
-        """Exact inverse of root_to_weight; may be non-integral."""
-        inv = self._cartan_inverse
-        n = self.rank
-        return tuple(
-            sum((Fraction(m[j]) * inv[j][i] for j in range(n)), Fraction(0))
-            for i in range(n)
-        )
-
-    # -- bilinear form ----------------------------------------------------
-
     def form_weight_root(self, m: Sequence[int], k: Sequence[int]) -> int:
         """(lambda, beta) for lambda in weight coords, beta in root coords."""
         d = self.cartan.symmetrizer
         return sum(k[j] * d[j] * m[j] for j in range(self.rank))
 
-    def root_norm(self, k: Sequence[int]) -> int:
-        """(beta, beta) for beta in root coordinates."""
-        return self.form_weight_root(self.root_to_weight(k), k)
-
-    def coroot_pairing(self, m: Sequence[int], alpha: Sequence[int]) -> int:
-        """<lambda, alpha^vee> = 2 (lambda, alpha) / (alpha, alpha)."""
-        num = 2 * self.form_weight_root(m, alpha)
-        den = self.root_norm(alpha)
-        if num % den:
-            raise NonIntegral(f"coroot pairing of {m} with {alpha} is not integral")
-        return num // den
-
     # -- root datum, computed once per instance ---------------------------
-
-    @cached_property
-    def _cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Exact inverse of the Cartan matrix, for weight_to_root."""
-        c = self.cartan.entries
-        n = self.rank
-        aug = [[Fraction(c[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-               for i in range(n)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if aug[r][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv_p = Fraction(1) / aug[col][col]
-            aug[col] = [x * inv_p for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    f = aug[r][col]
-                    aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-        return tuple(tuple(row[n:]) for row in aug)
 
     @cached_property
     def roots(self) -> frozenset[Vector]:
@@ -418,8 +371,9 @@ class RootSystem:
 
     @cached_property
     def height_form(self) -> tuple[Vector, int]:
-        """(h, D), D > 0, with D * sum(weight_to_root(v)) == h . v for every v:
-        an integer functional ordering weights by root-coordinate height.
+        """(h, D), D > 0, with h . v equal to D times the height of v, the
+        sum of its (possibly fractional) coordinates on the simple roots, for
+        every v: an integer functional ordering weights by that height.
 
         The height of v is <v, rho^vee>, half the sum of <v, alpha^vee> over
         the positive roots, and <w_j, alpha^vee> = 2 alpha_j d_j / (alpha, alpha);
@@ -491,14 +445,6 @@ class RootSystem:
         support mask and leave it dominant.  Memoized per mask.
         """
         return self.memoized(_roots_within_support, mask)
-
-    # -- reflections -------------------------------------------------------
-
-    def reflect(self, m: Sequence[int], i: int) -> Vector:
-        """Simple reflection s_i on fundamental-weight coordinates (i 1-based)."""
-        row = self.cartan.entries[i - 1]
-        mi = m[i - 1]
-        return tuple(m[j] - mi * row[j] for j in range(self.rank))
 
 
 def _root_classes(rs: RootSystem, zero_nodes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -613,21 +559,6 @@ def build_root_system(t: DynkinType) -> RootSystem:
         positive_weights=weights, root_codes=dict(zip(codes, range(len(codes))))
     )
     return rs
-
-
-class RootStats(NamedTuple):
-    height: int
-    support: tuple[int, ...]
-    mult: Vector
-
-
-def root_stats(rs: RootSystem, r: Sequence[int]) -> RootStats:
-    """Height, support and per-node multiplicities of a root."""
-    r = tuple(r)
-    if r not in rs.roots:
-        raise NotARoot(f"{r} is not a root of {rs.type}")
-    support = tuple(i + 1 for i, k in enumerate(r) if k != 0)
-    return RootStats(height=sum(r), support=support, mult=r)
 
 
 # struct item formats of the signed digit widths, in bytes, that struct

@@ -71,16 +71,6 @@ class DecompositionResult(_DecompositionFields):
             )
         return tuple.__new__(cls, (summands, source_dimension))
 
-    def multiplicity(self, weight: Sequence[int]) -> int:
-        w = tuple(weight)
-        for md, m in self.summands:
-            if md.highest_weight == w:
-                return m
-        return 0
-
-    def weights(self) -> list[Vector]:
-        return [md.highest_weight for md, _ in self.summands]
-
     def as_multiset(self) -> dict[Vector, int]:
         return {md.highest_weight: m for md, m in self.summands}
 

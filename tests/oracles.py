@@ -29,7 +29,7 @@ The reflection-edge oracle looks each reflected positive root up by its
 coefficient tuple, where the engine adds codes, and the root-class oracle
 runs a union-find over those edges, where the engine labels each root in
 one pass from the highest root down.  The defining-check oracle reads the
-record off a whole dominant character, where the engine solves the
+verdict off a whole dominant character, where the engine solves the
 dimension formula for the one multiplicity it needs.
 The node-deletion oracle identifies every level, positive ones included,
 from a primitive root found on coefficient tuples, and checks each against
@@ -57,6 +57,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations
+from operator import mul
 
 from lieinduct.deletion import Deletion, EquivalenceClass, GradedComponent, ZeroLevel
 from lieinduct.induction import _SQUARE, _BracketMasks
@@ -71,7 +72,6 @@ from lieinduct.errors import (
 from lieinduct.rep_theory import (
     MAX_DOMINANT_WEIGHTS,
     MAX_WEIGHTS,
-    DefiningCheck,
     ModuleDescriptor,
     is_defining,
 )
@@ -126,14 +126,14 @@ class WeylOracle:
                 rows.append(tuple(row))
             gens.append(tuple(rows))
         self.gens = gens
-        self._cw = invert_rational([[c[i][j] for j in range(n)] for i in range(n)])
+        cw = _inverse_cartan(c)
         # adjugate form of the same inverse for integer-only hot paths
         den = 1
-        for row in self._cw:
+        for row in cw:
             for x in row:
                 den = den * x.denominator // _gcd(den, x.denominator)
         self._det = den
-        self._adj = [[int(x * den) for x in row] for row in self._cw]
+        self._adj = [[int(x * den) for x in row] for row in cw]
 
     @cached_property
     def elements(self) -> dict:
@@ -183,13 +183,6 @@ class WeylOracle:
                         nxt.append(u)
             frontier = nxt
         return seen
-
-    def weight_to_root(self, weight):
-        n = len(weight)
-        return tuple(
-            sum(Fraction(weight[j]) * self._cw[j][i] for j in range(n))
-            for i in range(n)
-        )
 
     def root_coords_scaled(self, weight):
         """det * (root coordinates); integer arithmetic only."""
@@ -280,7 +273,7 @@ def kostant_dominant_character(rs: RootSystem, lam) -> dict:
     gp = weyl_oracle(rs)
     # the antidominant conjugate is the lowest weight; it bounds the box
     lowest = next(w for w in gp.orbit(lam) if all(x <= 0 for x in w))
-    bound = gp.weight_to_root(tuple(a - b for a, b in zip(lam, lowest)))
+    bound = root_coords(rs, tuple(a - b for a, b in zip(lam, lowest)))
     bound = [int(x) for x in bound]
     n = rs.rank
     alphas = [tuple(rs.cartan.entries[i][j] for j in range(n)) for i in range(n)]
@@ -318,7 +311,7 @@ def _inverse_cartan(entries):
     return invert_rational(entries)
 
 
-def _root_coords(rs: RootSystem, weight) -> list:
+def root_coords(rs: RootSystem, weight) -> list:
     """Simple-root coordinates of a weight, as Fractions."""
     inv = _inverse_cartan(rs.cartan.entries)
     n = len(weight)
@@ -328,7 +321,7 @@ def _root_coords(rs: RootSystem, weight) -> list:
 def _dominates(rs: RootSystem, higher, lower) -> bool:
     """higher - lower a non-negative integer combination of simple roots;
     needs only the Cartan inverse, not the Weyl group."""
-    coords = _root_coords(rs, [a - b for a, b in zip(higher, lower)])
+    coords = root_coords(rs, [a - b for a, b in zip(higher, lower)])
     return all(x.denominator == 1 and x >= 0 for x in coords)
 
 
@@ -375,7 +368,7 @@ def weight_system_freudenthal(rs: RootSystem, lam) -> dict:
     weights = full_weight_system(rs, lam)
     dominant = sorted(
         (w for w in weights if min(w) >= 0),
-        key=lambda w: (sum(_root_coords(rs, [a - b for a, b in zip(lam, w)])), w),
+        key=lambda w: (sum(root_coords(rs, [a - b for a, b in zip(lam, w)])), w),
     )
 
     def form(weight, root) -> int:
@@ -390,7 +383,7 @@ def weight_system_freudenthal(rs: RootSystem, lam) -> dict:
             while nu in weights:
                 acc += mult[_dominant_conjugate(rs, nu)] * form(nu, alpha)
                 nu = tuple(a + b for a, b in zip(nu, aw))
-        diff = [int(x) for x in _root_coords(rs, [a - b for a, b in zip(lam, mu)])]
+        diff = [int(x) for x in root_coords(rs, [a - b for a, b in zip(lam, mu)])]
         den = form([a + b + 2 for a, b in zip(lam, mu)], diff)
         q, r = divmod(2 * acc, den)
         if not (r == 0 and q > 0):
@@ -615,26 +608,16 @@ def _brute_is_defining(rs: RootSystem, lam) -> bool:
     return len(table) <= 2 and max(table.values()) == 1
 
 
-def character_defining_check(rs: RootSystem, lam, character) -> DefiningCheck:
-    """The DefiningCheck record read off the whole dominant character, as
-    given by character(rs, lam): more than two dominant weights, or a
-    character refused with BudgetExceeded, is "3 or more"; otherwise the
-    largest multiplicity, the first in weight order among equals, is the
-    witness when it exceeds 1."""
+def character_defining_check(rs: RootSystem, lam, character) -> bool:
+    """The defining verdict read off the whole dominant character, as given
+    by character(rs, lam): at most two dominant weights, each of
+    multiplicity 1.  A character refused with BudgetExceeded has more than
+    two."""
     try:
-        table = dict(sorted(character(rs, tuple(lam)).items()))
+        table = character(rs, tuple(lam))
     except BudgetExceeded:
-        table = None
-    if table is None or len(table) > 2:
-        return DefiningCheck(
-            False, 3, None, "3 or more dominant weights (more than two Weyl orbits)"
-        )
-    worst_w, worst_m = max(table.items(), key=lambda it: it[1])
-    if worst_m > 1:
-        return DefiningCheck(
-            False, len(table), worst_m, f"weight {list(worst_w)} has multiplicity {worst_m}"
-        )
-    return DefiningCheck(True, len(table), worst_m, None)
+        return False
+    return len(table) <= 2 and max(table.values()) == 1
 
 
 def _brute_dimension(rs: RootSystem, lam) -> int:
@@ -698,15 +681,6 @@ def pairwise_admissible(masks: _BracketMasks, chain: tuple) -> int:
     return max(common, 0)
 
 
-def pairwise_next_level_candidates(rs: RootSystem, chain) -> tuple:
-    """Zero and the modules admissible below a chain of descriptors with no
-    zero level, by (dimension, highest weight)."""
-    masks = _BracketMasks(rs)
-    common = pairwise_admissible(masks, tuple(masks.intern(md) for md in chain))
-    found = [md for i, md in enumerate(masks.modules) if common >> i & 1]
-    return (None, *sorted(found, key=lambda md: (md.dimension, md.highest_weight)))
-
-
 def pairwise_induction_search(rs: RootSystem, b1, max_depth: int) -> list:
     """(chain of descriptors, terminated, DBOS dimension) of every admissible
     chain from b1, in the order of the search: depth first, children by
@@ -714,7 +688,7 @@ def pairwise_induction_search(rs: RootSystem, b1, max_depth: int) -> list:
     masks = _BracketMasks(rs)
     modules = masks.modules
     first = ModuleDescriptor(rs.type, tuple(b1), product_weyl_dim(rs, b1))
-    if not is_defining(rs, first.highest_weight).ok:  # as the masks check
+    if not is_defining(rs, first.highest_weight):  # as the masks check
         return []
     out = []
     stack = [(masks.intern(first),)]
@@ -747,22 +721,40 @@ def product_weyl_dim(rs: RootSystem, lam) -> int:
 
 
 def coroot_weight_class(rs: RootSystem, lam) -> tuple[bool, bool]:
-    """(minuscule, quasi-minuscule) from coroot_pairing on every positive root."""
-    pairings = [rs.coroot_pairing(lam, alpha) for alpha in rs.positive_roots]
+    """(minuscule, quasi-minuscule) from the coroot pairing
+    2 (lam, alpha) / (alpha, alpha) on every positive root, with both forms
+    summed from the root's pairing vector and weight.  The zero weight counts
+    as minuscule; quasi-minuscule means the pairing reaches 2 on exactly one
+    root and never exceeds it."""
+    pairings = []
+    for aw, ap in zip(rs.positive_weights, rs.positive_pairings):
+        q, r = divmod(2 * sum(map(mul, lam, ap)), sum(map(mul, aw, ap)))
+        if r:
+            raise ValueError(f"coroot pairing of {lam} with the root of weight {aw} is not an integer")
+        pairings.append(q)
     top = max(pairings + [0])
     return top <= 1, top <= 2 and pairings.count(2) == 1
 
 
 def norm_scan_short_dominant_root(rs: RootSystem) -> tuple:
-    """The dominant root of minimal length: root_norm on every positive root,
-    each call converting the root to weight coordinates again."""
-    shortest = min(rs.positive_roots, key=rs.root_norm)
+    """The dominant root of minimal length: the norm (alpha, alpha) of every
+    positive root from the bilinear form, each call converting the root to
+    weight coordinates again."""
+    shortest = min(rs.positive_roots,
+                   key=lambda alpha: rs.form_weight_root(rs.root_to_weight(alpha), alpha))
     return _dominant_conjugate(rs, rs.root_to_weight(shortest))
 
 
 def root_height(rs: RootSystem, v) -> Fraction:
     """Height of a weight in root coordinates (may be fractional)."""
-    return sum(rs.weight_to_root(v))
+    return sum(root_coords(rs, v))
+
+
+def simple_reflection(rs: RootSystem, v, i: int) -> tuple:
+    """s_i on fundamental-weight coordinates (i 1-based): v minus v_i times
+    Cartan row i."""
+    row = rs.cartan.entries[i - 1]
+    return tuple(x - v[i - 1] * y for x, y in zip(v, row))
 
 
 def patched_cartan_matrix(t: DynkinType) -> CartanMatrix:

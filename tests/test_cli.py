@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
@@ -418,6 +419,75 @@ def test_every_library_name_has_one_owner():
     loaded, public, version = proc.stdout.splitlines()
     assert (loaded, public) == ("[]", "[]")
     assert version
+
+
+# Public library names that nothing in the package or the benchmark names,
+# each with the reason it stays.
+CALLERLESS = {
+    "tensor_ops.DecompositionResult.as_multiset":
+        "the one reader of a whole decomposition, which the tests compare",
+}
+
+
+def _mentions(tree, identifiers=True) -> Counter:
+    """How often tree names each name: as an identifier (unless identifiers
+    is false), an attribute or a string constant.  A dict display's key is
+    an output field, not a name."""
+    import ast
+
+    keys = {id(k) for node in ast.walk(tree) if isinstance(node, ast.Dict) for k in node.keys}
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += identifiers
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in keys):
+            found[node.value] += 1
+    return found
+
+
+def test_every_public_library_name_has_a_caller():
+    # Every public module-level function and class, and every public method
+    # or property of a public class, is named in the package outside its own
+    # definition, or in the benchmark harness: the library keeps no answer
+    # that only the tests ask for.  A string counts, since cli finds
+    # sym2_decompose by getattr and perfbench patches CharacterTable.expand
+    # by name.  The harness reaches the library through module attributes
+    # and strings alone, so its own identifiers do not count.
+    import ast
+    import lieinduct
+
+    pkg = os.path.dirname(lieinduct.__file__)
+    bench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    trees = {}
+    for folder in (pkg, bench):
+        for name in sorted(os.listdir(folder)):
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name)) as fh:
+                    trees[folder, name[:-3]] = ast.parse(fh.read())
+    in_package = sum((_mentions(t) for (f, _), t in trees.items() if f == pkg), Counter())
+    in_bench = sum((_mentions(t, identifiers=False) for (f, _), t in trees.items()
+                    if f == bench), Counter())
+    public = []  # (qualified name, definition)
+    for (folder, module), tree in trees.items():
+        if folder != pkg:
+            continue
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                public.append((f"{module}.{node.name}", node))
+                if isinstance(node, ast.ClassDef):
+                    public += [(f"{module}.{node.name}.{item.name}", item) for item in node.body
+                               if isinstance(item, ast.FunctionDef)
+                               and not item.name.startswith("_")]
+    assert len(public) > 100
+    uncalled = sorted(
+        qualname for qualname, node in public
+        if in_package[node.name] == _mentions(node)[node.name] and not in_bench[node.name]
+    )
+    assert uncalled == sorted(CALLERLESS)
 
 
 def test_no_library_function_takes_a_true_or_false_option():

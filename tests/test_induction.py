@@ -11,11 +11,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from oracles import (
-    brute_induction_search,
-    pairwise_induction_search,
-    pairwise_next_level_candidates,
-)
+from oracles import brute_induction_search, pairwise_admissible, pairwise_induction_search
 
 from lieinduct import induction, rep_theory
 from lieinduct.cli import run
@@ -29,14 +25,13 @@ from lieinduct.induction import (
     G3_LONG_SIDE,
     G3_SHORT_SIDE,
     TargetDiagram,
+    _BracketMasks,
     check_new_row,
-    dbos_dimension,
     exceptional_report,
     exceptional_routes,
     induction_search,
-    next_level_candidates,
 )
-from lieinduct.rep_theory import defining_modules, is_defining, module_descriptor
+from lieinduct.rep_theory import defining_modules, is_defining
 from lieinduct.root_system import DynkinType, build_root_system, cartan_matrix, parse_dynkin
 
 
@@ -49,10 +44,6 @@ def w(rank, idx, scale=1):
     if idx:
         out[idx - 1] = scale
     return tuple(out)
-
-
-def md(label, weight):
-    return module_descriptor(rsys(label), weight)
 
 
 # first levels of the G3 routes: G2 short and long side, A2 short and long side
@@ -71,9 +62,9 @@ def test_check_new_row_rank9():
 def test_check_new_row_g3_long_side():
     # the row matches, but the required module fails the defining filter
     assert check_new_row(DynkinType("G", 2), (1, 2), (0, 1), G3_LONG_SIDE, 3)
-    assert not is_defining(rsys("G2"), (0, 1)).ok
+    assert not is_defining(rsys("G2"), (0, 1))
     assert check_new_row(DynkinType("G", 2), (1, 2), (1, 0), G3_SHORT_SIDE, 3)
-    assert is_defining(rsys("G2"), (1, 0)).ok
+    assert is_defining(rsys("G2"), (1, 0))
 
 
 def test_check_new_row_rejects_bad_embeddings():
@@ -98,37 +89,37 @@ def test_check_new_row_on_all_deletion_rows():
         ), row["name"]
 
 
-def test_next_level_candidates_examples():
-    rs = rsys("G2")
-    cands = next_level_candidates(rs, (md("G2", (1, 0)),), -2)
-    assert [c.highest_weight if c else None for c in cands] == [None, (1, 0)]
+def _children(label, chain):
+    """The nonzero levels that the search puts below chain: the last
+    weights of its states that extend chain by one level."""
+    n = len(chain)
+    states = induction_search(rsys(label), chain[0], max_depth=n + 1)
+    return [s.weights[n] for s in states if len(s.chain) == n + 1 and s.weights[:n] == chain]
 
-    rs = rsys("D8")
-    cands = next_level_candidates(rs, (md("D8", w(8, 7)),), -2)
-    assert cands == (None,)
 
-    rs = rsys("A8")
-    chain = (md("A8", w(8, 3)), md("A8", w(8, 6)))
-    cands = next_level_candidates(rs, chain, -3)
-    assert [c.highest_weight if c else None for c in cands] == [None, w(8, 0)]
+def test_search_children_examples():
+    assert _children("G2", ((1, 0),)) == [(1, 0)]  # level -2 below V(w1)
+    assert _children("D8", (w(8, 7),)) == []  # only zero below the half-spin
+    assert _children("A8", (w(8, 3), w(8, 6))) == [w(8, 0)]
 
 
 def test_zero_propagation():
-    rs = rsys("G2")
-    chain = (md("G2", (1, 0)), None)
-    assert next_level_candidates(rs, chain, -3) == (None,)
-    chain = (md("G2", (1, 0)), None, None)
-    assert next_level_candidates(rs, chain, -4) == (None,)
+    # a zero level forces every deeper one to zero, so the search stores a
+    # chain up to its first zero: (w1, 0) and (w1, 0, 0) over G2 are the
+    # terminated state (w1,), of dimension 14 + 1 + 2 * 7
+    first = induction_search(rsys("G2"), (1, 0), max_depth=3)[0]
+    assert (first.weights, first.terminated, first.dbos_dimension) == (((1, 0),), True, 29)
 
 
 def test_chains_replay_as_fixed_points():
+    # each level of every chain is admissible below its prefix by the walk
+    # over level pairs
     rs = rsys("A2")
+    masks = _BracketMasks(rs)
     for state in induction_search(rs, (1, 0), max_depth=7):
-        chain = state.chain
-        for k in range(2, len(chain) + 1):
-            cands = next_level_candidates(rs, chain[: k - 1], -k)
-            weights = [c.highest_weight if c else None for c in cands]
-            assert chain[k - 1].highest_weight in weights
+        ids = tuple(masks.intern(m) for m in state.chain)
+        for k in range(1, len(ids)):
+            assert pairwise_admissible(masks, ids[:k]) >> ids[k] & 1, state.weights
 
 
 def test_search_d8_single_terminated_chain():
@@ -175,16 +166,21 @@ def test_nonzero_levels_form_a_prefix():
             assert s.terminated == (len(s.chain) < 8)
 
 
+def _state_dimension(label, chain):
+    """The DBOS dimension of the search state that holds chain."""
+    states = induction_search(rsys(label), chain[0], max_depth=len(chain))
+    [dim] = [s.dbos_dimension for s in states if s.weights == chain]
+    return dim
+
+
 def test_dbos_dimensions_named():
-    assert dbos_dimension(rsys("D8"), [w(8, 7)]) == 377
-    assert dbos_dimension(rsys("A8"), [w(8, 3)]) == 249
-    assert dbos_dimension(rsys("A8"), [w(8, 3), w(8, 6)]) == 417
-    assert dbos_dimension(rsys("B4"), [w(4, 4)]) == 69
-    assert dbos_dimension(rsys("G2"), [(1, 0), (1, 0)]) == 43
-    # a trivial one-level chain realizes the direct-sum count dim g0 + 3
-    for label in ["A2", "B3", "E6"]:
-        rs = rsys(label)
-        assert dbos_dimension(rs, [(0,) * rs.rank]) == rs.dimension + 3
+    assert _state_dimension("D8", (w(8, 7),)) == 377
+    assert _state_dimension("A8", (w(8, 3),)) == 249
+    assert _state_dimension("A8", (w(8, 3), w(8, 6))) == 417
+    assert _state_dimension("B4", (w(4, 4),)) == 69
+    assert _state_dimension("G2", ((1, 0), (1, 0))) == 43
+    # a trivial level adds its line and the dual line
+    assert _state_dimension("A8", (w(8, 3), w(8, 6), w(8, 0))) == 417 + 2
 
 
 def test_round_trip_all_deletion_rows():
@@ -368,20 +364,6 @@ def test_search_kernel_matches_pairwise_walk(monkeypatch):
         assert kernel_calls == calls, (label, b1, depth)
 
 
-def test_next_level_candidates_match_pairwise_walk_on_every_prefix():
-    # every chain a search holds is the prefix of its children; each call
-    # decomposes its brackets afresh, so the routes stop at depth 48
-    checked = 0
-    for label, b1, depth in _seeded_triples() + [(l, b, 48) for l, b in _route_starts()]:
-        rs = rsys(label)
-        for s in induction_search(rs, b1, max_depth=depth):
-            n = len(s.chain)
-            got = next_level_candidates(rs, s.chain, -n - 1)
-            assert got == pairwise_next_level_candidates(rs, s.chain), (label, s.weights)
-            checked += 1
-    assert checked > 1000
-
-
 def test_every_chain_follows_its_prefix():
     # the pre-order the induct text formatter relies on: the chain of a
     # state of length n > 1, without its last level, is the chain of the
@@ -417,7 +399,7 @@ def _count_brackets(monkeypatch):
         def counted(rs, *weights):
             dec = fn(rs, *weights)
             summands = sorted(m.highest_weight for m, _ in dec.summands
-                              if is_defining(rs, m.highest_weight).ok)
+                              if is_defining(rs, m.highest_weight))
             calls.append((kind, key(weights), summands))
             return dec
         return counted
@@ -434,17 +416,13 @@ def test_equal_modules_at_different_levels_bracket_by_tensor_product(monkeypatch
     # product 7 (x) 7 = 1 + 7 + 14 + 27, not by Lambda^2 7 = 7 + 14, so the
     # trivial module is admissible there
     calls = _count_brackets(monkeypatch)
-    b = md("G2", (1, 0))
-    cands = next_level_candidates(rsys("G2"), (b, b), -3)
-    assert [c.highest_weight if c else None for c in cands] == [None, (0, 0), (1, 0)]
-    # the pair (-1, -2) is a tensor product; a two-level chain has no square
-    assert calls == [("tensor", frozenset({(1, 0)}), [(0, 0), (1, 0)])]
-    calls.clear()
-    next_level_candidates(rsys("G2"), (b,), -2)
-    assert calls == [("square", (1, 0), [(1, 0)])]
     chains = [s.weights for s in induction_search(rsys("G2"), (1, 0), max_depth=3)]
     assert chains == [((1, 0),), ((1, 0), (1, 0)),
                       ((1, 0), (1, 0), (0, 0)), ((1, 0), (1, 0), (1, 0))]
+    # level -2 below (w1) comes from the square; level -3 below (w1, w1)
+    # from the pair (-1, -2), a tensor product, with no square
+    assert calls == [("square", (1, 0), [(1, 0)]),
+                     ("tensor", frozenset({(1, 0)}), [(0, 0), (1, 0)])]
 
 
 def test_search_budget_counts_the_levels_of_every_chain(monkeypatch):

@@ -8,12 +8,7 @@ from lieinduct.cli import _jsonable
 from lieinduct.deletion import RowResult, Table2Report, delete_node, deletion_equivalences
 from lieinduct.errors import InvalidType, NotACharacter
 from lieinduct.induction import TargetDiagram, exceptional_report, induction_search
-from lieinduct.rep_theory import (
-    DefiningCheck,
-    classify_weight,
-    is_defining,
-    module_descriptor,
-)
+from lieinduct.rep_theory import is_defining, module_descriptor
 from lieinduct.root_system import (
     DynkinType,
     RootSystem,
@@ -21,7 +16,6 @@ from lieinduct.root_system import (
     cartan_matrix,
     classify_subdiagram,
     parse_dynkin,
-    root_stats,
 )
 from lieinduct.tensor_ops import DecompositionResult, tensor_decompose
 
@@ -56,11 +50,8 @@ def _records():
     return [
         DynkinType("G", 2),
         rs.cartan,
-        root_stats(rs, rs.highest_root),
         classify_subdiagram(rs.cartan.entries, rs.cartan.symmetrizer, [2])[0],
         module_descriptor(rs, (1, 0)),
-        classify_weight(rs, (1, 0)),
-        is_defining(rs, (1, 0)),
         tensor_decompose(rs, (1, 0), (1, 0)),
         deletion,
         deletion.zero_level,
@@ -113,9 +104,9 @@ def test_module_descriptors_sort_by_algebra_then_weight_then_dimension():
 
 
 def test_defining_check_truth_is_its_verdict():
-    assert not DefiningCheck(False, 3, None, "3 or more dominant weights")
-    assert DefiningCheck(True, 1, 1, None)
-    assert not is_defining(rsys("G2"), (2, 0))
+    # the check returns its verdict as a bool, not a record
+    assert is_defining(rsys("G2"), (2, 0)) is False
+    assert is_defining(rsys("G2"), (1, 0)) is True
 
 
 def test_json_serializes_dynkin_types_as_labels():

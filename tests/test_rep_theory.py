@@ -19,6 +19,7 @@ from oracles import (
     kostant_dominant_character,
     norm_scan_short_dominant_root,
     product_weyl_dim,
+    simple_reflection,
     tuple_weyl_orbit,
     unfolded_freudenthal,
     unindexed_dominant_weights,
@@ -34,7 +35,6 @@ from lieinduct.rep_theory import (
     CharacterTable,
     _dominant_weights,
     _howe_candidates,
-    classify_weight,
     defining_modules,
     freudenthal_character,
     is_defining,
@@ -177,7 +177,7 @@ def test_freudenthal_weyl_invariance():
     full = freudenthal_character(rs, (1, 0, 1)).expand(rs)
     for v, m in list(full.items())[::7]:
         for i in range(1, 4):
-            assert full[rs.reflect(v, i)] == m
+            assert full[simple_reflection(rs, v, i)] == m
 
 
 def _doubled(rs):
@@ -193,8 +193,9 @@ def test_freudenthal_scale_invariance():
         rs2 = _doubled(rs)
         assert freudenthal_character(rs2, lam) == freudenthal_character(rs, lam)
         assert weyl_dim(rs2, lam) == weyl_dim(rs, lam)
-        cls = classify_weight(rs2, lam)
-        assert cls == classify_weight(rs, lam)
+        # and so are the minuscule nodes and the quasi-minuscule weight
+        assert rs2.highest_coroot == rs.highest_coroot
+        assert short_dominant_root(rs2) == short_dominant_root(rs)
 
 
 def test_root_classes_match_parabolic_orbits():
@@ -309,7 +310,16 @@ def _memoized_results(rs, lam, mu):
     )
 
 
+def _minuscule_weights(rs):
+    """Zero and the fundamental weights w_i whose highest-coroot
+    coefficient is 1: the minuscule weights as _howe_candidates reads them."""
+    n = rs.rank
+    return {(0,) * n} | {w(n, i + 1) for i, c in enumerate(rs.highest_coroot) if c == 1}
+
+
 def test_weyl_dim_and_classify_match_per_call_formulas():
+    # the engine's minuscule weights and quasi-minuscule weight (the short
+    # dominant root) against the coroot pairing of every positive root
     rng = random.Random(20261019)
     for label in ALL_LABELS:
         rs = rsys(label)
@@ -319,8 +329,8 @@ def test_weyl_dim_and_classify_match_per_call_formulas():
         weights += [tuple(rng.randint(0, 3) for _ in range(rs.rank)) for _ in range(6)]
         for lam in weights:
             assert weyl_dim(rs, lam) == product_weyl_dim(rs, lam), (label, lam)
-            cls = classify_weight(rs, lam)
-            assert (cls.minuscule, cls.quasi_minuscule) == coroot_weight_class(rs, lam)
+            assert coroot_weight_class(rs, lam) == (
+                lam in _minuscule_weights(rs), lam == short_dominant_root(rs)), (label, lam)
 
 
 def test_weyl_dim_over_the_support_matches_product_oracle():
@@ -454,10 +464,11 @@ def test_minuscule_classification_lists():
     for label, idxs in minuscule.items():
         rs = rsys(label)
         got = [i for i in range(1, rs.rank + 1)
-               if classify_weight(rs, w(rs.rank, i)).minuscule]
+               if coroot_weight_class(rs, w(rs.rank, i))[0]]
         assert got == idxs, label
+        assert [i + 1 for i, c in enumerate(rs.highest_coroot) if c == 1] == idxs, label
         # zero weight counts as minuscule
-        assert classify_weight(rs, (0,) * rs.rank).minuscule
+        assert coroot_weight_class(rs, (0,) * rs.rank)[0]
 
 
 def test_short_simple_root_counts():
@@ -489,11 +500,12 @@ def test_quasi_minuscule_classification():
     }
     for label, weight in quasi.items():
         rs = rsys(label)
-        cls = classify_weight(rs, weight)
-        assert cls.quasi_minuscule and not cls.minuscule, label
+        assert coroot_weight_class(rs, weight) == (False, True), label
+        assert short_dominant_root(rs) == weight, label
     rs = rsys("A3")
-    assert classify_weight(rs, (1, 0, 1)).quasi_minuscule
-    assert not classify_weight(rs, (0,) * 3).quasi_minuscule
+    assert coroot_weight_class(rs, (1, 0, 1)) == (False, True)
+    assert short_dominant_root(rs) == (1, 0, 1)
+    assert not coroot_weight_class(rs, (0,) * 3)[1]
 
 
 def test_short_dominant_root_matches_norm_scan_oracle():
@@ -511,21 +523,23 @@ def test_minuscule_modules_are_single_orbits():
     for label, weight in [("A4", w(4, 2)), ("B4", w(4, 4)), ("D5", w(5, 5)),
                           ("E6", w(6, 1)), ("C4", w(4, 1))]:
         rs = rsys(label)
-        assert classify_weight(rs, weight).minuscule
+        assert coroot_weight_class(rs, weight)[0]
         ch = freudenthal_character(rs, weight)
         assert list(ch.entries.keys()) == [weight]
         assert orbit_size(rs, weight) == weyl_dim(rs, weight)
 
 
 def test_is_defining_witnesses():
-    check = is_defining(rsys("E8"), w(8, 8))
-    assert not check.ok
-    assert "multiplicity 8" in check.witness
-    assert is_defining(rsys("A1"), (3,)).ok
+    # the adjoint of E8 fails on its zero weight, of multiplicity 8
+    assert is_defining(rsys("E8"), w(8, 8)) is False
+    assert freudenthal_character(rsys("E8"), w(8, 8)).entries[(0,) * 8] == 8
+    assert is_defining(rsys("A1"), (3,)) is True
+    # 3w1 of A_l fails on a third dominant weight, where the closure stops
     for l in range(2, 6):
-        check = is_defining(rsys(f"A{l}"), w(l, 1, 3))
-        assert not check.ok
-        assert check.dominant_count == 3
+        rs = rsys(f"A{l}")
+        assert is_defining(rs, w(l, 1, 3)) is False
+        with pytest.raises(BudgetExceeded):
+            _dominant_weights(rs, w(l, 1, 3), cap=2)
 
 
 def test_is_defining_past_character_budget():
@@ -534,11 +548,9 @@ def test_is_defining_past_character_budget():
     for label, lam in (("E8", (1,) * 8), ("A1", (5000,))):
         with pytest.raises(BudgetExceeded):
             freudenthal_character(rsys(label), lam)
-        check = is_defining(rsys(label), lam)
-        assert not check.ok
-        assert check.dominant_count == 3
-        assert check.max_multiplicity is None
-        assert "dominant weights" in check.witness
+        assert is_defining(rsys(label), lam) is False
+        with pytest.raises(BudgetExceeded):
+            _dominant_weights(rsys(label), lam, cap=2)
 
 
 def test_roots_within_support_matches_brute_filter():
@@ -592,27 +604,13 @@ def _seeded_defining_weights():
     return out
 
 
-def test_is_defining_matches_full_character_decision():
-    for label, lam in _seeded_defining_weights():
-        rs = rsys(label)
-        try:
-            table = freudenthal_character(rs, lam).entries
-        except BudgetExceeded:
-            expected = False
-        else:
-            expected = max(table.values()) == 1 and len(table) <= 2
-        assert is_defining(rs, lam).ok == expected, (label, lam)
-    with pytest.raises(BudgetExceeded):
-        freudenthal_character(rsys("A2"), (100, 100))
-
-
 def _full_character(rs, lam):
     return freudenthal_character(rs, lam).entries
 
 
-def test_is_defining_records_match_character_oracle():
-    # whole DefiningCheck records, witness text included: every Howe
-    # candidate through rank 8 and at rank 32, and the seeded weights above
+def test_is_defining_matches_full_character_decision():
+    # every Howe candidate through rank 8 and at rank 32, and the seeded
+    # weights above
     cases = [(label, lam) for label in ALL_LABELS + ["A32", "B32", "C32", "D32"]
              for lam in sorted(_howe_candidates(rsys(label)))]
     cases += _seeded_defining_weights()
@@ -620,11 +618,13 @@ def test_is_defining_records_match_character_oracle():
         rs = rsys(label)
         assert is_defining(rs, lam) == character_defining_check(rs, lam, _full_character), (
             label, lam)
-    assert sum(not is_defining(rsys(label), lam).ok for label, lam in cases) > 100
+    assert sum(not is_defining(rsys(label), lam) for label, lam in cases) > 100
+    with pytest.raises(BudgetExceeded):
+        freudenthal_character(rsys("A2"), (100, 100))
 
 
 def test_howe_candidates_take_minuscule_nodes_from_the_highest_coroot():
-    # a fundamental weight is a candidate when classify_weight calls it
+    # a fundamental weight is a candidate when the coroot pairing calls it
     # minuscule; any other fundamental candidate is the quasi-minuscule
     # weight of a type with one short simple root, or w3 of C3
     count = 0
@@ -634,7 +634,7 @@ def test_howe_candidates_take_minuscule_nodes_from_the_highest_coroot():
             cands = _howe_candidates(rs)
             for i in range(rank):
                 wi = w(rank, i + 1)
-                if classify_weight(rs, wi).minuscule:
+                if coroot_weight_class(rs, wi)[0]:
                     assert wi in cands, (rs.type, i + 1)
                 elif wi in cands:
                     assert wi == short_dominant_root(rs) and num_short_simple_roots(rs) == 1 or (
@@ -656,7 +656,7 @@ def test_is_defining_matches_brute_force():
                 continue  # keep the suite under budget; smaller cases cover rank 4
             table = kostant_dominant_character(rs, lam)
             brute_ok = all(m == 1 for m in table.values()) and len(table) <= 2
-            assert is_defining(rs, lam).ok == brute_ok, (label, lam)
+            assert is_defining(rs, lam) == brute_ok, (label, lam)
 
 
 def test_defining_modules_full_lists():
@@ -685,11 +685,11 @@ def test_defining_modules_full_lists():
 def test_a_family_exponent_failure_is_monotone():
     # rank 1: m = 3 passes, m >= 4 fails; rank >= 2: m = 2 passes, m >= 3 fails
     rs = rsys("A1")
-    flags = [is_defining(rs, (m,)).ok for m in range(2, 7)]
+    flags = [is_defining(rs, (m,)) for m in range(2, 7)]
     assert flags == [True, True, False, False, False]
     for l in [2, 4]:
         rs = rsys(f"A{l}")
-        flags = [is_defining(rs, w(l, 1, m)).ok for m in range(2, 7)]
+        flags = [is_defining(rs, w(l, 1, m)) for m in range(2, 7)]
         assert flags == [True, False, False, False, False]
 
 
