@@ -19,31 +19,31 @@ Conventions (fixed once, validated by the highest-root round-trip tests):
 
 No floating point is used anywhere.
 
-The positive roots come from a p - q closure over simple-root strings run
+The positive roots come from one p - q closure over simple-root strings run
 on int codes: a root's coefficients are the digits of one int in radix 8,
-node 1 the most significant, so probing beta + a_i or beta - a_i is one int
-addition and one set lookup, and the codes sort as the coefficient tuples
-do.  No finite-type coefficient exceeds 6 (E8's highest root), so a
+node 1 the most significant, so probing beta + a_i or beta - k a_i is one
+int addition and one set lookup, and the codes sort as the coefficient
+tuples do.  No finite-type coefficient exceeds 6 (E8's highest root), so a
 coefficient that would reach 7 stops the closure with InvariantViolation:
 the matrix is not of finite type, and one more probe would carry into the
-next digit and alias another root.  The coefficient tuple and the weight
-of a root are built once, when the closure finds it, and the root system
-keeps the codes as RootSystem.root_codes (minus a code for minus a root).
+next digit and alias another root.  The same pass yields every per-root
+table of the root datum, each entry built once, when its root is found:
+the coefficient tuple, the weight, the code (RootSystem.root_codes, minus a
+code for minus a root), the norm, the nodes where the weight is positive
+and those where it is negative as bitmasks, and the reflection table of
+RootSystem._raising.  RootSystem(type, cartan) runs it; there is no other
+way to build a root system.
 
-Each RootSystem instance computes its root datum once, on first use, from its
-own Cartan matrix, symmetrizer and positive roots: the set of every root as
-a coefficient tuple, the weight coordinates of every root, the pairing
-vectors and norms of the positive roots, the nodes where each positive
-root's weight is positive and those where it is negative as bitmasks, the
-Weyl dimension denominator and an integer height functional.  Every result
-derived from the datum and a key (the root classes per zero-node set, the
-roots within a support, the weight codes per digit width, and the
-characters, orbits, orbit sizes and defining checks of rep_theory) is
-memoized on the instance by
+Each RootSystem instance derives the rest of its datum once, on first use,
+from those tables: the pairing vectors of the positive roots, the Weyl
+dimension denominator, the highest coroot and an integer height
+functional.  Every result derived from the datum and a key (the root
+classes per zero-node set, the roots within a support, the weight codes
+per digit width, and the characters, orbits, orbit sizes and defining
+checks of rep_theory) is memoized on the instance by
 RootSystem.memoized, never keyed by type, so a rescaled symmetrizer gets its
 own.  build_root_system is the one process-wide cache: clearing it drops
-every instance and with it every memo.  It fills in the positive roots'
-weights and codes from its root closure, which computes them anyway.
+every instance and with it every memo.
 
 Weights are reduced and walked as int codes too (WeightCodes): one digit
 per node, node 1 the lowest, holding the coordinate plus an offset of half
@@ -68,7 +68,7 @@ import struct
 from collections import Counter, defaultdict
 from functools import cached_property, lru_cache
 from math import factorial, gcd, lcm, prod
-from operator import add, mul, neg
+from operator import add, mul
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import BadEmbedding, InvalidType, InvariantViolation
@@ -220,28 +220,36 @@ def _expected_highest_root(t: DynkinType) -> Vector:
 class RootSystem:
     """A root system and its memos, read-only once built.
 
-    build_root_system returns a cached singleton per type, and each instance
-    owns its memos, so identity equality and hashing are all it needs.  The
-    cached properties below and RootSystem.memoized keep their results in the
-    instance's __dict__; attribute assignment raises AttributeError.
+    The constructor runs the root closure of cartan, which yields every
+    per-root table below (see the module docstring); the root system is
+    irreducible, its highest root unique.  build_root_system returns a
+    cached singleton per type, and each instance owns its memos, so
+    identity equality and hashing are all it needs.  The cached properties
+    below and RootSystem.memoized keep their results in the instance's
+    __dict__; attribute assignment raises AttributeError.
     """
 
     type: DynkinType
     rank: int
     cartan: CartanMatrix
-    positive_roots: tuple[Vector, ...]
+    positive_roots: tuple[Vector, ...]  # by height, then lexicographically
     highest_root: Vector
+    positive_weights: tuple[Vector, ...]  # in positive_roots order, as all below
+    positive_norms: tuple[int, ...]  # (alpha, alpha)
+    positive_nodes: tuple[int, ...]  # bit j set when the weight is positive at node j
+    negative_nodes: tuple[int, ...]  # bit j set when the weight is negative at node j
+    root_codes: dict[int, int]  # code -> index in positive_roots
+    # Per node j, the index i of each alpha_i with <alpha_i, a_j^vee> < 0,
+    # mapped to the index of s_j(alpha_i), a higher positive root.
+    _raising: tuple[dict[int, int], ...]
 
-    def __init__(
-        self,
-        type: DynkinType,
-        cartan: CartanMatrix,
-        positive_roots: tuple[Vector, ...],
-        highest_root: Vector,
-    ) -> None:
+    def __init__(self, type: DynkinType, cartan: CartanMatrix) -> None:
+        roots, weights, codes, norms, positive, negative, raising = _root_closure(cartan)
         vars(self).update(
-            type=type, rank=type.rank, cartan=cartan, positive_roots=positive_roots,
-            highest_root=highest_root,
+            type=type, rank=type.rank, cartan=cartan, positive_roots=roots,
+            highest_root=roots[-1], positive_weights=weights, positive_norms=norms,
+            positive_nodes=positive, negative_nodes=negative, root_codes=codes,
+            _raising=raising,
         )
 
     def __setattr__(self, name: str, value=None) -> None:
@@ -278,48 +286,10 @@ class RootSystem:
     # -- root datum, computed once per instance ---------------------------
 
     @cached_property
-    def roots(self) -> frozenset[Vector]:
-        """Every root, positive and negative, as a coefficient tuple."""
-        pr = self.positive_roots
-        return frozenset(pr) | frozenset(tuple(map(neg, r)) for r in pr)
-
-    @cached_property
-    def positive_weights(self) -> tuple[Vector, ...]:
-        """The positive roots in weight coordinates, in positive_roots order."""
-        cols = tuple(zip(*self.cartan.entries))  # as root_to_weight, by columns
-        return tuple(tuple(sum(map(mul, a, col)) for col in cols) for a in self.positive_roots)
-
-    @cached_property
     def positive_pairings(self) -> tuple[Vector, ...]:
         """alpha_j * d_j per positive root, so (lambda, alpha) = lambda . this."""
         d = self.cartan.symmetrizer
         return tuple(tuple(map(mul, a, d)) for a in self.positive_roots)
-
-    @cached_property
-    def positive_norms(self) -> tuple[int, ...]:
-        """(alpha, alpha) per positive root."""
-        return tuple(
-            sum(map(mul, aw, ap))
-            for aw, ap in zip(self.positive_weights, self.positive_pairings)
-        )
-
-    @cached_property
-    def positive_nodes(self) -> tuple[int, ...]:
-        """Per positive root, the bitmask of the nodes (bit j for the 0-based
-        node j) where its weight is positive."""
-        bits = [1 << j for j in range(self.rank)]
-        positive = (0).__lt__
-        return tuple(
-            sum(itertools.compress(bits, map(positive, aw))) for aw in self.positive_weights
-        )
-
-    @cached_property
-    def root_codes(self) -> dict[int, int]:
-        """The code of each positive root (see the module docstring), mapped
-        to its index in positive_roots; the code of -alpha is minus that of
-        alpha.  build_root_system pre-fills it from its root closure."""
-        steps = simple_root_codes(self.rank)
-        return {sum(map(mul, a, steps)): i for i, a in enumerate(self.positive_roots)}
 
     @cached_property
     def highest_coroot(self) -> Vector:
@@ -378,42 +348,17 @@ class RootSystem:
         The height of v is <v, rho^vee>, half the sum of <v, alpha^vee> over
         the positive roots, and <w_j, alpha^vee> = 2 alpha_j d_j / (alpha, alpha);
         so h is the sum of alpha_j d_j * D / (alpha, alpha) with D the lcm of
-        the norms, reduced by the common divisor.
+        the norms, reduced by the common divisor.  The pairings are summed
+        once per norm, of which there are at most three.
         """
-        den = lcm(*self.positive_norms)
+        norms = self.positive_norms
+        den = lcm(*set(norms))
         h = [0] * self.rank
-        for ap, norm in zip(self.positive_pairings, self.positive_norms):
-            q = den // norm
-            h = [x + q * y for x, y in zip(h, ap)]
+        for norm in set(norms):
+            same = itertools.compress(self.positive_pairings, map(norm.__eq__, norms))
+            h = list(map(add, h, map((den // norm).__mul__, map(sum, zip(*same)))))
         g = gcd(den, *h)
         return tuple(x // g for x in h), den // g
-
-    @cached_property
-    def negative_nodes(self) -> tuple[int, ...]:
-        """Per positive root, the bitmask of the nodes (bit j for the 0-based
-        node j) where its weight is negative."""
-        bits = [1 << j for j in range(self.rank)]
-        negative = (0).__gt__
-        return tuple(
-            sum(itertools.compress(bits, map(negative, aw))) for aw in self.positive_weights
-        )
-
-    @cached_property
-    def _raising(self) -> tuple[dict[int, int], ...]:
-        """Per node j, the positive-root index i of each alpha_i with
-        <alpha_i, a_j^vee> < 0, mapped to the index k of alpha_k = s_j(alpha_i).
-
-        s_j(alpha) = alpha - <alpha, a_j^vee> a_j raises alpha's j-th root
-        coordinate by minus the pairing, its j-th weight coordinate, so its
-        code by that much times a_j's code; alpha_k is a higher positive root.
-        root_codes lists the codes in positive_roots order.
-        """
-        codes, pw = self.root_codes, self.positive_weights
-        steps = simple_root_codes(self.rank)
-        return tuple(
-            {i: codes[c - aw[j] * step] for i, (c, aw) in enumerate(zip(codes, pw)) if aw[j] < 0}
-            for j, step in enumerate(steps)
-        )
 
     @cached_property
     def _memos(self) -> defaultdict[Callable, dict]:
@@ -486,78 +431,96 @@ def simple_root_codes(rank: int) -> tuple[int, ...]:
     return tuple(_RADIX ** (rank - 1 - i) for i in range(rank))
 
 
-def _root_closure(
-    cm: CartanMatrix,
-) -> tuple[tuple[Vector, ...], tuple[Vector, ...], tuple[int, ...]]:
-    """The positive roots of cm, by height and then lexicographically, their
-    weight coordinates and their codes: the p - q closure over simple-root
-    strings, run on root codes (see the module docstring).
+def _root_closure(cm: CartanMatrix) -> tuple[
+    tuple[Vector, ...], tuple[Vector, ...], dict[int, int], tuple[int, ...],
+    tuple[int, ...], tuple[int, ...], tuple[dict[int, int], ...],
+]:
+    """The positive roots of cm, by height and then lexicographically, and
+    in that order their weights, codes (mapped to their indices), norms and
+    positive- and negative-node bitmasks, then the reflection table of
+    RootSystem._raising: the p - q closure over simple-root strings, run on
+    root codes (see the module docstring).
 
     Each frontier holds the roots of one height.  Adding a_i adds Cartan row
-    i to the weight, whose i-th coordinate is the pairing <beta, a_i^vee> =
-    p - q that the rule reads; so the a_i-string is walked down only until
-    it is longer than that pairing, and never past beta_i, so a subtraction
-    never borrows.
+    i to the weight w, whose i-th coordinate is the pairing <beta, a_i^vee> =
+    p - q, and 2 d_i (w_i + 1) to the norm.  Root strings are unbroken, so
+    beta + a_i is a root when w_i < 0, and when w_i >= 0 exactly when
+    beta - (w_i + 1) a_i is one: a single probe, made only when beta_i >
+    w_i, so the subtraction never borrows.  For w_j < 0, s_j(beta) = beta -
+    w_j a_j, a higher positive root whose code is known once the closure
+    ends.  A last frontier of more than one root means the highest root is
+    not unique, and the matrix not irreducible: InvalidType.
     """
     n = cm.rank
-    rows = cm.entries
+    rows, d = cm.entries, cm.symmetrizer
     steps = simple_root_codes(n)
-    level = {step: (tuple(int(i == j) for j in range(n)), rows[i])
+    nodes = tuple(zip(range(n), steps, [1 << i for i in range(n)]))
+    level = {step: (tuple(int(i == j) for j in range(n)), rows[i], 2 * d[i])
              for i, step in enumerate(steps)}
     known = set(level)
     roots: list[Vector] = []
     weights: list[Vector] = []
     codes: list[int] = []
-    while level:
+    norms: list[int] = []
+    positive: list[int] = []
+    negative: list[int] = []
+    reflected: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # per node j: (i, code of s_j)
+    while True:
         nxt = {}
         for code in sorted(level):
-            k, w = level[code]
+            k, w, norm = level[code]
+            index = len(codes)
             roots.append(k)
             weights.append(w)
             codes.append(code)
-            for i, step in enumerate(steps):
+            norms.append(norm)
+            pos = neg = 0
+            for i, step, bit in nodes:
+                wi = w[i]
+                if wi < 0:
+                    neg |= bit
+                    reflected[i].append((index, code - wi * step))
+                else:
+                    if wi:
+                        pos |= bit
+                    if k[i] <= wi or code - (wi + 1) * step not in known:
+                        continue
                 up = code + step
                 if up in known:
                     continue
-                # how far the a_i-string runs down from beta, up to w[i] + 1
-                wi, ki = w[i], k[i]
-                p = 0
-                down = code - step
-                while p <= wi and p < ki and down in known:
-                    p += 1
-                    down -= step
-                if p > wi:
-                    if ki + 1 >= _RADIX - 1:
-                        raise InvariantViolation(
-                            f"a root coefficient reaches {ki + 1}: the Cartan matrix "
-                            f"{cm.entries} is not of finite type"
-                        )
-                    known.add(up)
-                    nxt[up] = (k[:i] + (ki + 1,) + k[i + 1:], tuple(map(add, w, rows[i])))
+                ki = k[i]
+                if ki + 1 >= _RADIX - 1:
+                    raise InvariantViolation(
+                        f"a root coefficient reaches {ki + 1}: the Cartan matrix "
+                        f"{cm.entries} is not of finite type"
+                    )
+                known.add(up)
+                nxt[up] = (k[:i] + (ki + 1,) + k[i + 1:], tuple(map(add, w, rows[i])),
+                           norm + 2 * d[i] * (wi + 1))
+            positive.append(pos)
+            negative.append(neg)
+        if not nxt:
+            break
         level = nxt
-    return tuple(roots), tuple(weights), tuple(codes)
+    if len(level) != 1:
+        raise InvalidType(
+            f"the Cartan matrix {cm.entries} has {len(level)} highest roots, not one"
+        )
+    code_index = dict(zip(codes, range(len(codes))))
+    raising = tuple({i: code_index[c] for i, c in edges} for edges in reflected)
+    return (tuple(roots), tuple(weights), code_index, tuple(norms), tuple(positive),
+            tuple(negative), raising)
 
 
 @lru_cache(maxsize=None)
 def build_root_system(t: DynkinType) -> RootSystem:
-    """The root system of t from _root_closure, with its weights and codes
-    pre-filled as positive_weights and root_codes, after the convention-drift
-    and unique-highest-root checks."""
-    cm = cartan_matrix(t)
-    ordered, weights, codes = _root_closure(cm)
-    highest = ordered[-1]
-    if highest != _expected_highest_root(t):
+    """The root system of t, after the convention-drift check."""
+    rs = RootSystem(t, cartan_matrix(t))
+    if rs.highest_root != _expected_highest_root(t):
         raise InvalidType(
-            f"convention drift: generated highest root {highest} for {t} does not "
-            f"match the expected coordinates {_expected_highest_root(t)}"
+            f"convention drift: generated highest root {rs.highest_root} for {t} does "
+            f"not match the expected coordinates {_expected_highest_root(t)}"
         )
-    heights = [sum(r) for r in ordered]
-    if heights.count(max(heights)) != 1:
-        raise InvalidType(f"highest root of {t} is not unique")
-    rs = RootSystem(t, cm, ordered, highest)
-    vars(rs).update(  # pre-fill the caches
-        positive_weights=weights, root_codes=dict(zip(codes, range(len(codes))))
-    )
     return rs
 
 

@@ -20,7 +20,8 @@ The Cartan-matrix oracle builds each finite type as a simple chain and
 patches its entries per family, where the engine reads a symmetrizer and an
 edge list.  The root-closure oracle closes simple-root strings on
 coefficient tuples, probing every string in full, where the engine probes
-int codes and stops a string once the p - q rule is decided.
+int codes once per root and node; root_set holds every root as a
+coefficient tuple, which only the tests read.
 The tuple Weyl kernel reduces a weight to the dominant chamber on a list
 of coordinates, changing at each reflection the coordinates where the Cartan
 row is nonzero; it walks an orbit and straightens a full weight table on
@@ -800,6 +801,13 @@ def patched_cartan_matrix(t: DynkinType) -> CartanMatrix:
     return CartanMatrix(tuple(tuple(row) for row in c), tuple(d))
 
 
+@lru_cache(maxsize=None)
+def root_set(rs: RootSystem) -> frozenset:
+    """Every root of rs, positive and negative, as a coefficient tuple."""
+    pr = rs.positive_roots
+    return frozenset(pr) | frozenset(tuple(-x for x in r) for r in pr)
+
+
 def tuple_root_closure(cm: CartanMatrix) -> tuple[tuple, tuple]:
     """(positive roots sorted by height and then lexicographically, their
     weights), by the p - q rule on coefficient tuples: beta + a_i is a root
@@ -867,7 +875,7 @@ def union_find_root_classes(rs: RootSystem, zero_nodes) -> tuple:
 
 def tuple_primitive_root(rs: RootSystem, d: int, level_roots) -> tuple:
     """The unique root of the level that remains a root under no residual
-    simple-root addition, probed on coefficient tuples in rs.roots."""
+    simple-root addition, probed on coefficient tuples in root_set(rs)."""
     prims = []
     for beta in level_roots:
         ok = True
@@ -876,7 +884,7 @@ def tuple_primitive_root(rs: RootSystem, d: int, level_roots) -> tuple:
                 continue
             up = list(beta)
             up[j - 1] += 1
-            if tuple(up) in rs.roots:
+            if tuple(up) in root_set(rs):
                 ok = False
                 break
         if ok:
@@ -960,13 +968,13 @@ def _residual_embedding(rs: RootSystem, d: int, iota) -> tuple:
 
 def full_multiset_delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
     """delete_node with every nonzero level identified on its own: roots
-    grouped from rs.roots, the primitive root probed on tuples, factors sized
+    grouped from root_set(rs), the primitive root probed on tuples, factors sized
     by product_weyl_dim and each level checked on its full weight multiset."""
     residual_nodes = [i for i in range(1, rs.rank + 1) if i != d]
     components, iota_t = _residual_embedding(rs, d, iota)
     index = [amb - 1 for amb in iota_t]
     by_level = {}
-    for r in rs.roots:
+    for r in root_set(rs):
         by_level.setdefault(r[d - 1], []).append(r)
     levels = []
     for i in sorted(k for k in by_level if k != 0):

@@ -343,10 +343,26 @@ def _fuzz_op(rng):
     return argv
 
 
+def _fuzz_closure_op(rng, verb):
+    """A random command line of a verb whose first step is the root
+    closure, at ranks up to 32; invalid types and weights included."""
+    label = rng.choice(["A1", "A8", "A32", "B2", "B8", "B32", "C3", "C32", "D4", "D32",
+                        "E6", "E7", "E8", "F4", "G2", "A33", "B1", "C2", "E9"])
+    argv = [verb, label]
+    if verb in ("dim", "orbit"):
+        argv.append(_fuzz_weight(rng, int(label[1:])))
+    if rng.random() < 0.3:
+        argv += ["--format", "json"]
+    return argv
+
+
 def test_seeded_cli_fuzz_never_hangs_or_crashes():
     rng = random.Random(8808)
-    for _ in range(30):
-        argv = _fuzz_op(rng)
+    ops = [_fuzz_op(rng) for _ in range(30)] + [
+        _fuzz_closure_op(rng, verb)
+        for verb in ["roots", "highest-root", "dim", "orbit", "automorphisms"] * 3
+    ]
+    for argv in ops:
         proc = subprocess.run(
             [sys.executable, "-m", "lieinduct.cli", *argv],
             capture_output=True, text=True, env=cli_env(), timeout=30,
@@ -527,6 +543,7 @@ GOLDEN_COMMANDS = {
     "report_f5.json": ["report", "F5"],
     "report_e9.json": ["report", "E9"],
     "report_g3.json": ["report", "G3"],
+    "roots_f4.json": ["roots", "F4"],
 }
 
 

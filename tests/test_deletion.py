@@ -32,6 +32,7 @@ from oracles import (
     level_correspondence,
     module_weight_multiset,
     product_deletion_equivalences,
+    root_set,
     tuple_primitive_root,
 )
 
@@ -419,7 +420,7 @@ def test_component_highest_weight_matches_tuple_primitive_root():
             d = delete_node(rs, node)
             m_d = rs.highest_root[node - 1]
             for level in range(-m_d - 1, m_d + 2):
-                roots = [r for r in rs.roots if r[node - 1] == level]
+                roots = [r for r in root_set(rs) if r[node - 1] == level]
                 codes = [sum(map(mul, r, steps)) for r in roots]
                 try:
                     root = tuple_primitive_root(rs, node, roots)

@@ -182,7 +182,7 @@ def test_freudenthal_weyl_invariance():
 
 def _doubled(rs):
     scaled_cm = CartanMatrix(rs.cartan.entries, tuple(2 * d for d in rs.cartan.symmetrizer))
-    return RootSystem(rs.type, scaled_cm, rs.positive_roots, rs.highest_root)
+    return RootSystem(rs.type, scaled_cm)
 
 
 def test_freudenthal_scale_invariance():

@@ -4,6 +4,7 @@ import itertools
 import os
 import random
 import sys
+from operator import mul
 
 import pytest
 
@@ -13,6 +14,7 @@ from oracles import (
     patched_cartan_matrix,
     root_coords,
     root_height,
+    root_set,
     simple_reflection,
     tuple_reflection_edges,
     tuple_root_closure,
@@ -74,7 +76,7 @@ def test_parse_rejects_out_of_range():
 def test_rank_one_system():
     rs = rsys("A1")
     assert rs.num_roots == 2
-    assert rs.roots == {(1,), (-1,)}
+    assert root_set(rs) == {(1,), (-1,)}
 
 
 def test_e8_has_240_roots():
@@ -112,7 +114,7 @@ def test_mult_bounded_by_highest_root():
     for label in ["A4", "B4", "C4", "D5", "F4", "G2", "E6"]:
         rs = rsys(label)
         top = rs.highest_root
-        for r in rs.roots:
+        for r in root_set(rs):
             assert all(abs(r[i]) <= top[i] for i in range(rs.rank))
 
 
@@ -132,7 +134,7 @@ def test_weight_conversion_zero_and_roundtrip():
         rs = rsys(label)
         zero = (0,) * rs.rank
         assert rs.root_to_weight(zero) == zero
-        for r in rs.roots:
+        for r in root_set(rs):
             assert tuple(root_coords(rs, rs.root_to_weight(r))) == r
 
 
@@ -346,8 +348,10 @@ def test_classify_subdiagram_rejects_shapes_not_of_finite_type():
 
 
 def test_coxeter_number_invariant_is_a_typed_error():
-    rs = rsys("E8")
-    broken = RootSystem(rs.type, rs.cartan, rs.positive_roots, (1,) * 8)
+    # a fresh E8 whose highest root is overwritten in its __dict__, past the
+    # read-only guard: |R| / rank is 30, the height 7
+    broken = RootSystem(DynkinType("E", 8), cartan_matrix(DynkinType("E", 8)))
+    vars(broken)["highest_root"] = (1,) * 8
     with pytest.raises(InvariantViolation):
         coxeter_number(broken)
 
@@ -366,13 +370,14 @@ def test_coxeter_numbers():
 def test_root_set_closure():
     for label in ["A3", "B3", "C3", "D4", "G2", "F4"]:
         rs = rsys(label)
-        for r in rs.roots:
+        roots = root_set(rs)
+        for r in roots:
             assert all(x >= 0 for x in r) or all(x <= 0 for x in r)
-            assert tuple(-x for x in r) in rs.roots
+            assert tuple(-x for x in r) in roots
             w = rs.root_to_weight(r)
             for i in range(1, rs.rank + 1):
                 back = tuple(root_coords(rs, simple_reflection(rs, w, i)))
-                assert back in rs.roots
+                assert back in roots
         heights = sorted(sum(r) for r in rs.positive_roots)
         assert heights.count(heights[-1]) == 1
 
@@ -419,18 +424,14 @@ def test_root_closure_matches_tuple_oracle():
             roots, weights = tuple_root_closure(rs.cartan)
             assert rs.positive_roots == roots, t
             assert rs.positive_weights == weights, t
-            # the closure's codes, pre-filled, and the codes of the roots
-            copy = RootSystem(t, rs.cartan, roots, rs.highest_root)
-            assert rs.root_codes == copy.root_codes, t
             count += 1
     assert count == 32 + 31 + 30 + 29 + 3 + 1 + 1
 
 
 def test_raising_table_matches_tuple_oracle():
     # every accepted type: per node j, each reflection edge of the tuple
-    # oracle read from its lower end, found on root codes; the lower ends
-    # are the roots whose negative-node mask holds j; and the roots are
-    # built only when read
+    # oracle read from its lower end, found on root codes; and the lower
+    # ends are the roots whose negative-node mask holds j
     count = 0
     for family, (lo, hi) in RANK_RANGES.items():
         for rank in range(lo, hi + 1):
@@ -442,9 +443,6 @@ def test_raising_table_matches_tuple_oracle():
                 assert lower == {k for _, k in edges}, (t, j)
             count += 1
     assert count == 32 + 31 + 30 + 29 + 3 + 1 + 1
-    rs = build_root_system.__wrapped__(parse_dynkin("E8"))  # a cold build
-    assert "roots" not in vars(rs)
-    assert len(rs.roots) == 240 and "roots" in vars(rs)
 
 
 def test_root_classes_match_union_find_oracle():
@@ -471,12 +469,44 @@ def test_root_classes_match_union_find_oracle():
 
 
 def test_root_closure_refuses_a_matrix_not_of_finite_type():
-    # affine A1 and affine A2 have roots of every height; the closure stops
-    # before a coefficient would carry into the next digit of a root code
-    for entries in (((2, -2), (-2, 2)), ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))):
-        cm = CartanMatrix(entries, (1,) * len(entries))
+    # affine A1, A2 and C2 have roots of every height; the closure stops
+    # before a coefficient would carry into the next digit of a root code.
+    # Affine C2 has double edges, so its closure takes the w_i >= 0 probe.
+    for entries, d in [
+        (((2, -2), (-2, 2)), (1, 1)),
+        (((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), (1, 1, 1)),
+        (((2, -1, 0), (-2, 2, -2), (0, -1, 2)), (1, 2, 1)),
+    ]:
         with pytest.raises(InvariantViolation, match="not of finite type"):
-            _root_closure(cm)
+            _root_closure(CartanMatrix(entries, d))
+    # A1 + A1 closes, but with two highest roots: not irreducible
+    with pytest.raises(InvalidType, match="2 highest roots"):
+        _root_closure(CartanMatrix(((2, 0), (0, 2)), (1, 1)))
+
+
+def test_root_closure_tables_match_per_call_formulas():
+    # every accepted type: each table the closure fills on its one pass
+    # against the formula it replaces, the codes against radix-8 codes of
+    # the tuple oracle's roots
+    count = 0
+    for family, (lo, hi) in RANK_RANGES.items():
+        for rank in range(lo, hi + 1):
+            t = DynkinType(family, rank)
+            rs = build_root_system(t)
+            roots, weights = tuple_root_closure(rs.cartan)
+            steps = [8 ** (rank - 1 - j) for j in range(rank)]
+            assert rs.root_codes == {
+                sum(map(mul, a, steps)): i for i, a in enumerate(roots)
+            }, t
+            assert rs.positive_norms == tuple(
+                rs.form_weight_root(aw, a) for a, aw in zip(roots, weights)
+            ), t
+            for bits, sign in [(rs.positive_nodes, 1), (rs.negative_nodes, -1)]:
+                assert bits == tuple(
+                    sum(1 << j for j, x in enumerate(aw) if x * sign > 0) for aw in weights
+                ), t
+            count += 1
+    assert count == 32 + 31 + 30 + 29 + 3 + 1 + 1
 
 
 def test_cartan_from_edges_validates():
@@ -544,7 +574,7 @@ def test_root_datum_is_per_instance():
     # instance, not be looked up by its Dynkin type
     rs = rsys("G2")
     scaled = CartanMatrix(rs.cartan.entries, tuple(2 * d for d in rs.cartan.symmetrizer))
-    rs2 = RootSystem(rs.type, scaled, rs.positive_roots, rs.highest_root)
+    rs2 = RootSystem(rs.type, scaled)
     assert rs2.positive_norms == tuple(2 * x for x in rs.positive_norms)
     assert rs2.weyl_denominator == rs.weyl_denominator * 2 ** len(rs.positive_roots)
     assert rs2.positive_weights == rs.positive_weights
