@@ -137,16 +137,17 @@ def _cmd_roots(ns, rs: RootSystem):
 
 def _cmd_highest_root(ns, rs: RootSystem):
     height = sum(rs.highest_root)
+    adjoint = rs.positive_weights[-1]
     payload = {
         "type": str(rs.type),
         "coordinates": list(rs.highest_root),
         "height": str(height),
-        "adjoint_weight": list(rs.root_to_weight(rs.highest_root)),
+        "adjoint_weight": list(adjoint),
     }
     lines = [
         f"{rs.type} highest root ({','.join(str(x) for x in rs.highest_root)})",
         f"height {height}",
-        f"adjoint weight {weight_label(rs.root_to_weight(rs.highest_root))}",
+        f"adjoint weight {weight_label(adjoint)}",
     ]
     return payload, lines
 

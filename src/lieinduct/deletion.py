@@ -2,9 +2,10 @@
 the deletion summary table, and equivalence under diagram automorphisms.
 
 Deleting node d partitions the ambient roots by their coordinate at d.  Each
-nonzero level is an irreducible module over the residual algebra; its highest
-weight is read off the unique primitive root of the level (the root that no
-other residual simple root can be added to), found by probing root codes.
+nonzero level is an irreducible module over the residual algebra.  The root
+of least height at level i is its lowest weight vector, so the highest
+weight of level -i is minus that root's residual weight; the roots come in
+positive_roots order, by height, so it is the first root found at level i.
 
 Only the levels -1 ... -m_d are identified and checked.  A check is exact:
 the level's root count must equal the module's dimension, the roots' residual
@@ -21,15 +22,9 @@ from __future__ import annotations
 import itertools
 from math import prod
 from operator import mul, neg
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .errors import (
-    BijectionFailure,
-    EmptyLevel,
-    InvalidType,
-    IrreducibilityMismatch,
-    NonUniquePrimitive,
-)
+from .errors import BijectionFailure, EmptyLevel, InvalidType, IrreducibilityMismatch
 from .rep_theory import ModuleDescriptor, freudenthal_character, module_descriptor
 from .root_system import (
     DynkinType,
@@ -109,41 +104,6 @@ def _residual_weight(rs: RootSystem, index: Sequence[int], code: int) -> Vector:
     return tuple(coords if code > 0 else map(neg, coords))
 
 
-def _root(rs: RootSystem, code: int) -> Vector:
-    """The root whose code is code (negative for a negative root)."""
-    alpha = rs.positive_roots[rs.root_codes[abs(code)]]
-    return alpha if code > 0 else tuple(map(neg, alpha))
-
-
-def _primitive_root(rs: RootSystem, d: int, level_codes: Iterable[int]) -> int:
-    """The code of the unique root of the level, given by its codes, that
-    remains a root under no residual simple-root addition (the level's
-    highest weight vector).
-
-    A root beta + a_j has the sign of the root beta (beta = -a_j gives zero),
-    so with c the code of |beta| it is a root exactly when c + step_j, for
-    beta > 0, or c - step_j, for beta < 0, is a positive root's code: a digit
-    of at most 6 never carries, and a borrow leaves a digit 7 or a negative
-    int, neither of them a code.
-    """
-    codes = rs.root_codes
-    up = [s for j, s in enumerate(simple_root_codes(rs.rank)) if j != d - 1]
-    down = [-s for s in up]
-    prims = []
-    for b in level_codes:
-        c, steps = (b, up) if b > 0 else (-b, down)
-        if not any(c + s in codes for s in steps):
-            prims.append(b)
-    if not prims:
-        raise EmptyLevel("no primitive vector: level is empty")
-    if len(prims) > 1:
-        raise NonUniquePrimitive(
-            f"level has {len(prims)} primitive vectors "
-            f"{[_root(rs, b) for b in prims]}; expected one"
-        )
-    return prims[0]
-
-
 def _component_factors(
     components: tuple[SubdiagramComponent, ...], weight: Vector
 ) -> tuple[ModuleDescriptor, ...]:
@@ -195,7 +155,7 @@ def delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
     index = [amb - 1 for amb in iota_t]
     m_d = rs.highest_root[d - 1]
     pos, codes = rs.positive_roots, rs.root_codes
-    by_level: dict[int, list[int]] = {}  # positive roots' codes per level
+    by_level: dict[int, list[int]] = {}  # positive roots' codes per level, by height
     for c, k in codes.items():
         by_level.setdefault(pos[k][d - 1], []).append(c)
 
@@ -207,10 +167,10 @@ def delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
 
     lower, upper = [], []
     for i in positive:
-        level_codes = sorted(by_level[i])  # codes sort as the roots do
-        up_roots = tuple(pos[codes[c]] for c in level_codes)
+        level_codes = by_level[i]
+        weight = _residual_weight(rs, index, -level_codes[0])  # minus the lowest root
+        up_roots = tuple(pos[codes[c]] for c in sorted(level_codes))  # codes sort as the roots do
         roots = tuple(tuple(map(neg, r)) for r in reversed(up_roots))
-        weight = _residual_weight(rs, index, _primitive_root(rs, d, [-c for c in level_codes]))
         factors = _component_factors(components, weight)
         dim = prod(f.dimension for f in factors)
         if dim != len(roots):

@@ -43,10 +43,6 @@ class EmptyLevel(LieInductError):
     """Requested graded level contains no roots."""
 
 
-class NonUniquePrimitive(LieInductError):
-    """More than one primitive vector found in a graded level (diagnostic)."""
-
-
 class BijectionFailure(LieInductError):
     """Weight/root correspondence of a graded component is not a bijection."""
 

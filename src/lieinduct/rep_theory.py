@@ -29,9 +29,10 @@ which labels each positive root with the one J-dominant root of its class
 in a single pass from the highest root down.
 
 Character tables store dominant entries only; full tables are recovered by
-orbit expansion on demand.  Characters, orbits, orbit sizes and defining
-checks are memoized on the RootSystem passed in (RootSystem.memoized), not
-keyed by type.
+orbit expansion on demand.  An orbit's size |W| / |W_J| is read off the
+heights of the positive roots outside the stabilizer's root system.
+Characters, orbits, orbit sizes and defining checks are memoized on the
+RootSystem passed in (RootSystem.memoized), not keyed by type.
 Orbit enumeration and expansion refuse, with BudgetExceeded, any request of
 more than MAX_WEIGHTS weights, judged up front from exact orbit sizes (for
 a module, its top orbit before its character is computed); a
@@ -49,7 +50,7 @@ of each, so w_i is minuscule exactly when that coefficient is 1.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import compress, repeat
 from math import prod
 from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -60,10 +61,7 @@ from .root_system import (
     RootSystem,
     Vector,
     WeightCodes,
-    component_type,
-    connected_components,
     to_dominant,
-    weyl_order,
 )
 
 # Most weights one orbit enumeration or orbit expansion may build.  Orbit
@@ -285,8 +283,8 @@ def orbit_codes(
     weights in all, judged from their exact sizes.  The codes must hold
     every coordinate of the orbits (RootSystem.coordinate_bound of each
     dominant weight); InvariantViolation unless the walks find as many
-    weights as the stabilizer formula gives, since a coordinate that
-    overflowed its digit would alias or lose weights."""
+    weights as orbit_size gives, since a coordinate that overflowed its
+    digit would alias or lose weights."""
     size = sum(orbit_size(rs, w) for w in dominant)
     if size > MAX_WEIGHTS:
         raise BudgetExceeded(
@@ -345,17 +343,21 @@ def _walk_orbit(codes: WeightCodes, c: int) -> set[int]:
 def orbit_size(rs: RootSystem, weight: Sequence[int]) -> int:
     """|W| / |W_J| where J is the set of nodes fixing the dominant conjugate."""
     dom = to_dominant(rs, tuple(weight))[0]
-    return rs.memoized(_orbit_size, tuple(i + 1 for i, x in enumerate(dom) if x == 0))
+    return rs.memoized(_orbit_size, tuple(j for j, x in enumerate(dom) if x == 0))
 
 
 def _orbit_size(rs: RootSystem, zero_nodes: tuple[int, ...]) -> int:
-    stab = 1
-    cartan = rs.cartan
-    for comp in connected_components(cartan.entries, zero_nodes):
-        stab *= weyl_order(component_type(cartan.entries, cartan.symmetrizer, comp))
-    q, r = divmod(weyl_order(rs.type), stab)
+    """|W| / |W_J|, J = zero_nodes (0-based), as the product of
+    (ht alpha + 1) / ht alpha over the positive roots outside the root
+    system of J (I. G. Macdonald, "The Poincare series of a Coxeter group",
+    Math. Ann. 199 (1972) 161-174, gives |W| as the product over all of
+    them, and |W_J| as that over the roots of J).  A root lies outside J
+    when its pairing column sum over the nodes outside J is nonzero."""
+    outside = [col for j, col in enumerate(rs.pairing_columns) if j not in zero_nodes]
+    heights = list(compress(map(sum, rs.positive_roots), map(sum, zip(*outside))))
+    q, r = divmod(prod(h + 1 for h in heights), prod(heights))
     if r:
-        raise InvariantViolation(f"stabilizer order {stab} does not divide |W({rs.type})|")
+        raise InvariantViolation(f"the orbit product off {zero_nodes} does not divide exactly")
     return q
 
 
@@ -388,9 +390,9 @@ def _is_defining(rs: RootSystem, lam: Vector) -> bool:
 
 
 def short_dominant_root(rs: RootSystem) -> Vector:
-    """The dominant root of minimal length (the quasi-minuscule weight)."""
-    norms = rs.positive_norms
-    return to_dominant(rs, rs.positive_weights[norms.index(min(norms))])[0]
+    """The dominant root of minimal length (the quasi-minuscule weight): the
+    highest short root."""
+    return rs.positive_weights[rs.highest_short_index]
 
 
 def num_short_simple_roots(rs: RootSystem) -> int:

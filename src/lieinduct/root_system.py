@@ -67,7 +67,7 @@ import re
 import struct
 from collections import Counter, defaultdict
 from functools import cached_property, lru_cache
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm, prod
 from operator import add, mul
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -87,16 +87,6 @@ RANK_RANGES: dict[str, tuple[int, int]] = {
     "F": (4, 4),
     "G": (2, 2),
 }
-
-# Weyl group orders of the exceptional types; classical families use formulas.
-_EXCEPTIONAL_WEYL_ORDER = {
-    ("E", 6): 51840,
-    ("E", 7): 2903040,
-    ("E", 8): 696729600,
-    ("F", 4): 1152,
-    ("G", 2): 12,
-}
-
 
 class _DynkinFields(NamedTuple):
     family: str
@@ -272,12 +262,6 @@ class RootSystem:
 
     # -- root coordinates and the bilinear form ---------------------------
 
-    def root_to_weight(self, k: Sequence[int]) -> Vector:
-        """m_j = sum_i k_i C[i][j]."""
-        c = self.cartan.entries
-        n = self.rank
-        return tuple(sum(k[i] * c[i][j] for i in range(n)) for j in range(n))
-
     def form_weight_root(self, m: Sequence[int], k: Sequence[int]) -> int:
         """(lambda, beta) for lambda in weight coords, beta in root coords."""
         d = self.cartan.symmetrizer
@@ -304,10 +288,16 @@ class RootSystem:
         Weyl conjugate of v, a pairing <v, beta^vee> with beta = w^-1(a_j),
         obeys that bound.
         """
-        norms = self.positive_norms
-        short = min(norms)
-        top = len(norms) - 1 - norms[::-1].index(short)
+        top = self.highest_short_index
+        short = self.positive_norms[top]
         return tuple(2 * x // short for x in self.positive_pairings[top])
+
+    @property
+    def highest_short_index(self) -> int:
+        """The index in positive_roots of the highest short root, the last
+        of the shortest positive roots: the one dominant short root."""
+        norms = self.positive_norms
+        return len(norms) - 1 - norms[::-1].index(min(norms))
 
     def coordinate_bound(self, w: Sequence[int]) -> int:
         """sum_j c_j |w_j| (see highest_coroot): no Weyl conjugate of w has a
@@ -643,21 +633,9 @@ def coxeter_number(rs: RootSystem) -> int:
     return h
 
 
-def weyl_order(t: DynkinType) -> int:
-    """Order of the Weyl group."""
-    l = t.rank
-    if t.family == "A":
-        return factorial(l + 1)
-    if t.family in ("B", "C"):
-        return (1 << l) * factorial(l)
-    if t.family == "D":
-        return (1 << (l - 1)) * factorial(l)
-    return _EXCEPTIONAL_WEYL_ORDER[(t.family, t.rank)]
-
-
 # ---------------------------------------------------------------------------
-# Sub-diagram classification.  Shared by node deletion (residual algebras) and
-# by Weyl orbit-size computations (parabolic stabilizers).
+# Sub-diagram classification: the residual algebras of node deletion and the
+# connected residuals of the induction search.
 # ---------------------------------------------------------------------------
 
 

@@ -14,8 +14,12 @@ The search oracle replays the induction search state by state, decomposing
 every bracket pair again with those oracles.  The root-datum oracles
 recompute, call by call, what each RootSystem now precomputes: the Weyl
 product with both factors from the bilinear form, the coroot pairing of every
-positive root, the height from the rational weight-to-root conversion, and
-the shortest dominant root from the norm of every positive root.
+positive root, the height from the rational weight-to-root conversion, the
+shortest dominant root from the norm of every positive root, and each
+root's weight from a sum of Cartan rows (root_to_weight).  The orbit-size
+oracle names the stabilizer's Dynkin components and multiplies per-family
+Weyl group orders, where the engine multiplies (ht + 1) / ht over the roots
+off the stabilizer.
 The Cartan-matrix oracle builds each finite type as a simple chain and
 patches its entries per family, where the engine reads a symmetrizer and an
 edge list.  The root-closure oracle closes simple-root strings on
@@ -35,8 +39,9 @@ dimension formula for the one multiplicity it needs.
 The node-deletion oracle identifies every level, positive ones included,
 from a primitive root found on coefficient tuples, and checks each against
 the module's full weight multiset, the outer product of the factors' full
-weight tables; the engine checks dominant weights at the negative levels
-and mirrors them.
+weight tables; the engine reads each negative level's highest weight off
+the lowest root of its mirror level, checks dominant weights at the
+negative levels and mirrors them.
 The equivalence oracle takes the orbit of a deletion as the products
 sigma o iota o tau over both automorphism groups, each group found by trying
 every node permutation; the engine pairs the nodes of d's orbit with every
@@ -58,6 +63,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations
+from math import factorial
 from operator import mul
 
 from lieinduct.deletion import Deletion, EquivalenceClass, GradedComponent, ZeroLevel
@@ -67,8 +73,8 @@ from lieinduct.errors import (
     BudgetExceeded,
     EmptyLevel,
     InvalidType,
+    InvariantViolation,
     IrreducibilityMismatch,
-    NonUniquePrimitive,
 )
 from lieinduct.rep_theory import (
     MAX_DOMINANT_WEIGHTS,
@@ -83,6 +89,8 @@ from lieinduct.root_system import (
     build_root_system,
     check_embedding,
     classify_subdiagram,
+    component_type,
+    connected_components,
 )
 
 
@@ -379,7 +387,7 @@ def weight_system_freudenthal(rs: RootSystem, lam) -> dict:
     for mu in dominant[1:]:
         acc = 0
         for alpha in rs.positive_roots:
-            aw = rs.root_to_weight(alpha)
+            aw = root_to_weight(rs, alpha)
             nu = tuple(a + b for a, b in zip(mu, aw))
             while nu in weights:
                 acc += mult[_dominant_conjugate(rs, nu)] * form(nu, alpha)
@@ -430,7 +438,7 @@ def unfolded_freudenthal(rs: RootSystem, lam) -> dict:
     lam = tuple(lam)
     n = rs.rank
     d = rs.cartan.symmetrizer
-    roots = [(alpha, rs.root_to_weight(alpha)) for alpha in rs.positive_roots]
+    roots = [(alpha, root_to_weight(rs, alpha)) for alpha in rs.positive_roots]
 
     def form(weight, root) -> int:
         return sum(weight[j] * root[j] * d[j] for j in range(n))
@@ -742,8 +750,52 @@ def norm_scan_short_dominant_root(rs: RootSystem) -> tuple:
     positive root from the bilinear form, each call converting the root to
     weight coordinates again."""
     shortest = min(rs.positive_roots,
-                   key=lambda alpha: rs.form_weight_root(rs.root_to_weight(alpha), alpha))
-    return _dominant_conjugate(rs, rs.root_to_weight(shortest))
+                   key=lambda alpha: rs.form_weight_root(root_to_weight(rs, alpha), alpha))
+    return _dominant_conjugate(rs, root_to_weight(rs, shortest))
+
+
+def root_to_weight(rs: RootSystem, k) -> tuple:
+    """The weight of the root with coefficients k: the sum of k_i times
+    Cartan row i."""
+    out = [0] * rs.rank
+    for ki, row in zip(k, rs.cartan.entries):
+        out = [a + ki * b for a, b in zip(out, row)]
+    return tuple(out)
+
+
+# Weyl group orders of the exceptional types; the classical ones by formula.
+_EXCEPTIONAL_WEYL_ORDER = {
+    ("E", 6): 51840,
+    ("E", 7): 2903040,
+    ("E", 8): 696729600,
+    ("F", 4): 1152,
+    ("G", 2): 12,
+}
+
+
+def family_weyl_order(t: DynkinType) -> int:
+    """|W(t)| from the per-family formulas and the exceptional table."""
+    l = t.rank
+    if t.family == "A":
+        return factorial(l + 1)
+    if t.family in ("B", "C"):
+        return (1 << l) * factorial(l)
+    if t.family == "D":
+        return (1 << (l - 1)) * factorial(l)
+    return _EXCEPTIONAL_WEYL_ORDER[(t.family, t.rank)]
+
+
+def stabilizer_orbit_size(rs: RootSystem, zero_nodes) -> int:
+    """|W| / |W_J| for the 1-based node set J: the stabilizer's Dynkin
+    components named by component_type, each sized by family_weyl_order."""
+    stab = 1
+    cm = rs.cartan
+    for comp in connected_components(cm.entries, zero_nodes):
+        stab *= family_weyl_order(component_type(cm.entries, cm.symmetrizer, comp))
+    q, r = divmod(family_weyl_order(rs.type), stab)
+    if r:
+        raise ValueError(f"stabilizer order {stab} does not divide |W({rs.type})|")
+    return q
 
 
 def root_height(rs: RootSystem, v) -> Fraction:
@@ -892,7 +944,7 @@ def tuple_primitive_root(rs: RootSystem, d: int, level_roots) -> tuple:
     if not prims:
         raise EmptyLevel("no primitive vector: level is empty")
     if len(prims) > 1:
-        raise NonUniquePrimitive(
+        raise InvariantViolation(
             f"level has {len(prims)} primitive vectors {prims}; expected one"
         )
     return prims[0]
@@ -930,7 +982,7 @@ def module_weight_multiset(factors) -> dict:
 
 
 def _oracle_residual_weight(rs: RootSystem, index, beta) -> tuple:
-    w = rs.root_to_weight(beta)
+    w = root_to_weight(rs, beta)
     return tuple(w[i] for i in index)
 
 

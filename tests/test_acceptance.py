@@ -10,7 +10,7 @@ import sys
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from oracles import brute_tensor_decompose, simple_reflection
+from oracles import brute_tensor_decompose, root_to_weight, simple_reflection
 
 from lieinduct.cli import run
 from lieinduct.deletion import delete_node, deletion_equivalences, summary_rows, verify_table2
@@ -88,7 +88,7 @@ def test_criterion_1_highest_root_table():
         coords, height, adj = expected(family, l)
         assert rs.highest_root == coords, (family, l)
         assert sum(rs.highest_root) == height, (family, l)
-        assert rs.root_to_weight(rs.highest_root) == adj, (family, l)
+        assert rs.positive_weights[-1] == root_to_weight(rs, rs.highest_root) == adj, (family, l)
         assert sum(rs.highest_root) == coxeter_number(rs) - 1, (family, l)
     _report(1, True, "highest roots, heights, adjoint weights and ht = h - 1 "
                      f"for all {len(ALL_TYPES)} types")

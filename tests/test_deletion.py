@@ -2,15 +2,12 @@
 equivalence classes."""
 
 import time
-from operator import mul
 
 import pytest
 
 from lieinduct.deletion import (
     Deletion,
     _level_correspondence,
-    _primitive_root,
-    _root,
     delete_node,
     deletion_equivalences,
     summary_rows,
@@ -22,10 +19,10 @@ from lieinduct.errors import (
     BudgetExceeded,
     EmptyLevel,
     InvalidType,
-    NonUniquePrimitive,
+    InvariantViolation,
 )
 from lieinduct.rep_theory import module_descriptor
-from lieinduct.root_system import DynkinType, build_root_system, parse_dynkin, simple_root_codes
+from lieinduct.root_system import DynkinType, build_root_system, parse_dynkin
 
 from oracles import (
     full_multiset_delete_node,
@@ -33,6 +30,7 @@ from oracles import (
     module_weight_multiset,
     product_deletion_equivalences,
     root_set,
+    root_to_weight,
     tuple_primitive_root,
 )
 
@@ -193,14 +191,15 @@ def test_empty_level_raises():
 
 
 def test_primitive_root_refuses_empty_and_ambiguous_levels():
-    # G2 at node 2: level 0 holds a1 and -a1, and neither takes another a1
+    # the oracle's probe, which the level highest weights are checked
+    # against: G2 at node 2, level 0 holds a1 and -a1, and neither takes
+    # another a1
     rs = rsys("G2")
-    pos = rs.positive_roots
-    level_0 = [s * c for c, i in rs.root_codes.items() for s in (1, -1) if pos[i][1] == 0]
-    with pytest.raises(NonUniquePrimitive, match="2 primitive vectors"):
-        _primitive_root(rs, 2, level_0)
+    level_0 = [r for r in root_set(rs) if r[1] == 0]
+    with pytest.raises(InvariantViolation, match="2 primitive vectors"):
+        tuple_primitive_root(rs, 2, level_0)
     with pytest.raises(EmptyLevel):
-        _primitive_root(rs, 2, [])
+        tuple_primitive_root(rs, 2, [])
 
 
 def test_bad_embeddings_rejected():
@@ -410,29 +409,19 @@ def test_delete_node_matches_full_multiset_oracle_at_rank_32(label):
 
 
 def test_component_highest_weight_matches_tuple_primitive_root():
-    # every level of every deletion through rank 8, level 0 included: the
-    # code probe finds the primitive roots the tuple probe finds, and each
-    # nonzero level's highest weight is its primitive root's weight
+    # every nonzero level of every deletion through rank 8: the highest
+    # weight read off the level's lowest root (minus the lowest root of the
+    # mirror level) is the weight of the root the tuple probe finds
     for label in RANK_8_LABELS:
         rs = rsys(label)
-        steps = simple_root_codes(rs.rank)
         for node in range(1, rs.rank + 1):
             d = delete_node(rs, node)
             m_d = rs.highest_root[node - 1]
-            for level in range(-m_d - 1, m_d + 2):
+            for level in [i for i in range(-m_d, m_d + 1) if i]:
                 roots = [r for r in root_set(rs) if r[node - 1] == level]
-                codes = [sum(map(mul, r, steps)) for r in roots]
-                try:
-                    root = tuple_primitive_root(rs, node, roots)
-                except (EmptyLevel, NonUniquePrimitive) as exc:
-                    with pytest.raises(type(exc)):
-                        _primitive_root(rs, node, codes)
-                    continue
-                assert _root(rs, _primitive_root(rs, node, codes)) == root, (label, node, level)
-                if level:
-                    weight = rs.root_to_weight(root)
-                    got = d.level(level).highest_weight
-                    assert got == tuple(weight[a - 1] for a in d.iota), (label, node, level)
+                weight = root_to_weight(rs, tuple_primitive_root(rs, node, roots))
+                got = d.level(level).highest_weight
+                assert got == tuple(weight[a - 1] for a in d.iota), (label, node, level)
 
 
 def test_level_check_rejects_a_wrong_module_of_the_same_dimension():

@@ -19,7 +19,9 @@ from oracles import (
     kostant_dominant_character,
     norm_scan_short_dominant_root,
     product_weyl_dim,
+    root_to_weight,
     simple_reflection,
+    stabilizer_orbit_size,
     tuple_weyl_orbit,
     unfolded_freudenthal,
     unindexed_dominant_weights,
@@ -103,7 +105,7 @@ def test_adjoint_dimension_identity():
     )
     for label in labels:
         rs = rsys(label)
-        adj = rs.root_to_weight(rs.highest_root)
+        adj = root_to_weight(rs, rs.highest_root)
         assert weyl_dim(rs, adj) == rs.dimension, label
 
 
@@ -213,13 +215,13 @@ def test_root_classes_match_parabolic_orbits():
                 tuple(sorted(rng.sample(range(n), rng.randint(1, n - 1)))) for _ in range(6)
             ]
         gp = weyl_oracle(rs)
-        positive = {rs.root_to_weight(a): i for i, a in enumerate(rs.positive_roots)}
+        positive = {root_to_weight(rs, a): i for i, a in enumerate(rs.positive_roots)}
         for zero in zero_sets:
             classes = rs.positive_root_classes(zero)
             assert sum(size for _, size in classes) == len(rs.positive_roots), (label, zero)
             covered = set()
             for first, size in classes:
-                orbit = gp.parabolic_orbit(zero, rs.root_to_weight(rs.positive_roots[first]))
+                orbit = gp.parabolic_orbit(zero, root_to_weight(rs, rs.positive_roots[first]))
                 members = {positive[v] for v in orbit if v in positive}
                 assert (min(members), len(members)) == (first, size), (label, zero, first)
                 covered |= members
@@ -355,7 +357,7 @@ def _check_against_weight_system_oracle(rs, lam):
     below = _dominant_weights(rs, lam)
     assert set(below) == {v for v in full_weight_system(rs, lam) if min(v) >= 0}
     for mu, diff in below.items():
-        assert rs.root_to_weight(diff) == tuple(a - b for a, b in zip(lam, mu))
+        assert root_to_weight(rs, diff) == tuple(a - b for a, b in zip(lam, mu))
     keys = [(sum(diff), mu) for mu, diff in below.items()]
     assert keys == sorted(keys)
     assert freudenthal_character(rs, lam).entries == weight_system_freudenthal(rs, lam)
@@ -393,6 +395,30 @@ def test_orbit_size_formula_matches_enumeration():
     ]:
         rs = rsys(label)
         assert orbit_size(rs, weight) == len(weyl_orbit(rs, weight))
+
+
+def test_orbit_size_matches_stabilizer_oracle():
+    # every zero-node set of every accepted type through rank 8, and seeded
+    # sets at rank 32: the root-height product against the stabilizer's
+    # components times their family Weyl group orders
+    rng = random.Random(20261020)
+    cases = [
+        (DynkinType(family, rank), zero)
+        for family, (lo, hi) in RANK_RANGES.items()
+        for rank in range(lo, min(hi, 8) + 1)
+        for k in range(rank + 1)
+        for zero in itertools.combinations(range(1, rank + 1), k)
+    ]
+    for family in "ABCD":
+        cases += [
+            (DynkinType(family, 32), tuple(sorted(rng.sample(range(1, 33), rng.randint(0, 32)))))
+            for _ in range(40)
+        ]
+    assert len(cases) > 2_600
+    for t, zero in cases:
+        rs = build_root_system(t)
+        weight = tuple(int(j not in zero) for j in range(1, t.rank + 1))
+        assert orbit_size(rs, weight) == stabilizer_orbit_size(rs, zero), (t, zero)
 
 
 @pytest.mark.parametrize(

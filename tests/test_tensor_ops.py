@@ -15,6 +15,7 @@ from oracles import (
     brute_wedge2_decompose,
     root_height,
     root_set,
+    root_to_weight,
     tuple_square,
     tuple_straighten,
     tuple_weyl_orbit,
@@ -63,7 +64,7 @@ def test_decompose_sum_of_two_characters():
 def test_adjoint_character_assembled_from_roots():
     # six root weights plus a two-dimensional zero space give the adjoint
     rs = rsys("A2")
-    weights = Counter(rs.root_to_weight(r) for r in root_set(rs))
+    weights = Counter(root_to_weight(rs, r) for r in root_set(rs))
     weights[0, 0] += 2
     table = CharacterTable(rs.type, {v: m for v, m in weights.items() if min(v) >= 0})
     assert table.expand(rs) == weights
