@@ -7,25 +7,26 @@ of least height at level i is its lowest weight vector, so the highest
 weight of level -i is minus that root's residual weight; the roots come in
 positive_roots order, by height, so it is the first root found at level i.
 
-Only the levels -1 ... -m_d are identified and checked.  A check is exact:
-the level's root count must equal the module's dimension, the roots' residual
-weights must be distinct, and the dominant ones must be the module's dominant
-weights, each of multiplicity one.  The residual Weyl group keeps a root's
-coordinate at d, so the level's weights and the module's form two sets
-invariant under it, and equal dominant parts make them equal.  Level +i is
-the mirror of level -i: its roots and weights are negated, and each factor
-is the dual V(-w0 lam), whose weights are those of V(lam) negated.
+Only the levels -1 ... -m_d are checked, each on the codes of its roots
+(see _check_level): the level's root count must equal the module's
+dimension, the roots' residual weights must be distinct, and the dominant
+ones must be the module's dominant weights.  No Freudenthal multiplicity is
+computed.  Level +i is the mirror of level -i: its roots and weights are
+negated.  Its highest weight is the residual weight of the highest root at
+level i, which no residual simple root raises (a residual weight fixes a
+root of the level, the residual Cartan matrix being invertible), split by
+component; each factor keeps the dimension of its mirror factor.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import prod
-from operator import mul, neg
+from operator import neg
 from typing import NamedTuple, Sequence
 
 from .errors import BijectionFailure, EmptyLevel, InvalidType, IrreducibilityMismatch
-from .rep_theory import ModuleDescriptor, freudenthal_character, module_descriptor
+from .rep_theory import ModuleDescriptor, dominant_weights, module_descriptor
 from .root_system import (
     DynkinType,
     RootSystem,
@@ -37,8 +38,6 @@ from .root_system import (
     diagram_automorphisms,
     diagram_embeddings,
     parse_dynkin,
-    simple_root_codes,
-    to_dominant,
 )
 
 
@@ -55,7 +54,6 @@ class GradedComponent(NamedTuple):
     level: int
     roots: tuple[Vector, ...]
     factors: tuple[ModuleDescriptor, ...]
-    correspondence: tuple[tuple[Vector, Vector], ...]  # (residual weight, root)
 
     @property
     def dimension(self) -> int:
@@ -104,24 +102,10 @@ def _residual_weight(rs: RootSystem, index: Sequence[int], code: int) -> Vector:
     return tuple(coords if code > 0 else map(neg, coords))
 
 
-def _component_factors(
-    components: tuple[SubdiagramComponent, ...], weight: Vector
-) -> tuple[ModuleDescriptor, ...]:
-    out = []
-    pos = 0
-    for comp in components:
-        r = comp.type.rank
-        sub = weight[pos : pos + r]
-        out.append(module_descriptor(build_root_system(comp.type), sub))
-        pos += r
-    return tuple(out)
-
-
-def _dual(f: ModuleDescriptor) -> ModuleDescriptor:
-    """V(-w0 lam) for f = V(lam): the module whose weights are f's negated."""
-    frs = build_root_system(f.algebra)
-    lam = to_dominant(frs, tuple(map(neg, f.highest_weight)))[0]
-    return ModuleDescriptor(f.algebra, lam, f.dimension)
+def _root(rs: RootSystem, code: int) -> Vector:
+    """The ambient root with this code."""
+    r = rs.positive_roots[rs.root_codes[abs(code)]]
+    return r if code > 0 else tuple(map(neg, r))
 
 
 def check_node(rs: RootSystem, d: int) -> None:
@@ -153,6 +137,9 @@ def delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
     nonzero level as an irreducible residual module."""
     components, iota_t = _residual(rs, d, iota)
     index = [amb - 1 for amb in iota_t]
+    algebras = [build_root_system(c.type) for c in components]
+    ends = itertools.accumulate(c.type.rank for c in components)
+    cuts = [slice(e - c.type.rank, e) for c, e in zip(components, ends)]  # per component
     m_d = rs.highest_root[d - 1]
     pos, codes = rs.positive_roots, rs.root_codes
     by_level: dict[int, list[int]] = {}  # positive roots' codes per level, by height
@@ -168,26 +155,18 @@ def delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
     lower, upper = [], []
     for i in positive:
         level_codes = by_level[i]
-        weight = _residual_weight(rs, index, -level_codes[0])  # minus the lowest root
+        lowest = _residual_weight(rs, index, -level_codes[0])
+        factors = tuple(module_descriptor(frs, lowest[s]) for frs, s in zip(algebras, cuts))
+        _check_level(rs, index, [-c for c in level_codes], factors)
         up_roots = tuple(pos[codes[c]] for c in sorted(level_codes))  # codes sort as the roots do
         roots = tuple(tuple(map(neg, r)) for r in reversed(up_roots))
-        factors = _component_factors(components, weight)
-        dim = prod(f.dimension for f in factors)
-        if dim != len(roots):
-            raise IrreducibilityMismatch(
-                f"level {-i} of {rs.type} at node {d}: {len(roots)} roots but the "
-                f"identified module has dimension {dim}"
-            )
-        corr = _level_correspondence(rs, index, roots, factors)
-        lower.append(GradedComponent(-i, roots, factors, corr))
-        # negating reverses the (weight sum, weight) order of the pairs
-        mirror = tuple((tuple(map(neg, w)), tuple(map(neg, b))) for w, b in reversed(corr))
-        upper.append(GradedComponent(i, up_roots, tuple(map(_dual, factors)), mirror))
+        lower.append(GradedComponent(-i, roots, factors))
+        highest = _residual_weight(rs, index, level_codes[-1])
+        mirror = tuple(f._replace(highest_weight=highest[s]) for f, s in zip(factors, cuts))
+        upper.append(GradedComponent(i, up_roots, mirror))
     levels = lower[::-1] + upper
 
-    residual_roots = sum(
-        2 * len(build_root_system(c.type).positive_roots) for c in components
-    )
+    residual_roots = sum(2 * len(frs.positive_roots) for frs in algebras)
     zero_roots = 2 * len(by_level.get(0, ()))
     if zero_roots != residual_roots:
         raise IrreducibilityMismatch(
@@ -197,38 +176,46 @@ def delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
     return Deletion(rs.type, d, components, iota_t, tuple(levels), zero)
 
 
-def _level_correspondence(
+def _check_level(
     rs: RootSystem,
     index: Sequence[int],
-    roots: tuple[Vector, ...],
+    level_codes: Sequence[int],
     factors: tuple[ModuleDescriptor, ...],
-) -> tuple[tuple[Vector, Vector], ...]:
-    """The (residual weight, root) pairs of a level, by descending weight
-    sum and then weight, once the weights are found to be those of the
-    module with these factors, one each (see the module docstring).
+) -> None:
+    """BijectionFailure unless the residual weights of the roots with these
+    codes are the weights of the module V with these factors, one each.
 
-    The module's dominant weights are the concatenations of the factors'
-    dominant weights, with the product of their multiplicities."""
-    seen: dict[Vector, Vector] = {}
-    steps = simple_root_codes(rs.rank)
-    for beta in roots:
-        w = _residual_weight(rs, index, sum(map(mul, beta, steps)))
+    The roots must be as many as dim V, their weights distinct, and the
+    dominant ones the dominant weights D of V: the concatenations of the
+    factors' dominant weights (rep_theory.dominant_weights).  No
+    multiplicity is computed.  The residual Weyl group W0 keeps a root's
+    coordinate at d, so a level's weights form a W0-invariant set S, each of
+    whose W0-orbits holds one dominant weight; so |S| = sum over mu in D of
+    |W0 mu| <= sum of m_mu |W0 mu| = dim V, with equality only when every
+    multiplicity m_mu is 1.
+    """
+    dim = prod(f.dimension for f in factors)
+    if dim != len(level_codes):
+        raise BijectionFailure(
+            f"{len(level_codes)} roots cannot carry the weight system of a module "
+            f"of dimension {dim}"
+        )
+    seen: dict[Vector, int] = {}
+    for c in level_codes:
+        w = _residual_weight(rs, index, c)
         if w in seen:
             raise BijectionFailure(
-                f"roots {seen[w]} and {beta} share the residual weight {w}"
+                f"roots {_root(rs, seen[w])} and {_root(rs, c)} share the residual weight {w}"
             )
-        seen[w] = beta
-    dominant: dict[Vector, int] = {(): 1}
+        seen[w] = c
+    dominant: set[Vector] = {()}
     for f in factors:
-        entries = freudenthal_character(build_root_system(f.algebra), f.highest_weight).entries
-        dominant = {u + v: m * n for u, m in dominant.items() for v, n in entries.items()}
-    if any(m != 1 for m in dominant.values()) or dominant.keys() != {
-        w for w in seen if min(w, default=0) >= 0
-    }:
+        top = dominant_weights(build_root_system(f.algebra), f.highest_weight)
+        dominant = {u + v for u in dominant for v in top}
+    if dominant != {w for w in seen if min(w, default=0) >= 0}:
         raise BijectionFailure(
             "level weights do not match the identified module's weight system"
         )
-    return tuple(sorted(seen.items(), key=lambda kv: (-sum(kv[0]), kv[0])))
 
 
 # ---------------------------------------------------------------------------

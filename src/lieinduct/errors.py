@@ -36,7 +36,7 @@ class BudgetExceeded(LieInductError):
 
 
 class IrreducibilityMismatch(LieInductError):
-    """A graded level's root count differs from its module dimension."""
+    """The nonzero levels or the zero level's roots disagree with the residual algebra."""
 
 
 class EmptyLevel(LieInductError):
@@ -44,7 +44,7 @@ class EmptyLevel(LieInductError):
 
 
 class BijectionFailure(LieInductError):
-    """Weight/root correspondence of a graded component is not a bijection."""
+    """A graded level's roots do not carry its module's weights, one each."""
 
 
 class BadEmbedding(LieInductError):

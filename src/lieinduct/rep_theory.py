@@ -163,8 +163,8 @@ def weyl_dim(rs: RootSystem, weight: Sequence[int]) -> int:
     return q
 
 
-def _dominant_weights(
-    rs: RootSystem, lam: Vector, cap: int = MAX_DOMINANT_WEIGHTS
+def dominant_weights(
+    rs: RootSystem, lam: Sequence[int], cap: int = MAX_DOMINANT_WEIGHTS
 ) -> dict[Vector, Vector]:
     """Dominant weights mu of V(lam), each mapped to lam - mu in root
     coordinates, ordered by depth (the height of lam - mu) and then by mu.
@@ -174,8 +174,10 @@ def _dominant_weights(
     (Stembridge), so no dominant weight is missed.  At w only the roots
     positive on supp(w) alone are tried (RootSystem.roots_within_support):
     any other root leaves a negative coordinate.  BudgetExceeded as soon as
-    the closure holds more than cap weights.
+    the closure holds more than cap weights; NotDominant unless lam is
+    dominant.
     """
+    lam = _require_dominant(rs, lam)
     pr, pw = rs.positive_roots, rs.positive_weights
     below = {lam: (0,) * rs.rank}
     frontier = [lam]
@@ -221,7 +223,7 @@ def _freudenthal(rs: RootSystem, lam: Vector) -> dict[Vector, int]:
             dom_cache[v] = r
         return r
 
-    for mu, diff in _dominant_weights(rs, lam).items():
+    for mu, diff in dominant_weights(rs, lam).items():
         if mu == lam:
             continue
         gap = rs.form_weight_root(tuple(a + b for a, b in zip(lam, mu)), diff)
@@ -341,9 +343,10 @@ def _walk_orbit(codes: WeightCodes, c: int) -> set[int]:
 
 
 def orbit_size(rs: RootSystem, weight: Sequence[int]) -> int:
-    """|W| / |W_J| where J is the set of nodes fixing the dominant conjugate."""
-    dom = to_dominant(rs, tuple(weight))[0]
-    return rs.memoized(_orbit_size, tuple(j for j, x in enumerate(dom) if x == 0))
+    """|W| / |W_J| where J is the set of nodes fixing the dominant weight;
+    NotDominant for any other weight."""
+    lam = _require_dominant(rs, weight)
+    return rs.memoized(_orbit_size, tuple(j for j, x in enumerate(lam) if x == 0))
 
 
 def _orbit_size(rs: RootSystem, zero_nodes: tuple[int, ...]) -> int:
@@ -374,7 +377,7 @@ def is_defining(rs: RootSystem, weight: Sequence[int]) -> bool:
 
 def _is_defining(rs: RootSystem, lam: Vector) -> bool:
     try:
-        dominant = _dominant_weights(rs, lam, cap=2)
+        dominant = dominant_weights(rs, lam, cap=2)
     except BudgetExceeded:
         return False  # the closure found a third dominant weight
     if len(dominant) == 1:

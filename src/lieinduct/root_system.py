@@ -438,8 +438,10 @@ def _root_closure(cm: CartanMatrix) -> tuple[
     beta - (w_i + 1) a_i is one: a single probe, made only when beta_i >
     w_i, so the subtraction never borrows.  For w_j < 0, s_j(beta) = beta -
     w_j a_j, a higher positive root whose code is known once the closure
-    ends.  A last frontier of more than one root means the highest root is
-    not unique, and the matrix not irreducible: InvalidType.
+    ends.  The matrix is irreducible exactly when the last frontier holds
+    one root and that root has every coefficient at least 1; otherwise
+    InvalidType.  (A reducible matrix can end on one root, the highest root
+    of its tallest component, as A2 + A1 does.)
     """
     n = cm.rank
     rows, d = cm.entries, cm.symmetrizer
@@ -495,6 +497,11 @@ def _root_closure(cm: CartanMatrix) -> tuple[
     if len(level) != 1:
         raise InvalidType(
             f"the Cartan matrix {cm.entries} has {len(level)} highest roots, not one"
+        )
+    if 0 in roots[-1]:
+        raise InvalidType(
+            f"the Cartan matrix {cm.entries} is reducible: its highest root "
+            f"{roots[-1]} misses a node"
         )
     code_index = dict(zip(codes, range(len(codes))))
     raising = tuple({i: code_index[c] for i, c in edges} for edges in reflected)

@@ -39,9 +39,12 @@ dimension formula for the one multiplicity it needs.
 The node-deletion oracle identifies every level, positive ones included,
 from a primitive root found on coefficient tuples, and checks each against
 the module's full weight multiset, the outer product of the factors' full
-weight tables; the engine reads each negative level's highest weight off
-the lowest root of its mirror level, checks dominant weights at the
-negative levels and mirrors them.
+weight tables, and pairs each weight with its root (level_correspondence);
+the engine reads each negative level's highest weight off the lowest root
+of its mirror level and each positive one's off the highest root, and
+checks dominant weights at the negative levels.  The dual-module oracle
+names a positive level's factors as the duals V(-w0 lam) of its mirror's,
+reducing -lam on a tuple.
 The equivalence oracle takes the orbit of a deletion as the products
 sigma o iota o tau over both automorphism groups, each group found by trying
 every node permutation; the engine pairs the nodes of d's orbit with every
@@ -1006,6 +1009,12 @@ def level_correspondence(rs: RootSystem, index, roots, factors) -> tuple:
     return tuple(sorted(seen.items(), key=lambda kv: (-sum(kv[0]), kv[0])))
 
 
+def dual_module(f: ModuleDescriptor) -> ModuleDescriptor:
+    """V(-w0 lam) for f = V(lam): the module whose weights are f's negated."""
+    lam = tuple_to_dominant(build_root_system(f.algebra), [-x for x in f.highest_weight])[0]
+    return ModuleDescriptor(f.algebra, lam, f.dimension)
+
+
 def _residual_embedding(rs: RootSystem, d: int, iota) -> tuple:
     """The residual components at node d and iota as a tuple: the canonical
     embedding when iota is None, else iota validated by check_embedding."""
@@ -1044,9 +1053,8 @@ def full_multiset_delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
             dim *= f.dimension
         if dim != len(roots):
             raise IrreducibilityMismatch(f"level {i}: {len(roots)} roots, dimension {dim}")
-        levels.append(GradedComponent(
-            i, roots, factors, level_correspondence(rs, index, roots, factors)
-        ))
+        level_correspondence(rs, index, roots, factors)  # BijectionFailure unless one each
+        levels.append(GradedComponent(i, roots, factors))
     residual_roots = sum(
         2 * len(build_root_system(c.type).positive_roots) for c in components
     )

@@ -539,6 +539,7 @@ GOLDEN_COMMANDS = {
     "defining_c3.json": ["defining", "C3"],
     "wedge2_d8_w7.json": ["wedge2", "D8", "w7"],
     "delete_g2_node1.json": ["delete", "G2", "--node", "1"],
+    "delete_b8_node4.json": ["delete", "B8", "--node", "4"],
     "equivalences_d4.json": ["equivalences", "D4", "--node", "1"],
     "report_f5.json": ["report", "F5"],
     "report_e9.json": ["report", "E9"],

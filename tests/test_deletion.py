@@ -2,12 +2,13 @@
 equivalence classes."""
 
 import time
+from operator import mul
 
 import pytest
 
 from lieinduct.deletion import (
     Deletion,
-    _level_correspondence,
+    _check_level,
     delete_node,
     deletion_equivalences,
     summary_rows,
@@ -22,9 +23,10 @@ from lieinduct.errors import (
     InvariantViolation,
 )
 from lieinduct.rep_theory import module_descriptor
-from lieinduct.root_system import DynkinType, build_root_system, parse_dynkin
+from lieinduct.root_system import DynkinType, build_root_system, parse_dynkin, simple_root_codes
 
 from oracles import (
+    dual_module,
     full_multiset_delete_node,
     level_correspondence,
     module_weight_multiset,
@@ -50,6 +52,19 @@ def w(rank, idx, scale=1):
     if idx:
         out[idx - 1] = scale
     return tuple(out)
+
+
+def pairs_of(rs, d, i):
+    """The (residual weight, root) pairs of level i of the deletion d, from
+    the oracle, by descending weight sum and then weight."""
+    level = d.level(i)
+    return level_correspondence(rs, [a - 1 for a in d.iota], level.roots, level.factors)
+
+
+def check_level(rs, index, roots, factors):
+    """delete_node's level check, run on the codes of these roots."""
+    steps = simple_root_codes(rs.rank)
+    _check_level(rs, index, [sum(map(mul, r, steps)) for r in roots], factors)
 
 
 def test_e8_node1_levels():
@@ -123,8 +138,7 @@ def test_lowest_weight_of_deepest_level_is_minus_highest_root():
                               ("F4", 4, (1, 2, 3))]:
         rs = rsys(label)
         d = delete_node(rs, node, iota)
-        deepest = d.level(-d.m_d)
-        pairs = deepest.correspondence
+        pairs = pairs_of(rs, d, -d.m_d)
         lowest_weight = min(pairs, key=lambda p: sum(p[0]))
         minus_top = tuple(-x for x in rs.highest_root)
         assert lowest_weight[1] == minus_top
@@ -135,7 +149,7 @@ def test_b_family_bijection_chain():
     for l in [3, 5]:
         rs = rsys(f"B{l + 1}")
         d = delete_node(rs, 1, tuple(range(2, l + 2)))
-        pairs = dict(d.level(-1).correspondence)
+        pairs = dict(pairs_of(rs, d, -1))
         weight = w(l, 1)
         accum = [0] * (l + 1)
         accum[0] = -1
@@ -150,7 +164,7 @@ def test_b_family_bijection_chain():
 def test_g2_level_minus_one_bijection():
     rs = rsys("G2")
     d = delete_node(rs, 1, (2,))
-    pairs = dict(d.level(-1).correspondence)
+    pairs = dict(pairs_of(rs, d, -1))
     assert pairs[(1,)] == (-1, 0)
     assert pairs[(-1,)] == (-1, -1)
 
@@ -307,9 +321,9 @@ def test_deletion_equivalences_match_product_oracle():
 def test_every_corank_one_deletion_identifies():
     # full sweep: every node of every type through rank 8, interior nodes and
     # product residuals included; each level's root count must equal the
-    # dimension of the identified module, the primitive vector must be unique,
-    # and the weight/root correspondence must be a bijection (all enforced
-    # inside delete_node)
+    # dimension of the identified module, and the residual weights must be
+    # distinct with the module's dominant weights (all enforced inside
+    # delete_node)
     count = 0
     for label in RANK_8_LABELS:
         rs = rsys(label)
@@ -336,7 +350,7 @@ def test_a_family_bijection_chain():
     # supported on the tail segments
     rs = rsys("A4")
     d = delete_node(rs, 4)
-    pairs = dict(d.level(-1).correspondence)
+    pairs = dict(pairs_of(rs, d, -1))
     expected = {
         (0, 0, 1): (0, 0, 0, -1),
         (0, 1, -1): (0, 0, -1, -1),
@@ -350,7 +364,7 @@ def test_c_family_symmetric_square_bijection_top():
     # the highest vector of the symmetric square maps to the last simple root
     rs = rsys("C4")
     d = delete_node(rs, 4, (3, 2, 1))
-    pairs = dict(d.level(-1).correspondence)
+    pairs = dict(pairs_of(rs, d, -1))
     assert pairs[(2, 0, 0)] == (0, 0, 0, -1)
 
 
@@ -380,6 +394,10 @@ def assert_matches_full_multiset_oracle(rs, node, iota=None):
     want = full_multiset_delete_node(rs, node, iota)
     for field in Deletion._fields:
         assert getattr(got, field) == getattr(want, field), (str(rs.type), node, field)
+    # each factor of level +i is the dual of its factor at level -i
+    for i in range(1, got.m_d + 1):
+        assert got.level(i).factors == tuple(map(dual_module, got.level(-i).factors)), (
+            str(rs.type), node, i)
 
 
 def test_delete_node_matches_full_multiset_oracle_to_rank_8():
@@ -434,7 +452,7 @@ def test_level_check_rejects_a_wrong_module_of_the_same_dimension():
     assert level.factors == (module_descriptor(a3, (1, 0, 0)),)
     wrong = (module_descriptor(a3, (0, 0, 1)),)
     assert wrong[0].dimension == level.dimension
-    for check in (_level_correspondence, level_correspondence):
+    for check in (check_level, level_correspondence):
         with pytest.raises(BijectionFailure):
             check(rs, index, level.roots, wrong)
 
@@ -446,7 +464,7 @@ def test_level_check_rejects_repeated_weights():
     d = delete_node(rs, 1)
     index = [a - 1 for a in d.iota]
     roots = ((-3, -1), (-1, 0))
-    for check in (_level_correspondence, level_correspondence):
+    for check in (check_level, level_correspondence):
         with pytest.raises(BijectionFailure, match="share the residual weight"):
             check(rs, index, roots, d.level(-1).factors)
 
@@ -459,6 +477,6 @@ def test_level_check_rejects_a_weight_of_multiplicity_two():
     positive = ((1, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0), (1, 0, 1, 0, 0, 0))
     roots = positive + tuple(tuple(-x for x in r) for r in positive) + ((0, 1, 0, 0, 0, 0),)
     adjoint = (module_descriptor(rsys("A2"), (1, 1)),)
-    for check in (_level_correspondence, level_correspondence):
+    for check in (check_level, level_correspondence):
         with pytest.raises(BijectionFailure, match="weight system"):
             check(rs, [0, 2], roots, adjoint)

@@ -35,9 +35,9 @@ from lieinduct.rep_theory import (
     MAX_DOMINANT_WEIGHTS,
     MAX_WEIGHTS,
     CharacterTable,
-    _dominant_weights,
     _howe_candidates,
     defining_modules,
+    dominant_weights,
     freudenthal_character,
     is_defining,
     module_descriptor,
@@ -129,6 +129,22 @@ def test_weyl_dim_requires_dominant():
         weyl_dim(rsys("A2"), (-1, 0))
     with pytest.raises(NotDominant):
         weyl_dim(rsys("A2"), (1,))
+
+
+def test_orbit_size_requires_dominant():
+    # the orbit of (-1, 0) has three weights, but orbit_size is asked only
+    # about dominant weights and reduces none
+    with pytest.raises(NotDominant):
+        orbit_size(rsys("A2"), (-1, 0))
+    with pytest.raises(NotDominant):
+        orbit_size(rsys("A2"), (1,))
+    assert orbit_size(rsys("A2"), (1, 0)) == 3
+
+
+def test_dominant_weights_requires_dominant():
+    with pytest.raises(NotDominant):
+        dominant_weights(rsys("A2"), (-1, 1))
+    assert list(dominant_weights(rsys("A2"), (1, 1))) == [(1, 1), (0, 0)]
 
 
 def test_highest_weight_multiplicity_is_one():
@@ -235,7 +251,7 @@ def _sparse_weight(rng, rs, max_dominant):
     while True:
         lam = tuple(rng.choice((0, 0, 0, 1, 1, 2)) if rng.random() < 3 / n else 0
                     for _ in range(n))
-        if any(lam) and len(_dominant_weights(rs, lam)) <= max_dominant:
+        if any(lam) and len(dominant_weights(rs, lam)) <= max_dominant:
             return lam
 
 
@@ -354,7 +370,7 @@ def test_weyl_dim_over_the_support_matches_product_oracle():
 
 
 def _check_against_weight_system_oracle(rs, lam):
-    below = _dominant_weights(rs, lam)
+    below = dominant_weights(rs, lam)
     assert set(below) == {v for v in full_weight_system(rs, lam) if min(v) >= 0}
     for mu, diff in below.items():
         assert root_to_weight(rs, diff) == tuple(a - b for a, b in zip(lam, mu))
@@ -565,7 +581,7 @@ def test_is_defining_witnesses():
         rs = rsys(f"A{l}")
         assert is_defining(rs, w(l, 1, 3)) is False
         with pytest.raises(BudgetExceeded):
-            _dominant_weights(rs, w(l, 1, 3), cap=2)
+            dominant_weights(rs, w(l, 1, 3), cap=2)
 
 
 def test_is_defining_past_character_budget():
@@ -576,7 +592,7 @@ def test_is_defining_past_character_budget():
             freudenthal_character(rsys(label), lam)
         assert is_defining(rsys(label), lam) is False
         with pytest.raises(BudgetExceeded):
-            _dominant_weights(rsys(label), lam, cap=2)
+            dominant_weights(rsys(label), lam, cap=2)
 
 
 def test_roots_within_support_matches_brute_filter():
@@ -603,13 +619,13 @@ def test_support_indexed_closure_matches_unindexed_oracle():
         lams += [_sparse_weight(rng, rs, 400) for _ in range(4)]
         for lam in lams:
             expected = unindexed_dominant_weights(rs, lam)
-            got = _dominant_weights(rs, lam)
+            got = dominant_weights(rs, lam)
             assert list(got.items()) == list(expected.items()), (label, lam)
             # the cap admits exactly as many weights as it names
-            assert _dominant_weights(rs, lam, cap=len(expected)) == got
+            assert dominant_weights(rs, lam, cap=len(expected)) == got
             if len(expected) > 1:
                 with pytest.raises(BudgetExceeded):
-                    _dominant_weights(rs, lam, cap=len(expected) - 1)
+                    dominant_weights(rs, lam, cap=len(expected) - 1)
 
 
 def _seeded_defining_weights():

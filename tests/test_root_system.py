@@ -484,6 +484,9 @@ def test_root_closure_refuses_a_matrix_not_of_finite_type():
     # A1 + A1 closes, but with two highest roots: not irreducible
     with pytest.raises(InvalidType, match="2 highest roots"):
         _root_closure(CartanMatrix(((2, 0), (0, 2)), (1, 1)))
+    # A2 + A1 ends on one root, (1, 1, 0), the highest root of A2 alone
+    with pytest.raises(InvalidType, match="misses a node"):
+        _root_closure(CartanMatrix(((2, -1, 0), (-1, 2, 0), (0, 0, 2)), (1, 1, 1)))
 
 
 def test_root_closure_tables_match_per_call_formulas():
