@@ -252,27 +252,30 @@ def _cmd_square(ns, rs: RootSystem, w):
 def _cmd_delete(ns, rs: RootSystem):
     iota = parse_iota(ns.iota, rs, ns.node) if ns.iota else None
     d = del_mod.delete_node(rs, ns.node, iota)
-    payload = {
-        "ambient": str(d.ambient),
-        "node": d.node,
-        "residual": [str(t) for t in d.residual],
-        "iota": list(d.iota),
-        "m_d": d.m_d,
-        "levels": [
-            {
-                "level": c.level,
-                "weight": list(c.highest_weight),
-                "dimension": str(c.dimension),
-                "roots": [list(r) for r in c.roots],
-            }
-            for c in d.levels
-        ],
-        "zero_level": {
-            "roots": str(d.zero_level.root_count),
-            "dimension": str(d.zero_level.residual_dimension),
-            "center": str(d.zero_level.center_dimension),
-        },
-    }
+    # only the requested format is built: the JSON lists every root
+    if ns.format == "json":
+        payload = {
+            "ambient": str(d.ambient),
+            "node": d.node,
+            "residual": [str(t) for t in d.residual],
+            "iota": list(d.iota),
+            "m_d": d.m_d,
+            "levels": [
+                {
+                    "level": c.level,
+                    "weight": list(c.highest_weight),
+                    "dimension": str(c.dimension),
+                    "roots": [list(r) for r in c.roots],
+                }
+                for c in d.levels
+            ],
+            "zero_level": {
+                "roots": str(d.zero_level.root_count),
+                "dimension": str(d.zero_level.residual_dimension),
+                "center": str(d.zero_level.center_dimension),
+            },
+        }
+        return payload, []
     res = " + ".join(str(t) for t in d.residual) if d.residual else "(empty)"
     lines = [f"{d.ambient} minus node {d.node} -> {res}, m_d = {d.m_d}"]
     lines.append("iota: " + ",".join(f"{i+1}:{a}" for i, a in enumerate(d.iota)))
@@ -283,7 +286,7 @@ def _cmd_delete(ns, rs: RootSystem):
     lines.append(
         f"level 0: residual dim {d.zero_level.residual_dimension} + center 1"
     )
-    return payload, lines
+    return {}, lines
 
 
 def _cmd_equivalences(ns, rs: RootSystem):

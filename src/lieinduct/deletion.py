@@ -7,22 +7,24 @@ of least height at level i is its lowest weight vector, so the highest
 weight of level -i is minus that root's residual weight; the roots come in
 positive_roots order, by height, so it is the first root found at level i.
 
-Only the levels -1 ... -m_d are checked, each on the codes of its roots
-(see _check_level): the level's root count must equal the module's
-dimension, the roots' residual weights must be distinct, and the dominant
-ones must be the module's dominant weights.  No Freudenthal multiplicity is
-computed.  Level +i is the mirror of level -i: its roots and weights are
-negated.  Its highest weight is the residual weight of the highest root at
-level i, which no residual simple root raises (a residual weight fixes a
-root of the level, the residual Cartan matrix being invertible), split by
-component; each factor keeps the dimension of its mirror factor.
+Only the levels -1 ... -m_d are checked, each on the positive roots of its
+mirror level i (see _check_level), whose residual weights are read once, by
+one itemgetter over the nodes of the residual: the level's root count must
+equal the module's dimension, the weights must be distinct, and the negated
+antidominant ones, level -i's dominant weights, must be the module's
+dominant weights.  No Freudenthal multiplicity is computed.  Level +i is
+the mirror of level -i: its roots and weights are negated.  Its highest
+weight is the residual weight of the highest root at level i, which no
+residual simple root raises (a residual weight fixes a root of the level,
+the residual Cartan matrix being invertible), split by component; each
+factor keeps the dimension of its mirror factor.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import prod
-from operator import neg
+from operator import itemgetter, neg
 from typing import NamedTuple, Sequence
 
 from .errors import BijectionFailure, EmptyLevel, InvalidType, IrreducibilityMismatch
@@ -93,19 +95,8 @@ class Deletion(NamedTuple):
         return tuple(self.level(-i) for i in range(1, self.m_d + 1))
 
 
-def _residual_weight(rs: RootSystem, index: Sequence[int], code: int) -> Vector:
-    """Weight over the residual algebra of the ambient root with this code:
-    its coordinates at index, the 0-based ambient nodes in residual order
-    (iota - 1), read from the positive root's weight, negated for a negative
-    root."""
-    coords = map(rs.positive_weights[rs.root_codes[abs(code)]].__getitem__, index)
-    return tuple(coords if code > 0 else map(neg, coords))
-
-
-def _root(rs: RootSystem, code: int) -> Vector:
-    """The ambient root with this code."""
-    r = rs.positive_roots[rs.root_codes[abs(code)]]
-    return r if code > 0 else tuple(map(neg, r))
+def _negated(v: Vector) -> Vector:
+    return tuple(map(neg, v))
 
 
 def check_node(rs: RootSystem, d: int) -> None:
@@ -141,10 +132,10 @@ def delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
     ends = itertools.accumulate(c.type.rank for c in components)
     cuts = [slice(e - c.type.rank, e) for c, e in zip(components, ends)]  # per component
     m_d = rs.highest_root[d - 1]
-    pos, codes = rs.positive_roots, rs.root_codes
-    by_level: dict[int, list[int]] = {}  # positive roots' codes per level, by height
-    for c, k in codes.items():
-        by_level.setdefault(pos[k][d - 1], []).append(c)
+    pos = rs.positive_roots
+    by_level: dict[int, list[int]] = {}  # positive roots' indices per level, by height
+    for k, r in enumerate(pos):
+        by_level.setdefault(r[d - 1], []).append(k)
 
     positive = sorted(by_level.keys() - {0})
     if len(positive) != m_d:
@@ -152,18 +143,22 @@ def delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
             f"expected {2 * m_d} nonzero levels, found {2 * len(positive)}"
         )
 
+    # a root's residual weight: its weight's coordinates at index, as a tuple
+    # (an itemgetter of one index returns the bare coordinate)
+    at_index = itemgetter(*index) if len(index) > 1 else lambda w: tuple(map(w.__getitem__, index))
     lower, upper = [], []
     for i in positive:
-        level_codes = by_level[i]
-        lowest = _residual_weight(rs, index, -level_codes[0])
+        level = by_level[i]
+        weights = list(map(at_index, map(rs.positive_weights.__getitem__, level)))
+        lowest = _negated(weights[0])
         factors = tuple(module_descriptor(frs, lowest[s]) for frs, s in zip(algebras, cuts))
-        _check_level(rs, index, [-c for c in level_codes], factors)
-        up_roots = tuple(pos[codes[c]] for c in sorted(level_codes))  # codes sort as the roots do
-        roots = tuple(tuple(map(neg, r)) for r in reversed(up_roots))
+        up_roots = list(map(pos.__getitem__, level))
+        _check_level(up_roots, weights, factors)
+        up_roots.sort()
+        roots = tuple(map(_negated, reversed(up_roots)))
         lower.append(GradedComponent(-i, roots, factors))
-        highest = _residual_weight(rs, index, level_codes[-1])
-        mirror = tuple(f._replace(highest_weight=highest[s]) for f, s in zip(factors, cuts))
-        upper.append(GradedComponent(i, up_roots, mirror))
+        mirror = tuple(f._replace(highest_weight=weights[-1][s]) for f, s in zip(factors, cuts))
+        upper.append(GradedComponent(i, tuple(up_roots), mirror))
     levels = lower[::-1] + upper
 
     residual_roots = sum(2 * len(frs.positive_roots) for frs in algebras)
@@ -177,42 +172,42 @@ def delete_node(rs: RootSystem, d: int, iota=None) -> Deletion:
 
 
 def _check_level(
-    rs: RootSystem,
-    index: Sequence[int],
-    level_codes: Sequence[int],
-    factors: tuple[ModuleDescriptor, ...],
+    roots: Sequence[Vector], weights: Sequence[Vector], factors: tuple[ModuleDescriptor, ...]
 ) -> None:
-    """BijectionFailure unless the residual weights of the roots with these
-    codes are the weights of the module V with these factors, one each.
+    """BijectionFailure unless the negated roots, with the negated residual
+    weights, carry the weights of the module V with these factors, one each:
+    the check of level -i, run on the roots of level i and their weights.
 
     The roots must be as many as dim V, their weights distinct, and the
-    dominant ones the dominant weights D of V: the concatenations of the
-    factors' dominant weights (rep_theory.dominant_weights).  No
-    multiplicity is computed.  The residual Weyl group W0 keeps a root's
-    coordinate at d, so a level's weights form a W0-invariant set S, each of
-    whose W0-orbits holds one dominant weight; so |S| = sum over mu in D of
-    |W0 mu| <= sum of m_mu |W0 mu| = dim V, with equality only when every
-    multiplicity m_mu is 1.
+    dominant ones, the negated antidominant weights given, the dominant
+    weights D of V: the concatenations of the factors' dominant weights
+    (rep_theory.dominant_weights).  No multiplicity is computed.  The
+    residual Weyl group W0 keeps a root's coordinate at d, so a level's
+    weights form a W0-invariant set S, each of whose W0-orbits holds one
+    dominant weight; so |S| = sum over mu in D of |W0 mu| <= sum of
+    m_mu |W0 mu| = dim V, with equality only when every multiplicity m_mu
+    is 1.
     """
     dim = prod(f.dimension for f in factors)
-    if dim != len(level_codes):
+    if dim != len(weights):
         raise BijectionFailure(
-            f"{len(level_codes)} roots cannot carry the weight system of a module "
+            f"{len(weights)} roots cannot carry the weight system of a module "
             f"of dimension {dim}"
         )
-    seen: dict[Vector, int] = {}
-    for c in level_codes:
-        w = _residual_weight(rs, index, c)
-        if w in seen:
-            raise BijectionFailure(
-                f"roots {_root(rs, seen[w])} and {_root(rs, c)} share the residual weight {w}"
-            )
-        seen[w] = c
+    if len(set(weights)) != len(weights):
+        seen: dict[Vector, Vector] = {}
+        for r, w in zip(roots, weights):
+            if w in seen:
+                raise BijectionFailure(
+                    f"roots {_negated(seen[w])} and {_negated(r)} share the residual "
+                    f"weight {_negated(w)}"
+                )
+            seen[w] = r
     dominant: set[Vector] = {()}
     for f in factors:
         top = dominant_weights(build_root_system(f.algebra), f.highest_weight)
         dominant = {u + v for u in dominant for v in top}
-    if dominant != {w for w in seen if min(w, default=0) >= 0}:
+    if dominant != {_negated(w) for w in weights if max(w, default=0) <= 0}:
         raise BijectionFailure(
             "level weights do not match the identified module's weight system"
         )

@@ -26,21 +26,24 @@ int addition and one set lookup, and the codes sort as the coefficient
 tuples do.  No finite-type coefficient exceeds 6 (E8's highest root), so a
 coefficient that would reach 7 stops the closure with InvariantViolation:
 the matrix is not of finite type, and one more probe would carry into the
-next digit and alias another root.  The same pass yields every per-root
-table of the root datum, each entry built once, when its root is found:
-the coefficient tuple, the weight, the code (RootSystem.root_codes, minus a
-code for minus a root), the norm, the nodes where the weight is positive
-and those where it is negative as bitmasks, and the reflection table of
-RootSystem._raising.  RootSystem(type, cartan) runs it; there is no other
-way to build a root system.
+next digit and alias another root.  The same pass yields the per-root
+tables that nearly every caller reads, each entry built once, when its
+root is found: the coefficient tuple, the weight, the code
+(RootSystem.root_codes, minus a code for minus a root), the norm and the
+nodes where the weight is positive as a bitmask.  RootSystem(type, cartan)
+runs it; there is no other way to build a root system.
 
 Each RootSystem instance derives the rest of its datum once, on first use,
 from those tables: the pairing vectors of the positive roots, the Weyl
-dimension denominator, the highest coroot and an integer height
-functional.  Every result derived from the datum and a key (the root
-classes per zero-node set, the roots within a support, the weight codes
-per digit width, and the characters, orbits, orbit sizes and defining
-checks of rep_theory) is memoized on the instance by
+dimension denominator, the highest coroot, an integer height functional
+and the reflection table of RootSystem._raising.  The reflection table is
+read only by the stabilizer classes of Freudenthal's formula, so node
+deletions, their residual algebras, dimensions and defining checks never
+build it; derived one node at a time from the weights, it costs what the
+closure paid to fill it inline.  Every result derived from the datum and a
+key (the root classes per zero-node set, the roots within a support, the
+weight codes per digit width, and the characters, orbits, orbit sizes and
+defining checks of rep_theory) is memoized on the instance by
 RootSystem.memoized, never keyed by type, so a rescaled symmetrizer gets its
 own.  build_root_system is the one process-wide cache: clearing it drops
 every instance and with it every memo.
@@ -212,7 +215,9 @@ class RootSystem:
 
     The constructor runs the root closure of cartan, which yields every
     per-root table below (see the module docstring); the root system is
-    irreducible, its highest root unique.  build_root_system returns a
+    irreducible, its highest root unique.  The reflection table _raising,
+    which only the Freudenthal stabilizer classes read, is derived on first
+    read, as the other cached properties are.  build_root_system returns a
     cached singleton per type, and each instance owns its memos, so
     identity equality and hashing are all it needs.  The cached properties
     below and RootSystem.memoized keep their results in the instance's
@@ -227,19 +232,14 @@ class RootSystem:
     positive_weights: tuple[Vector, ...]  # in positive_roots order, as all below
     positive_norms: tuple[int, ...]  # (alpha, alpha)
     positive_nodes: tuple[int, ...]  # bit j set when the weight is positive at node j
-    negative_nodes: tuple[int, ...]  # bit j set when the weight is negative at node j
     root_codes: dict[int, int]  # code -> index in positive_roots
-    # Per node j, the index i of each alpha_i with <alpha_i, a_j^vee> < 0,
-    # mapped to the index of s_j(alpha_i), a higher positive root.
-    _raising: tuple[dict[int, int], ...]
 
     def __init__(self, type: DynkinType, cartan: CartanMatrix) -> None:
-        roots, weights, codes, norms, positive, negative, raising = _root_closure(cartan)
+        roots, weights, codes, norms, positive = _root_closure(cartan)
         vars(self).update(
             type=type, rank=type.rank, cartan=cartan, positive_roots=roots,
             highest_root=roots[-1], positive_weights=weights, positive_norms=norms,
-            positive_nodes=positive, negative_nodes=negative, root_codes=codes,
-            _raising=raising,
+            positive_nodes=positive, root_codes=codes,
         )
 
     def __setattr__(self, name: str, value=None) -> None:
@@ -274,6 +274,19 @@ class RootSystem:
         """alpha_j * d_j per positive root, so (lambda, alpha) = lambda . this."""
         d = self.cartan.symmetrizer
         return tuple(tuple(map(mul, a, d)) for a in self.positive_roots)
+
+    @cached_property
+    def _raising(self) -> tuple[dict[int, int], ...]:
+        """Per node j, the index of each positive root alpha whose weight w
+        has w_j < 0, mapped to the index of s_j(alpha) = alpha - w_j a_j, a
+        higher positive root.  Only _root_classes reads it, so it is built
+        on first read, one node's column of positive_weights at a time."""
+        index = self.root_codes
+        codes = list(index)  # in positive_roots order
+        return tuple(
+            {i: index[codes[i] - x * step] for i, x in enumerate(column) if x < 0}
+            for column, step in zip(zip(*self.positive_weights), simple_root_codes(self.rank))
+        )
 
     @cached_property
     def highest_coroot(self) -> Vector:
@@ -388,19 +401,21 @@ def _root_classes(rs: RootSystem, zero_nodes: tuple[int, ...]) -> tuple[tuple[in
 
     A root whose weight is negative at some j in J takes the label of
     s_j(alpha), a higher positive root in the same orbit, for the first such
-    j (RootSystem._raising); any other root is J-dominant and labels itself.
-    Each W_J-orbit of roots that meets the positive roots meets them in
-    exactly one J-dominant root, so the labels are the classes, and the last
-    root a label reaches is the class's first member.
+    j (RootSystem._raising, its rows for J merged so the first wins); any
+    other root is J-dominant and labels itself.  Each W_J-orbit of roots
+    that meets the positive roots meets them in exactly one J-dominant root,
+    so the labels are the classes, and the last root a label reaches is the
+    class's first member.
     """
-    jmask = sum(1 << j for j in zero_nodes)
-    raising, negs = rs._raising, rs.negative_nodes
-    label = list(range(len(negs)))
+    up: dict[int, int] = {}
+    for j in reversed(zero_nodes):
+        up.update(rs._raising[j])
+    label = list(range(len(rs.positive_roots)))
     first = {}
     for i in reversed(label):
-        low = negs[i] & jmask
-        if low:
-            label[i] = label[raising[(low & -low).bit_length() - 1][i]]
+        k = up.get(i)
+        if k is not None:
+            label[i] = label[k]
         first[label[i]] = i
     return tuple(sorted((first[lab], size) for lab, size in Counter(label).items()))
 
@@ -422,32 +437,29 @@ def simple_root_codes(rank: int) -> tuple[int, ...]:
 
 
 def _root_closure(cm: CartanMatrix) -> tuple[
-    tuple[Vector, ...], tuple[Vector, ...], dict[int, int], tuple[int, ...],
-    tuple[int, ...], tuple[int, ...], tuple[dict[int, int], ...],
+    tuple[Vector, ...], tuple[Vector, ...], dict[int, int], tuple[int, ...], tuple[int, ...],
 ]:
     """The positive roots of cm, by height and then lexicographically, and
     in that order their weights, codes (mapped to their indices), norms and
-    positive- and negative-node bitmasks, then the reflection table of
-    RootSystem._raising: the p - q closure over simple-root strings, run on
-    root codes (see the module docstring).
+    positive-node bitmasks: the p - q closure over simple-root strings, run
+    on root codes (see the module docstring).
 
     Each frontier holds the roots of one height.  Adding a_i adds Cartan row
     i to the weight w, whose i-th coordinate is the pairing <beta, a_i^vee> =
     p - q, and 2 d_i (w_i + 1) to the norm.  Root strings are unbroken, so
     beta + a_i is a root when w_i < 0, and when w_i >= 0 exactly when
     beta - (w_i + 1) a_i is one: a single probe, made only when beta_i >
-    w_i, so the subtraction never borrows.  For w_j < 0, s_j(beta) = beta -
-    w_j a_j, a higher positive root whose code is known once the closure
-    ends.  The matrix is irreducible exactly when the last frontier holds
-    one root and that root has every coefficient at least 1; otherwise
-    InvalidType.  (A reducible matrix can end on one root, the highest root
-    of its tallest component, as A2 + A1 does.)
+    w_i, so the subtraction never borrows.  The matrix is irreducible
+    exactly when the last frontier holds one root and that root has every
+    coefficient at least 1; otherwise InvalidType.  (A reducible matrix can
+    end on one root, the highest root of its tallest component, as A2 + A1
+    does.)
     """
     n = cm.rank
     rows, d = cm.entries, cm.symmetrizer
     steps = simple_root_codes(n)
     nodes = tuple(zip(range(n), steps, [1 << i for i in range(n)]))
-    level = {step: (tuple(int(i == j) for j in range(n)), rows[i], 2 * d[i])
+    level = {step: ((0,) * i + (1,) + (0,) * (n - 1 - i), rows[i], 2 * d[i])
              for i, step in enumerate(steps)}
     known = set(level)
     roots: list[Vector] = []
@@ -455,24 +467,18 @@ def _root_closure(cm: CartanMatrix) -> tuple[
     codes: list[int] = []
     norms: list[int] = []
     positive: list[int] = []
-    negative: list[int] = []
-    reflected: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # per node j: (i, code of s_j)
     while True:
         nxt = {}
         for code in sorted(level):
             k, w, norm = level[code]
-            index = len(codes)
             roots.append(k)
             weights.append(w)
             codes.append(code)
             norms.append(norm)
-            pos = neg = 0
+            pos = 0
             for i, step, bit in nodes:
                 wi = w[i]
-                if wi < 0:
-                    neg |= bit
-                    reflected[i].append((index, code - wi * step))
-                else:
+                if wi >= 0:
                     if wi:
                         pos |= bit
                     if k[i] <= wi or code - (wi + 1) * step not in known:
@@ -490,7 +496,6 @@ def _root_closure(cm: CartanMatrix) -> tuple[
                 nxt[up] = (k[:i] + (ki + 1,) + k[i + 1:], tuple(map(add, w, rows[i])),
                            norm + 2 * d[i] * (wi + 1))
             positive.append(pos)
-            negative.append(neg)
         if not nxt:
             break
         level = nxt
@@ -503,10 +508,8 @@ def _root_closure(cm: CartanMatrix) -> tuple[
             f"the Cartan matrix {cm.entries} is reducible: its highest root "
             f"{roots[-1]} misses a node"
         )
-    code_index = dict(zip(codes, range(len(codes))))
-    raising = tuple({i: code_index[c] for i, c in edges} for edges in reflected)
-    return (tuple(roots), tuple(weights), code_index, tuple(norms), tuple(positive),
-            tuple(negative), raising)
+    return (tuple(roots), tuple(weights), dict(zip(codes, range(len(codes)))),
+            tuple(norms), tuple(positive))
 
 
 @lru_cache(maxsize=None)

@@ -2,7 +2,6 @@
 equivalence classes."""
 
 import time
-from operator import mul
 
 import pytest
 
@@ -22,8 +21,8 @@ from lieinduct.errors import (
     InvalidType,
     InvariantViolation,
 )
-from lieinduct.rep_theory import module_descriptor
-from lieinduct.root_system import DynkinType, build_root_system, parse_dynkin, simple_root_codes
+from lieinduct.rep_theory import defining_modules, freudenthal_character, module_descriptor
+from lieinduct.root_system import DynkinType, build_root_system, parse_dynkin
 
 from oracles import (
     dual_module,
@@ -62,9 +61,11 @@ def pairs_of(rs, d, i):
 
 
 def check_level(rs, index, roots, factors):
-    """delete_node's level check, run on the codes of these roots."""
-    steps = simple_root_codes(rs.rank)
-    _check_level(rs, index, [sum(map(mul, r, steps)) for r in roots], factors)
+    """delete_node's level check for these roots, run as delete_node runs
+    it: on their negatives and the residual weights of those."""
+    mirror = [tuple(-x for x in r) for r in roots]
+    _check_level(mirror, [tuple(root_to_weight(rs, r)[i] for i in index) for r in mirror],
+                 factors)
 
 
 def test_e8_node1_levels():
@@ -440,6 +441,26 @@ def test_component_highest_weight_matches_tuple_primitive_root():
                 weight = root_to_weight(rs, tuple_primitive_root(rs, node, roots))
                 got = d.level(level).highest_weight
                 assert got == tuple(weight[a - 1] for a in d.iota), (label, node, level)
+
+
+def test_deletions_and_defining_checks_leave_the_reflection_table_unbuilt():
+    # only Freudenthal's stabilizer classes read RootSystem._raising, so a
+    # cold deletion or defining list builds no root system's table
+    for label in ["E8", "F4", "G2"]:
+        for node in range(1, rsys(label).rank + 1):
+            build_root_system.cache_clear()
+            d = delete_node(rsys(label), node)
+            built = {d.ambient, *d.residual}
+            assert build_root_system.cache_info().currsize == len(built), (label, node)
+            for t in built:
+                assert "_raising" not in vars(build_root_system(t)), (label, node, t)
+        build_root_system.cache_clear()
+        rs = rsys(label)
+        defining_modules(rs)
+        assert build_root_system.cache_info().currsize == 1
+        assert "_raising" not in vars(rs), label
+        freudenthal_character(rs, (1,) + (0,) * (rs.rank - 1))
+        assert "_raising" in vars(rs), label
 
 
 def test_level_check_rejects_a_wrong_module_of_the_same_dimension():

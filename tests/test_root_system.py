@@ -430,6 +430,15 @@ def test_root_closure_matches_tuple_oracle():
     assert count == 32 + 31 + 30 + 29 + 3 + 1 + 1
 
 
+def negative_nodes(rs):
+    """Per positive root, bit j set when the reflection table's row j holds
+    it: the nodes where its weight is negative."""
+    return tuple(
+        sum(1 << j for j, row in enumerate(rs._raising) if i in row)
+        for i in range(len(rs.positive_roots))
+    )
+
+
 def test_raising_table_matches_tuple_oracle():
     # every accepted type: per node j, each reflection edge of the tuple
     # oracle read from its lower end, found on root codes; and the lower
@@ -439,9 +448,10 @@ def test_raising_table_matches_tuple_oracle():
         for rank in range(lo, hi + 1):
             t = DynkinType(family, rank)
             rs = build_root_system(t)
+            negative = negative_nodes(rs)
             for j, edges in enumerate(tuple_reflection_edges(rs)):
                 assert rs._raising[j] == {k: i for i, k in edges}, (t, j)
-                lower = {i for i, nodes in enumerate(rs.negative_nodes) if nodes >> j & 1}
+                lower = {i for i, nodes in enumerate(negative) if nodes >> j & 1}
                 assert lower == {k for _, k in edges}, (t, j)
             count += 1
     assert count == 32 + 31 + 30 + 29 + 3 + 1 + 1
@@ -490,9 +500,10 @@ def test_root_closure_refuses_a_matrix_not_of_finite_type():
 
 
 def test_root_closure_tables_match_per_call_formulas():
-    # every accepted type: each table the closure fills on its one pass
-    # against the formula it replaces, the codes against radix-8 codes of
-    # the tuple oracle's roots
+    # every accepted type: each table the closure fills on its one pass,
+    # and the negative-node masks read off the reflection table built on
+    # first read, against the formula each replaces, the codes against
+    # radix-8 codes of the tuple oracle's roots
     count = 0
     for family, (lo, hi) in RANK_RANGES.items():
         for rank in range(lo, hi + 1):
@@ -506,7 +517,7 @@ def test_root_closure_tables_match_per_call_formulas():
             assert rs.positive_norms == tuple(
                 rs.form_weight_root(aw, a) for a, aw in zip(roots, weights)
             ), t
-            for bits, sign in [(rs.positive_nodes, 1), (rs.negative_nodes, -1)]:
+            for bits, sign in [(rs.positive_nodes, 1), (negative_nodes(rs), -1)]:
                 assert bits == tuple(
                     sum(1 << j for j, x in enumerate(aw) if x * sign > 0) for aw in weights
                 ), t
