@@ -315,9 +315,10 @@ def _cmd_equivalences(ns, rs: RootSystem):
 
 def _cmd_table2(ns):
     """The payload, the lines and the exit status: 1 on a mismatch."""
-    report = del_mod.verify_table2()
+    rows = del_mod.verify_table2()
+    ok = all(r.ok for r in rows)
     payload = {
-        "ok": report.ok,
+        "ok": ok,
         "rows": [
             {
                 "name": r.name,
@@ -327,12 +328,12 @@ def _cmd_table2(ns):
                 "got": [list(w) for w in r.got],
                 "detail": r.detail,
             }
-            for r in report.rows
+            for r in rows
         ],
     }
-    lines = [f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}" for r in report.rows]
-    lines.append(f"{'OK' if report.ok else 'MISMATCH'}: {len(report.rows)} rows")
-    return payload, lines, EXIT_OK if report.ok else EXIT_DOMAIN
+    lines = [f"{'PASS' if r.ok else 'FAIL'} {r.name}: {r.detail}" for r in rows]
+    lines.append(f"{'OK' if ok else 'MISMATCH'}: {len(rows)} rows")
+    return payload, lines, EXIT_OK if ok else EXIT_DOMAIN
 
 
 def _depth(ns) -> int:

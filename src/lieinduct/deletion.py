@@ -351,15 +351,7 @@ class RowResult(NamedTuple):
     detail: str
 
 
-class Table2Report(NamedTuple):
-    rows: tuple[RowResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-
-def verify_table2() -> Table2Report:
+def verify_table2() -> tuple[RowResult, ...]:
     """Run every summary-table deletion and check the module columns, the
     node multiplicity, and the rank-one special case."""
     results: list[RowResult] = []
@@ -395,4 +387,4 @@ def verify_table2() -> Table2Report:
     results.append(RowResult("A1/1/-", ok1, del1.m_d, ((),), ((),),
                              "ok" if ok1 else "rank-one deletion malformed"))
 
-    return Table2Report(tuple(results))
+    return tuple(results)

@@ -25,10 +25,6 @@ class InvariantViolation(LieInductError):
     """An exact identity the engine relies on failed (convention or arithmetic bug)."""
 
 
-class InternalParity(InvariantViolation):
-    """Halving V(x)V -/+ psi^2 V gave a non-integral multiplicity (convention bug)."""
-
-
 class BudgetExceeded(LieInductError):
     """A request would exceed one of the engine's fixed caps: weights in an
     orbit or expansion, dominant weights of a character, or levels held by an

@@ -62,9 +62,9 @@ from .root_system import (
 from .tensor_ops import tensor_decompose, wedge2_decompose
 
 DEFAULT_MAX_DEPTH = 12
-# Cap on the levels of all chains one search holds, checked as chains are
-# pushed.  A search to depth d holds O(d) chains of O(d) levels, so a cap on
-# chains alone would not stop a deep one.
+# Cap on the levels of all chains one search creates, counted as chains are
+# pushed.  A search to depth d can hold O(d) chains of O(d) levels, so a cap
+# on chains alone would not stop a deep one.
 MAX_SEARCH_LEVELS = 2_000_000
 
 
@@ -73,14 +73,6 @@ class TargetDiagram(NamedTuple):
 
     name: str
     cartan: CartanMatrix
-
-    @property
-    def entries(self) -> tuple[tuple[int, ...], ...]:
-        return self.cartan.entries
-
-    @property
-    def rank(self) -> int:
-        return self.cartan.rank
 
 
 # Hypothetical rank-9/5/3 diagrams, each a symmetrizer and its edges.  F5 and
@@ -126,7 +118,7 @@ def check_new_row(
     True iff the negated target-Cartan row at target_node, restricted along
     the embedding, equals the weight; an invalid embedding raises BadEmbedding.
     """
-    c = target.entries
+    c = target.cartan.entries
     iota_t = check_embedding(c, target_node, [g0], iota, target.name)
     row = tuple(-c[target_node - 1][iota_t[j] - 1] for j in range(g0.rank))
     return row == tuple(weight)
@@ -138,7 +130,6 @@ _highest_weight = attrgetter("highest_weight")
 class InductionState(NamedTuple):
     """A chain of graded levels; zero levels after the stored prefix."""
 
-    base: DynkinType
     chain: tuple[ModuleDescriptor, ...]
     terminated: bool
     dbos_dimension: int
@@ -195,18 +186,6 @@ class _BracketMasks(dict):
         return mask
 
 
-def _places(ids: Sequence[int]) -> dict[int, tuple[int, int]]:
-    """The places of a chain of module ids of length n: id -> (P, R), in
-    order of first appearance, where P has bit q when level q + 1 holds the
-    module and R is P mirrored, bit n - 1 - q."""
-    n = len(ids)
-    places: dict[int, tuple[int, int]] = {}
-    for q, a in enumerate(ids):
-        p, r = places.get(a, (0, 0))
-        places[a] = p | 1 << q, r | 1 << (n - 1 - q)
-    return places
-
-
 def _admissible(masks: _BracketMasks, n: int, places: dict[int, tuple[int, int]]) -> int:
     """The ids admissible at level n + 1 below a chain of length n with
     these places, as a bitmask (0: only zero).  For a = b only the bits
@@ -241,38 +220,27 @@ def _admissible(masks: _BracketMasks, n: int, places: dict[int, tuple[int, int]]
     return common if common > 0 else 0  # -1: nothing can feed the bracket
 
 
-def _chains(
-    rs: RootSystem, b1: Sequence[int], max_depth: int
-) -> Iterator[tuple[tuple[ModuleDescriptor, ...], bool, int]]:
-    """(chain, terminated, DBOS dimension) of every admissible chain starting
-    from b1, in pre-order: each chain right after its prefix, and siblings
-    by ascending highest weight.  See induction_search."""
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
-    first = module_descriptor(rs, b1)
-    if first.is_trivial:
-        raise TrivialFirstLevel(
-            f"the first level over {rs.type} must be a non-trivial module"
-        )
-    if not is_defining(rs, first.highest_weight):
-        return
-
+def _chains(rs: RootSystem, first: ModuleDescriptor, max_depth: int) -> Iterator[InductionState]:
+    """Every admissible chain starting from the non-trivial defining module
+    first, in pre-order: each chain right after its prefix, and siblings by
+    ascending highest weight.  See induction_search."""
     masks = _BracketMasks(rs)
     modules = masks.modules
+    state = InductionState._make  # cheaper per chain than calling the class
     order: dict[int, tuple[int, ...]] = {}  # mask -> its ids by descending weight
     # A stack entry is a chain, its DBOS dimension and its places.  A child
     # adds one module and 2 * its dimension, shifts every mirror up one and
     # sets the new level's bits.  Children are pushed by descending weight,
     # so they pop in ascending order.
-    stack = [((first,), rs.dimension + 1 + 2 * first.dimension, _places([masks.intern(first)]))]
+    stack = [((first,), rs.dimension + 1 + 2 * first.dimension, {masks.intern(first): (1, 1)})]
     levels = 1
     while stack:
         chain, dim, places = stack.pop()
         n = len(chain)
         if n == max_depth:
-            yield chain, False, dim
+            yield state((chain, False, dim))
             continue
-        yield chain, True, dim
+        yield state((chain, True, dim))
         common = _admissible(masks, n, places)
         if not common:
             continue
@@ -312,9 +280,16 @@ def induction_search(
     its prefix: the chain of a state of length n > 1 without its last level
     is the chain of the latest earlier state of length n - 1.
     """
-    t = rs.type
-    return [InductionState(t, chain, terminated, dim)
-            for chain, terminated, dim in _chains(rs, b1, max_depth)]
+    if max_depth < 1:
+        raise ValueError("max_depth must be at least 1")
+    first = module_descriptor(rs, b1)
+    if first.is_trivial:
+        raise TrivialFirstLevel(
+            f"the first level over {rs.type} must be a non-trivial module"
+        )
+    if not is_defining(rs, first.highest_weight):
+        return []
+    return list(_chains(rs, first, max_depth))
 
 
 # ---------------------------------------------------------------------------
@@ -357,9 +332,10 @@ def exceptional_routes(name: str) -> list[tuple]:
     """
     routes = []
     for target in EXCEPTIONAL_TARGETS[name]:
-        c, d = target.entries, target.cartan.symmetrizer
-        for node in range(1, target.rank + 1):
-            rest = [i for i in range(1, target.rank + 1) if i != node]
+        c, d = target.cartan
+        nodes = range(1, len(c) + 1)
+        for node in nodes:
+            rest = [i for i in nodes if i != node]
             if len(connected_components(c, rest)) != 1:
                 continue
             [(base, _)] = classify_subdiagram(c, d, rest)
@@ -378,22 +354,22 @@ def _route_report(
     max_depth: int,
 ) -> RouteReport:
     rs = build_root_system(base)
-    c = target.entries
+    c = target.cartan.entries
     required = tuple(-c[node - 1][iota[j] - 1] for j in range(base.rank))
     row_matches = check_new_row(base, iota, required, target, node)
-    defining = (not all(x == 0 for x in required)) and is_defining(rs, required)
-    dim_b1 = weyl_dim(rs, required)
+    first = module_descriptor(rs, required)
+    defining = not first.is_trivial and is_defining(rs, required)
     dims: set[int] = set()
     non_term = 0
     if defining:
-        for _, terminated, dim in _chains(rs, required, max_depth):
+        for _, terminated, dim in _chains(rs, first, max_depth):
             if terminated:
                 dims.add(dim)
             else:
                 non_term += 1
     return RouteReport(
         base, target.name, node, iota, required, row_matches,
-        defining, dim_b1, tuple(sorted(dims)), non_term,
+        defining, first.dimension, tuple(sorted(dims)), non_term,
     )
 
 
@@ -424,6 +400,8 @@ def exceptional_report(name: str, max_depth: int = DEFAULT_MAX_DEPTH) -> Excepti
     key = name.upper()
     if key not in EXCEPTIONAL_TARGETS:
         raise ValueError(f"no exceptional analysis for {name!r}; expected {target_names()}")
+    if max_depth < 1:
+        raise ValueError("max_depth must be at least 1")
 
     routes = tuple(
         _route_report(base, tgt, node, iota, max_depth)

@@ -135,10 +135,15 @@ class CharacterTable:
         return f"CharacterTable({self.algebra}, {self.entries!r})"
 
 
-def _require_dominant(rs: RootSystem, w: Sequence[int]) -> Vector:
+def _require_length(rs: RootSystem, w: Sequence[int]) -> Vector:
     w = tuple(w)
     if len(w) != rs.rank:
         raise NotDominant(f"weight {w} has wrong length for {rs.type}")
+    return w
+
+
+def _require_dominant(rs: RootSystem, w: Sequence[int]) -> Vector:
+    w = _require_length(rs, w)
     if any(x < 0 for x in w):
         raise NotDominant(f"weight {w} is not dominant")
     return w
@@ -255,8 +260,8 @@ def freudenthal_character(rs: RootSystem, weight: Sequence[int]) -> CharacterTab
 
 
 def weyl_orbit(rs: RootSystem, weight: Sequence[int]) -> frozenset[Vector]:
-    """Full Weyl orbit of a weight."""
-    return rs.memoized(_weyl_orbit, to_dominant(rs, tuple(weight))[0])
+    """Full Weyl orbit of a weight; NotDominant for one of the wrong length."""
+    return rs.memoized(_weyl_orbit, to_dominant(rs, _require_length(rs, weight))[0])
 
 
 def _check_orbit_budget(rs: RootSystem, w: Vector) -> None:

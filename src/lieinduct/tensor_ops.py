@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import InternalParity, NotACharacter
+from .errors import InvariantViolation, NotACharacter
 from .rep_theory import (
     CharacterTable,
     ModuleDescriptor,
@@ -162,7 +162,7 @@ def _square(rs: RootSystem, lam: Vector, sign: int) -> DecompositionResult:
     _straighten(codes, ((2 * c + lift, sign * m) for c, m in terms), coeffs)
     for c, m in coeffs.items():
         if m % 2:
-            raise InternalParity(
+            raise InvariantViolation(
                 f"odd coefficient {m} of V({list(codes.decode(c))}) before halving"
             )
         coeffs[c] = m // 2

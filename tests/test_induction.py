@@ -155,6 +155,18 @@ def test_search_rejects_trivial_first_level():
         induction_search(rsys("A2"), (0, 0))
 
 
+@pytest.mark.parametrize("search, refusal", [
+    # the depth is refused first, before the first level is looked at
+    (lambda: induction_search(rsys("A2"), (0, 0), 0), ValueError),
+    (lambda: induction_search(rsys("A2"), (1, 1), 0), ValueError),  # non-defining
+    (lambda: induction_search(rsys("A2"), (0, 0)), TrivialFirstLevel),
+    (lambda: exceptional_report("G3", 0), ValueError),
+], ids=["trivial-depth-0", "non-defining-depth-0", "trivial", "report-depth-0"])
+def test_search_refusal_order(search, refusal):
+    with pytest.raises(refusal):
+        search()
+
+
 def test_nonzero_levels_form_a_prefix():
     from lieinduct.rep_theory import ModuleDescriptor
 
@@ -237,9 +249,9 @@ def test_exceptional_report_g3():
 
 
 def test_report_checks_each_defining_weight_once(monkeypatch, capsys):
-    # the bracket masks ask again for weights already checked, and each
-    # route checks its first level before its search does; the memo on each
-    # root system computes every (root system, weight) check once
+    # the bracket masks ask again for weights already checked, the first
+    # levels among them; the memo on each root system computes every
+    # (root system, weight) check once
     computed = Counter()
     asked = Counter()
     check = rep_theory._is_defining
@@ -314,7 +326,7 @@ def _route_starts():
     starts = []
     for name in EXCEPTIONAL_TARGETS:
         for base, target, node, iota in exceptional_routes(name):
-            c = target.entries
+            c = target.cartan.entries
             starts.append((str(base), tuple(-c[node - 1][j - 1] for j in iota)))
     return starts
 
@@ -507,16 +519,16 @@ def test_targets_have_their_written_symmetrizers_and_entries():
     for t in targets:
         d, edges = written[t.name]
         assert t.cartan.symmetrizer == d, t.name
-        off = {(i + 1, j + 1): x for i, row in enumerate(t.entries)
+        off = {(i + 1, j + 1): x for i, row in enumerate(t.cartan.entries)
                for j, x in enumerate(row) if i != j and x}
         assert off == edges, t.name
-        assert all(t.entries[i][i] == 2 for i in range(t.rank)), t.name
+        assert all(t.cartan.entries[i][i] == 2 for i in range(t.cartan.rank)), t.name
 
 
 def test_target_diagram_from_dynkin():
     td = TargetDiagram("F4", cartan_matrix(DynkinType("F", 4)))
-    assert td.rank == 4
-    assert td.entries[1][2] == -2
+    assert td.cartan.rank == 4
+    assert td.cartan.entries[1][2] == -2
     assert set(EXCEPTIONAL_TARGETS) == {"E9", "F5", "G3"}
 
 

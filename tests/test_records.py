@@ -5,7 +5,7 @@ ordering, truth and JSON serialization are as documented."""
 import pytest
 
 from lieinduct.cli import _jsonable
-from lieinduct.deletion import RowResult, Table2Report, delete_node, deletion_equivalences
+from lieinduct.deletion import RowResult, delete_node, deletion_equivalences
 from lieinduct.errors import InvalidType, NotACharacter
 from lieinduct.induction import TargetDiagram, exceptional_report, induction_search
 from lieinduct.rep_theory import is_defining, module_descriptor
@@ -58,7 +58,6 @@ def _records():
         deletion.levels[0],
         deletion_equivalences(DynkinType("D", 4), 1),
         row,
-        Table2Report((row,)),
         TargetDiagram("G2", cartan_matrix(DynkinType("G", 2))),
         induction_search(rs, (1, 0), max_depth=3)[0],
         report.routes[0],

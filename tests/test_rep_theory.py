@@ -396,6 +396,16 @@ def test_dominant_freudenthal_matches_weight_system_oracle_pinned():
         _check_against_weight_system_oracle(rsys(label), lam)
 
 
+def test_weyl_orbit_refuses_a_weight_of_the_wrong_length():
+    # refused as weyl_dim refuses it, not as an engine fault, and a longer
+    # weight is not cut to the rank
+    for label, weights in [("A2", [(1,), (1, 0, 0), (1, 0, 5)]),
+                           ("E8", [(1,) * 7, (1,) + (0,) * 8])]:
+        for weight in weights:
+            with pytest.raises(NotDominant, match=f"wrong length for {label}"):
+                weyl_orbit(rsys(label), weight)
+
+
 def test_weyl_orbit_basics():
     rs = rsys("D4")
     assert weyl_orbit(rs, (0, 0, 0, 0)) == {(0, 0, 0, 0)}
