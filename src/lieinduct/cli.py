@@ -16,7 +16,6 @@ status, and run emits them once.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import sys
@@ -41,6 +40,10 @@ if TYPE_CHECKING:
     import argparse
 
 SCHEMA_VERSION = "1"
+
+# Lines of text output per stdout write: a few write calls for the longest
+# output, and no copy of the whole text.
+_WRITE_LINES = 128
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -106,6 +109,8 @@ def weight_label(w: Sequence[int]) -> str:
 
 def _emit(ns, payload: dict, text_lines: list[str]) -> None:
     if ns.format == "json":
+        import json  # text output, the default, never needs it
+
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": {"verb": ns.verb, "args": ns.echo},
@@ -113,8 +118,11 @@ def _emit(ns, payload: dict, text_lines: list[str]) -> None:
         }
         print(json.dumps(doc, sort_keys=True))
     else:
-        for line in text_lines:
-            print(line)
+        # in batches, not in one write: a write that a closing pipe cuts
+        # short returns without an error, and only the next write meets the
+        # closed pipe
+        for i in range(0, len(text_lines), _WRITE_LINES):
+            sys.stdout.write("\n".join(text_lines[i:i + _WRITE_LINES]) + "\n")
 
 
 # -- verb handlers: (ns, *resolved) -> (payload, lines) -----------------------

@@ -4,9 +4,11 @@ Dimensions come from the Weyl product formula.  Orbits are walked down from
 the dominant weight, applying a simple reflection s_i only where the i-th
 coordinate is positive (every other s_i either fixes the weight or leads
 back up), on weight codes (root_system.WeightCodes).  orbit_codes is the one
-orbit expansion: it turns a table's dominant entries into the codes of all
-their weights, which weyl_orbit and CharacterTable.expand decode and
-tensor_ops straightens.
+orbit expansion: it turns a table's dominant entries into their orbits,
+grouped by dominant weight as (the codes of the orbit, its multiplicity),
+so no term carries its own multiplicity.  weyl_orbit and
+CharacterTable.expand decode the groups, and tensor_ops straightens them
+one group at a time.
 Multiplicities come from the Freudenthal recursion run over the dominant
 weights alone, with root-string weights looked up through their dominant
 representative; no full weight system is built.
@@ -122,7 +124,8 @@ class CharacterTable:
     def expand(self, rs: RootSystem) -> dict[Vector, int]:
         """Full weight -> multiplicity map via orbit expansion."""
         codes = rs.weight_codes(max(map(rs.coordinate_bound, self.entries), default=0))
-        return {codes.decode(c): m for c, m in orbit_codes(rs, codes, self.entries)}
+        decode = codes.decode
+        return {decode(c): m for orbit, m in orbit_codes(rs, codes, self.entries) for c in orbit}
 
     def __eq__(self, other) -> bool:
         return (
@@ -276,15 +279,15 @@ def _check_orbit_budget(rs: RootSystem, w: Vector) -> None:
 def _weyl_orbit(rs: RootSystem, w: Vector) -> frozenset[Vector]:
     _check_orbit_budget(rs, w)
     codes = rs.weight_codes(rs.coordinate_bound(w))
-    return frozenset(codes.decode(c) for c, _ in orbit_codes(rs, codes, {w: 1}))
+    [(orbit, _)] = orbit_codes(rs, codes, {w: 1})
+    return frozenset(map(codes.decode, orbit))
 
 
 def orbit_codes(
     rs: RootSystem, codes: WeightCodes, dominant: Mapping[Vector, int]
-) -> list[tuple[int, int]]:
-    """(code, m) for every weight in the orbits of these dominant weights,
-    m the multiplicity of its orbit's dominant weight: the one orbit
-    expansion.
+) -> list[tuple[set[int], int]]:
+    """The orbits of these dominant weights, as (the codes of the orbit, m)
+    for each, m the dominant weight's multiplicity: the one orbit expansion.
 
     BudgetExceeded before any walk if the orbits hold more than MAX_WEIGHTS
     weights in all, judged from their exact sizes.  The codes must hold
@@ -297,13 +300,14 @@ def orbit_codes(
         raise BudgetExceeded(
             f"expanding this table gives {size} weights, more than {MAX_WEIGHTS}"
         )
-    terms = [(c, m) for w, m in dominant.items() for c in _walk_orbit(codes, codes.encode(w))]
-    if len(terms) != size:
-        raise InvariantViolation(f"an orbit walk found {len(terms)} weights, not {size}")
-    return terms
+    groups = [(_walk_orbit(codes, codes.encode(w)), m) for w, m in dominant.items()]
+    found = sum(len(orbit) for orbit, _ in groups)
+    if found != size:
+        raise InvariantViolation(f"an orbit walk found {found} weights, not {size}")
+    return groups
 
 
-def module_codes(rs: RootSystem, codes: WeightCodes, lam: Vector) -> list[tuple[int, int]]:
+def module_codes(rs: RootSystem, codes: WeightCodes, lam: Vector) -> list[tuple[set[int], int]]:
     """orbit_codes of the dominant multiplicities of V(lam).  The top orbit
     is part of the expansion, so its budget is checked before the
     Freudenthal recursion runs."""

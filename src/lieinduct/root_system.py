@@ -53,11 +53,14 @@ per node, node 1 the lowest, holding the coordinate plus an offset of half
 the digit's range, so a coordinate is negative exactly when its digit's top
 bit is clear.  A simple reflection is one multiply-subtract of a packed
 Cartan row, and the first negative coordinate is the lowest set bit of the
-complemented code masked to the top bits.  dominant_code is the one
-reduction loop; to_dominant encodes, runs it and decodes.  The digit width
-is never fixed: it comes from a bound on every coordinate the caller will
-meet, sum_j c_j |v_j| over the highest coroot's coefficients c_j (at most
-6), since every coordinate of a Weyl conjugate of v is a pairing of v with a
+complemented code masked to the top bits.  Each table carries the one
+reduction loop, WeightCodes.dominant: a closure that _weight_codes binds
+once to the table's digits, rows and the longest element's length, so a
+call reads no field of the table.  tensor_ops straightens with it;
+to_dominant encodes, runs it and decodes.  The digit width is never fixed:
+it comes from a bound on every coordinate the caller will meet,
+sum_j c_j |v_j| over the highest coroot's coefficients c_j (at most 6),
+since every coordinate of a Weyl conjugate of v is a pairing of v with a
 coroot (RootSystem.coordinate_bound), rounded up to whole bytes.  A weight
 that does not fit its digits raises InvariantViolation when it is encoded
 or decoded, under python -O too.
@@ -551,6 +554,9 @@ class WeightCodes(NamedTuple):
     steps: dict[int, tuple[int, int]]  # bit_length of digit j's top bit -> (width * j, row_j)
     pack: Callable[..., bytes]  # signed coordinates -> little-endian digits
     unpack: Callable[[bytes], Vector]
+    # code -> (code of its dominant conjugate, simple reflections used): the
+    # one reduction loop, bound to this table by _weight_codes
+    dominant: Callable[[int], tuple[int, int]]
 
     def encode(self, w: Sequence[int]) -> int:
         try:
@@ -586,43 +592,45 @@ def _weight_codes(rs: RootSystem, nbytes: int) -> WeightCodes:
                 int.from_bytes(b[i:i + nbytes], "little", signed=True)
                 for i in range(0, len(b), nbytes)
             )
-    offset = 1 << (k - 1)
+    ones, offset, mask = sum(places), 1 << (k - 1), (1 << k) - 1
+    tops, longest = offset * ones, len(rs.positive_roots)
+    steps = {k * (j + 1): (k * j, row) for j, row in enumerate(rows)}
+
+    def dominant(c: int) -> tuple[int, int]:
+        """The code of the dominant Weyl-conjugate of the weight coded c, and
+        the number of simple reflections used.
+
+        Each step reflects the first negative coordinate, the lowest digit
+        whose top bit is clear, and shortens the reducing element by one, so
+        for a regular weight (-1)^count is that element's sign.  Every weight
+        met is a conjugate of the first, so the caller's bound for it covers
+        them all; were it wrong, the loop would stop with InvariantViolation
+        after as many reflections as the longest element has, not run on.
+        """
+        count = 0
+        while True:
+            t = ~c & tops
+            if not t:
+                return c, count
+            if count == longest:
+                raise InvariantViolation(
+                    f"no dominant code after {longest} reflections, the length of the "
+                    f"longest Weyl group element: a coordinate overflowed its {k}-bit digit"
+                )
+            shift, row = steps[(t & -t).bit_length()]
+            c -= (((c >> shift) & mask) - offset) * row  # s_j
+            count += 1
+
     return WeightCodes(
-        k, offset, (1 << k) - 1, offset * sum(places), sum(places), n * nbytes,
-        len(rs.positive_roots),
-        {k * (j + 1): (k * j, row) for j, row in enumerate(rows)}, pack, unpack,
-    )
-
-
-def dominant_code(codes: WeightCodes, c: int) -> tuple[int, int]:
-    """The code of the dominant Weyl-conjugate of the weight coded c, and the
-    number of simple reflections used.
-
-    Each step reflects the first negative coordinate, the lowest digit whose
-    top bit is clear, and shortens the reducing element by one, so for a
-    regular weight (-1)^count is that element's sign.  Every weight met is a
-    conjugate of the first, so the caller's bound for it covers them all;
-    were it wrong, the loop would stop with InvariantViolation after as many
-    reflections as the longest element has, not run on.
-    """
-    tops, mask, offset, steps = codes.tops, codes.mask, codes.offset, codes.steps
-    for count in range(codes.longest + 1):
-        t = ~c & tops
-        if not t:
-            return c, count
-        shift, row = steps[(t & -t).bit_length()]
-        c -= (((c >> shift) & mask) - offset) * row  # s_j
-    raise InvariantViolation(
-        f"no dominant code after {codes.longest} reflections, the length of the "
-        f"longest Weyl group element: a coordinate overflowed its {codes.width}-bit digit"
+        k, offset, mask, tops, ones, n * nbytes, longest, steps, pack, unpack, dominant
     )
 
 
 def to_dominant(rs: RootSystem, w: Sequence[int]) -> tuple[Vector, int]:
     """Dominant Weyl-conjugate of w and the number of simple reflections used
-    (see dominant_code)."""
+    (see WeightCodes.dominant)."""
     codes = rs.weight_codes(rs.coordinate_bound(w))
-    c, count = dominant_code(codes, codes.encode(w))
+    c, count = codes.dominant(codes.encode(w))
     return codes.decode(c), count
 
 

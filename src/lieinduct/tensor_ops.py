@@ -12,11 +12,14 @@ operation: Lambda^2 V = (V (x) V - psi^2 V) / 2 and S^2 V = (V (x) V + psi^2 V) 
 where psi^2 V carries the doubled weights 2 nu.
 
 The sum runs on weight codes (root_system.WeightCodes): the expanded factor
-comes as codes from rep_theory.orbit_codes (module_codes for a module
-V(lam)), which also refuses an oversized expansion; the shift by a dominant
-weight plus rho is one int addition, the doubled weight 2 nu + rho is
-2 code - tops + ones, and root_system.dominant_code, the one reduction
-loop, straightens each code.
+comes from rep_theory.orbit_codes (module_codes for a module V(lam)) as one
+group of codes per orbit with the orbit's multiplicity, and the expansion
+also refuses an oversized factor.  _straighten takes a group at a time,
+the multiplicity read once per group; each code nu becomes
+scale * nu + lift, one multiply and one add: scale 1 with lift the code
+step to nu + shift + rho, or scale 2 with lift ones - tops for the doubled
+weight 2 nu + rho.  The table's own reduction loop, WeightCodes.dominant,
+straightens each code.
 A wall shows as a clear top bit in the code of p - rho, and only the
 highest weights that survive are decoded.  The digit width comes from a
 bound on every coordinate met: each is a coordinate of a Weyl conjugate of
@@ -46,7 +49,7 @@ from .rep_theory import (
     orbit_codes,
     weyl_dim,
 )
-from .root_system import RootSystem, Vector, WeightCodes, dominant_code
+from .root_system import RootSystem, Vector, WeightCodes
 
 
 class _DecompositionFields(NamedTuple):
@@ -76,23 +79,31 @@ class DecompositionResult(_DecompositionFields):
 
 
 def _straighten(
-    codes: WeightCodes, terms: Iterable[tuple[int, int]], coeffs: dict[int, int]
+    codes: WeightCodes,
+    groups: Iterable[tuple[Iterable[int], int]],
+    scale: int,
+    lift: int,
+    coeffs: dict[int, int],
 ) -> None:
     """Add m * chi(v - rho) to coeffs, keyed by the code of the highest
-    weight, for each (code of v, m) in terms.
+    weight, for v = scale * nu + lift and every code nu of each orbit group
+    (codes, m) that rep_theory.orbit_codes gives.
 
-    chi(v - rho) is the Weyl numerator ratio A(v) / A(rho): if dominant_code
-    takes v to a dominant p with k reflections, then p on a wall (a zero
-    coordinate, so a top bit clear in the code of p - rho) gives zero and
-    otherwise chi(v - rho) = (-1)^k V(p - rho).  A regular weight has exactly
-    one reducing element, so k has its parity.
+    chi(v - rho) is the Weyl numerator ratio A(v) / A(rho): if
+    WeightCodes.dominant takes v to a dominant p with k reflections, then p
+    on a wall (a zero coordinate, so a top bit clear in the code of
+    p - rho) gives zero and otherwise chi(v - rho) = (-1)^k V(p - rho).  A
+    regular weight has exactly one reducing element, so k has its parity.
     """
-    ones, tops = codes.ones, codes.tops
-    for c, m in terms:
-        p, count = dominant_code(codes, c)
-        p -= ones
-        if not ~p & tops:
-            coeffs[p] = coeffs.get(p, 0) + (-m if count & 1 else m)
+    dominant, ones, tops = codes.dominant, codes.ones, codes.tops
+    get = coeffs.get
+    for orbit, m in groups:
+        odd = -m
+        for c in orbit:
+            p, count = dominant(scale * c + lift)
+            p -= ones
+            if not ~p & tops:
+                coeffs[p] = get(p, 0) + (odd if count & 1 else m)
 
 
 def _decoded(codes: WeightCodes, coeffs: Mapping[int, int]) -> dict[Vector, int]:
@@ -121,7 +132,7 @@ def decompose_character(rs: RootSystem, ch: CharacterTable) -> DecompositionResu
     bound = max(map(rs.coordinate_bound, ch.entries), default=0)
     codes = rs.weight_codes(bound + rs.coordinate_bound(rs.rho))
     coeffs: dict[int, int] = {}
-    _straighten(codes, ((c + codes.ones, m) for c, m in orbit_codes(rs, codes, ch.entries)), coeffs)
+    _straighten(codes, orbit_codes(rs, codes, ch.entries), 1, codes.ones, coeffs)
     return _result(rs, _decoded(codes, coeffs), ch.total_dimension(rs))
 
 
@@ -136,7 +147,7 @@ def tensor_decompose(
     codes = rs.weight_codes(rs.coordinate_bound([a + b + 1 for a, b in zip(small, big)]))
     lift = codes.encode(big) - codes.tops + codes.ones  # nu -> nu + big + rho
     coeffs: dict[int, int] = {}
-    _straighten(codes, ((c + lift, m) for c, m in module_codes(rs, codes, small)), coeffs)
+    _straighten(codes, module_codes(rs, codes, small), 1, lift, coeffs)
     return _result(rs, _decoded(codes, coeffs), dl * dm)
 
 
@@ -154,12 +165,12 @@ def _square(rs: RootSystem, lam: Vector, sign: int) -> DecompositionResult:
     d = weyl_dim(rs, lam)  # NotDominant first
     # both nu + lam + rho and 2 nu + rho are conjugates of weights below 2 lam + rho
     codes = rs.weight_codes(rs.coordinate_bound([2 * a + 1 for a in lam]))
-    terms = module_codes(rs, codes, lam)
+    groups = module_codes(rs, codes, lam)
     coeffs: dict[int, int] = {}
     lift = codes.encode(lam) - codes.tops + codes.ones  # nu -> nu + lam + rho
-    _straighten(codes, ((c + lift, m) for c, m in terms), coeffs)
+    _straighten(codes, groups, 1, lift, coeffs)
     lift = codes.ones - codes.tops  # nu -> 2 nu + rho
-    _straighten(codes, ((2 * c + lift, sign * m) for c, m in terms), coeffs)
+    _straighten(codes, [(orbit, sign * m) for orbit, m in groups], 2, lift, coeffs)
     for c, m in coeffs.items():
         if m % 2:
             raise InvariantViolation(

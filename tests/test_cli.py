@@ -239,17 +239,30 @@ def test_optimized_interpreter_gives_same_output():
 
 
 def test_closed_pipe_exits_quietly():
-    # far more output than a pipe buffer holds, so writing meets the closed end
+    # far more output than a pipe buffer holds, so writing meets the closed
+    # end; a write the closing pipe cuts short returns without an error, so
+    # only a later write can fail, buffered (the default) or not (python -u)
     env = cli_env()
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "lieinduct.cli", "induct", "G2", "w1", "--depth", "64"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.readline()
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=120)
-    assert proc.returncode == 1
-    assert b"Traceback" not in err and b"Exception ignored" not in err, err
+    for flags in ([], ["-u"]):
+        proc = subprocess.Popen(
+            [sys.executable, *flags, "-m", "lieinduct.cli", "induct", "G2", "w1", "--depth", "64"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1, flags
+        assert b"Traceback" not in err and b"Exception ignored" not in err, err
+
+
+def test_text_output_is_the_lines_in_order(capsys):
+    # several write batches of lines, and no write at all for no lines
+    ns = argparse.Namespace(format="text")
+    lines = [f"line {i} " + "x" * (i % 97) for i in range(1000)]
+    cli._emit(ns, {}, lines)
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
+    cli._emit(ns, {}, [])
+    assert capsys.readouterr().out == ""
 
 
 def test_oversized_orbit_fails_fast(capsys):
@@ -756,16 +769,18 @@ def test_report_help_names_the_targets_of_the_table(capsys):
 def test_cli_loads_no_argparse_dataclasses_or_inspect():
     # The records are tuples and plain classes: importing dataclasses, and
     # inspect which it pulls in, would add tens of milliseconds to every CLI
-    # start.  argparse is imported only to print help or a usage error, so
-    # neither the import nor a valid command line loads it.  The child
-    # reports by its exit code, so the check also runs under python -O, with
-    # the same optimization level as this process.
+    # start.  argparse is imported only to print help or a usage error, and
+    # json only to build --format json output, so neither the import nor a
+    # valid text-format command line loads them.  The child reports by its
+    # exit code, so the check also runs under python -O, with the same
+    # optimization level as this process.
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import lieinduct.cli\n"
         "lieinduct.cli.run(['dim', 'A2', 'w1'])\n"
-        "added = sorted({'argparse', 'dataclasses', 'inspect'} & (set(sys.modules) - before))\n"
+        "forbidden = {'argparse', 'dataclasses', 'inspect', 'json'}\n"
+        "added = sorted(forbidden & (set(sys.modules) - before))\n"
         "sys.exit(f'lieinduct.cli loaded {added}' if added else 0)\n"
     )
     flags = ["-" + "O" * sys.flags.optimize] if sys.flags.optimize else []

@@ -42,6 +42,7 @@ from lieinduct.rep_theory import (
     is_defining,
     module_descriptor,
     num_short_simple_roots,
+    orbit_codes,
     orbit_size,
     short_dominant_root,
     weyl_dim,
@@ -491,6 +492,26 @@ def test_expand_work_budget():
     assert sum(orbit_size(rs, v) for v in big) > MAX_WEIGHTS
     with pytest.raises(BudgetExceeded, match="expanding this table gives 2903040 weights"):
         CharacterTable(rs.type, dict.fromkeys(big, 1)).expand(rs)
+
+
+def test_orbit_groups_partition_the_expansion():
+    # seeded characters of every type through rank 8: one group per dominant
+    # weight, carrying its multiplicity, holding its whole orbit and no
+    # other weight, so the groups are disjoint and cover the expansion
+    rng = random.Random(20261030)
+    for label in ALL_LABELS:
+        rs = rsys(label)
+        for _ in range(3):
+            entries = freudenthal_character(rs, _sparse_weight(rng, rs, 12)).entries
+            codes = rs.weight_codes(max(map(rs.coordinate_bound, entries)))
+            groups = orbit_codes(rs, codes, entries)
+            assert [m for _, m in groups] == list(entries.values()), label
+            union = set()
+            for (orbit, _), mu in zip(groups, entries):
+                assert len(orbit) == orbit_size(rs, mu), (label, mu)
+                assert {codes.decode(c) for c in orbit} == tuple_weyl_orbit(rs, mu), (label, mu)
+                union |= orbit
+            assert len(union) == sum(len(orbit) for orbit, _ in groups), label
 
 
 def test_c3_long_root_module_has_two_orbits_and_no_zero_weight():

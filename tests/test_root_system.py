@@ -42,7 +42,6 @@ from lieinduct.root_system import (
     coxeter_number,
     diagram_automorphisms,
     diagram_embeddings,
-    dominant_code,
     parse_dynkin,
     to_dominant,
 )
@@ -205,10 +204,10 @@ def test_weight_codes_widths_and_overflow_guard():
     for c in (codes.tops << 8, -1):
         with pytest.raises(InvariantViolation):
             codes.decode(c)
-    # a coordinate that overflows its digit stops the reduction loop
+    # a coordinate that overflows its digit stops the table's reduction loop
     a1 = rsys("A1").weight_codes(127)
-    with pytest.raises(InvariantViolation):
-        dominant_code(a1, a1.encode((-128,)))
+    with pytest.raises(InvariantViolation, match="no dominant code after 1 reflections"):
+        a1.dominant(a1.encode((-128,)))
     wide = rs.weight_codes(10**30)
     assert wide.decode(wide.encode((10**30, -(10**30)))) == (10**30, -(10**30))
     with pytest.raises(InvariantViolation):

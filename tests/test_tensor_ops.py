@@ -313,6 +313,9 @@ def _tuple_full_table(rs, lam):
         ("A1", "tensor", (100,), (50,)),
         ("A1", "sym2", (100,), None),
         ("G2", "wedge2", (30, 2), None),
+        ("E7", "wedge2", w(7, 6), None),
+        ("E8", "sym2", w(8, 8), None),
+        ("B8", "tensor", w(8, 8), w(8, 8)),
     ],
 )
 def test_code_straightening_matches_tuple_oracle(label, op, lam, mu):
