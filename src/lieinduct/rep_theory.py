@@ -10,8 +10,12 @@ so no term carries its own multiplicity.  weyl_orbit and
 CharacterTable.expand decode the groups, and tensor_ops straightens them
 one group at a time.
 Multiplicities come from the Freudenthal recursion run over the dominant
-weights alone, with root-string weights looked up through their dominant
-representative; no full weight system is built.
+weights alone; no full weight system is built.  A root string's sum is
+memoized per character at each dominant weight on it, so a walk stops at
+the next dominant weight whose sum is known and a long string costs its
+length once, not once per dominant weight on it; only the string weights
+off the dominant chamber are looked up through their dominant
+representative.
 
 The dominant weights of V(lam) are the closure of lam under subtracting
 positive roots while staying dominant: covers among dominant weights differ
@@ -31,8 +35,11 @@ which labels each positive root with the one J-dominant root of its class
 in a single pass from the highest root down.
 
 Character tables store dominant entries only; full tables are recovered by
-orbit expansion on demand.  An orbit's size |W| / |W_J| is read off the
-heights of the positive roots outside the stabilizer's root system.
+orbit expansion on demand.  An orbit's size is |W| / |W_J|, each order
+Macdonald's product of (ht + 1) / ht over the positive roots of its root
+system: |W| is read once per root system, and the roots of W_J are those
+whose code has no digit outside the stabilizer's nodes J
+(RootSystem.subsystem_roots).
 Characters, orbits, orbit sizes and defining checks are memoized on the
 RootSystem passed in (RootSystem.memoized), not keyed by type.
 Orbit enumeration and expansion refuse, with BudgetExceeded, any request of
@@ -54,7 +61,7 @@ from __future__ import annotations
 
 from itertools import compress, repeat
 from math import prod
-from operator import add, mul
+from operator import add, mul, not_, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, InvariantViolation, NotACharacter, NotDominant
@@ -147,7 +154,7 @@ def _require_length(rs: RootSystem, w: Sequence[int]) -> Vector:
 
 def _require_dominant(rs: RootSystem, w: Sequence[int]) -> Vector:
     w = _require_length(rs, w)
-    if any(x < 0 for x in w):
+    if min(w) < 0:
         raise NotDominant(f"weight {w} is not dominant")
     return w
 
@@ -187,17 +194,17 @@ def dominant_weights(
     """
     lam = _require_dominant(rs, lam)
     pr, pw = rs.positive_roots, rs.positive_weights
+    bits = [1 << j for j in range(rs.rank)]
     below = {lam: (0,) * rs.rank}
     frontier = [lam]
     while frontier:
         nxt = []
         for w in frontier:
             above = below[w]
-            support = sum(1 << j for j, x in enumerate(w) if x)
-            for i in rs.roots_within_support(support):
-                v = tuple(a - b for a, b in zip(w, pw[i]))
+            for i in rs.roots_within_support(sum(compress(bits, w))):
+                v = tuple(map(sub, w, pw[i]))
                 if min(v) >= 0 and v not in below:
-                    below[v] = tuple(a + b for a, b in zip(above, pr[i]))
+                    below[v] = tuple(map(add, above, pr[i]))
                     nxt.append(v)
                     if len(below) > cap:
                         raise BudgetExceeded(
@@ -211,17 +218,28 @@ def dominant_weights(
 def _freudenthal(rs: RootSystem, lam: Vector) -> dict[Vector, int]:
     """The dominant multiplicities of V(lam), by the folded recursion.
 
-    Only dominant weights are visited.  At mu the sum runs over the classes
-    of positive roots under the stabilizer of mu (see the module docstring).
-    A weight nu = mu + k*alpha on a root string is looked up through its
-    dominant representative, which lies strictly above mu and so is already
-    known; a miss means nu is not a weight.  Since every weight has
-    (nu, nu) <= (lam, lam), the walk stops before any lookup once
+    Only dominant weights are visited, by depth below lam.  At mu the sum
+    runs over the classes of positive roots under the stabilizer of mu (see
+    the module docstring), one root string per class, each worth the string
+    sum S(mu, alpha) of m(mu + k alpha)(mu + k alpha, alpha) over k >= 1.
+    Every mu + k alpha lies strictly above mu, so its multiplicity is
+    already known: a dominant one is read off directly, any other through
+    its dominant representative, and a miss means it is not a weight, nor
+    is any weight further along the string.  Since every weight has
+    (nu, nu) <= (lam, lam), the walk also stops before any lookup once
     2k(mu, alpha) + k^2(alpha, alpha) exceeds (lam + mu, lam - mu).
+
+    S is memoized per character on (dominant weight, root index): where
+    mu + k alpha is dominant, S(mu, alpha) is the terms up to it plus
+    S(mu + k alpha, alpha), so a walk stops at the first dominant weight
+    whose sum is known, and records the sum at every dominant weight it
+    passed.  Each step of a string is walked once, and a long string costs
+    its length once rather than at every dominant weight on it.
     """
-    n = rs.rank
+    nodes = range(rs.rank)
     pw, pp, pn = rs.positive_weights, rs.positive_pairings, rs.positive_norms
     mult: dict[Vector, int] = {lam: 1}
+    sums: dict[tuple[Vector, int], int] = {}  # S(mu, alpha) by (mu, index of alpha)
     dom_cache: dict[Vector, Vector] = {}
 
     def dom_rep(v: Vector) -> Vector:
@@ -231,23 +249,44 @@ def _freudenthal(rs: RootSystem, lam: Vector) -> dict[Vector, int]:
             dom_cache[v] = r
         return r
 
-    for mu, diff in dominant_weights(rs, lam).items():
-        if mu == lam:
-            continue
-        gap = rs.form_weight_root(tuple(a + b for a, b in zip(lam, mu)), diff)
+    def string_sum(mu: Vector, i: int, gap: int) -> int:
+        aw, norm = pw[i], pn[i]
+        base = sum(map(mul, mu, pp[i]))
+        passed = []  # (dominant weight on the string, the terms up to it)
         acc = 0
-        for i, size in rs.positive_root_classes(tuple(j for j in range(n) if not mu[j])):
-            aw, ap, norm = pw[i], pp[i], pn[i]
-            base = sum(mu[j] * ap[j] for j in range(n))
-            nu = mu
-            k = 1
-            while 2 * k * base + k * k * norm <= gap:
-                nu = tuple(a + b for a, b in zip(nu, aw))
+        nu = mu
+        k = 1
+        while 2 * k * base + k * k * norm <= gap:
+            nu = tuple(map(add, nu, aw))
+            if min(nu) >= 0:
+                m = mult.get(nu)
+                if m is None:
+                    break
+                acc += m * (base + k * norm)
+                known = sums.get((nu, i))
+                if known is not None:
+                    acc += known
+                    break
+                passed.append((nu, acc))
+            else:
                 m = mult.get(dom_rep(nu))
                 if m is None:
                     break
-                acc += size * m * (base + k * norm)
-                k += 1
+                acc += m * (base + k * norm)
+            k += 1
+        for nu, part in passed:
+            sums[nu, i] = acc - part
+        sums[mu, i] = acc
+        return acc
+
+    for mu, diff in dominant_weights(rs, lam).items():
+        if mu == lam:
+            continue
+        gap = rs.form_weight_root(tuple(map(add, lam, mu)), diff)
+        zero_nodes = tuple(compress(nodes, map(not_, mu)))
+        acc = 0
+        for i, size in rs.positive_root_classes(zero_nodes):
+            acc += size * string_sum(mu, i, gap)
         den = gap + 2 * rs.form_weight_root(rs.rho, diff)
         q, r = divmod(2 * acc, den)
         if r or q <= 0:
@@ -355,21 +394,29 @@ def orbit_size(rs: RootSystem, weight: Sequence[int]) -> int:
     """|W| / |W_J| where J is the set of nodes fixing the dominant weight;
     NotDominant for any other weight."""
     lam = _require_dominant(rs, weight)
-    return rs.memoized(_orbit_size, tuple(j for j, x in enumerate(lam) if x == 0))
+    return rs.memoized(_orbit_size, tuple(compress(range(rs.rank), map(not_, lam))))
 
 
 def _orbit_size(rs: RootSystem, zero_nodes: tuple[int, ...]) -> int:
-    """|W| / |W_J|, J = zero_nodes (0-based), as the product of
-    (ht alpha + 1) / ht alpha over the positive roots outside the root
-    system of J (I. G. Macdonald, "The Poincare series of a Coxeter group",
-    Math. Ann. 199 (1972) 161-174, gives |W| as the product over all of
-    them, and |W_J| as that over the roots of J).  A root lies outside J
-    when its pairing column sum over the nodes outside J is nonzero."""
-    outside = [col for j, col in enumerate(rs.pairing_columns) if j not in zero_nodes]
-    heights = list(compress(map(sum, rs.positive_roots), map(sum, zip(*outside))))
-    q, r = divmod(prod(h + 1 for h in heights), prod(heights))
+    """|W| / |W_J|, J = zero_nodes (0-based), |W| read once per root system."""
+    whole = rs.memoized(_parabolic_order, tuple(range(rs.rank)))
+    if not zero_nodes:
+        return whole
+    q, r = divmod(whole, _parabolic_order(rs, zero_nodes))
     if r:
-        raise InvariantViolation(f"the orbit product off {zero_nodes} does not divide exactly")
+        raise InvariantViolation(f"|W_J| for J = {zero_nodes} does not divide |W|")
+    return q
+
+
+def _parabolic_order(rs: RootSystem, nodes: tuple[int, ...]) -> int:
+    """|W_J|, J = nodes (0-based), as the product of (ht alpha + 1) / ht alpha
+    over the positive roots of the root system of J (I. G. Macdonald, "The
+    Poincare series of a Coxeter group", Math. Ann. 199 (1972) 161-174):
+    RootSystem.subsystem_roots."""
+    heights = list(map(sum, rs.subsystem_roots(nodes)))
+    q, r = divmod(prod(map(add, heights, repeat(1))), prod(heights))
+    if r:
+        raise InvariantViolation(f"the Weyl group product on {nodes} does not divide exactly")
     return q
 
 

@@ -14,7 +14,8 @@ Conventions (fixed once, validated by the highest-root round-trip tests):
   symmetry relation reads ``C[i][j] * d[j] == C[j][i] * d[i]``, and
   ``(a_i, a_j) = C[i][j] * d[j]`` is the exact symmetric bilinear form.
 * Every diagram, finite or hypothetical, is a symmetrizer and a list of
-  undirected edges, made a validated CartanMatrix by cartan_from_edges.
+  undirected edges, made a validated CartanMatrix by cartan_from_edges,
+  which checks d and each edge on its own, in O(n + edges).
   The classical families stop at rank MAX_CLASSICAL_RANK.
 
 No floating point is used anywhere.
@@ -34,9 +35,10 @@ nodes where the weight is positive as a bitmask.  RootSystem(type, cartan)
 runs it; there is no other way to build a root system.
 
 Each RootSystem instance derives the rest of its datum once, on first use,
-from those tables: the pairing vectors of the positive roots, the Weyl
-dimension denominator, the highest coroot, an integer height functional
-and the reflection table of RootSystem._raising.  The reflection table is
+from those tables: the pairing vectors of the positive roots (the roots
+themselves when every d_i is 1), the Weyl dimension denominator, the
+highest coroot, an integer height functional and the reflection table of
+RootSystem._raising.  The reflection table is
 read only by the stabilizer classes of Freudenthal's formula, so node
 deletions, their residual algebras, dimensions and defining checks never
 build it; derived one node at a time from the weights, it costs what the
@@ -136,39 +138,33 @@ class CartanMatrix(NamedTuple):
     def rank(self) -> int:
         return len(self.entries)
 
-    def validate(self) -> None:
-        n = self.rank
-        c, d = self.entries, self.symmetrizer
-        if min(d) != 1:
-            raise InvalidType("symmetrizer must be normalized with min d_i = 1")
-        for i in range(n):
-            if c[i][i] != 2:
-                raise InvalidType("Cartan diagonal must be 2")
-            for j in range(n):
-                if i == j:
-                    continue
-                if c[i][j] not in (0, -1, -2, -3):
-                    raise InvalidType(f"off-diagonal entry {c[i][j]} out of range")
-                if (c[i][j] == 0) != (c[j][i] == 0):
-                    raise InvalidType("zero pattern must be symmetric")
-                # C * diag(d) symmetric: C[i][j] d_j = C[j][i] d_i.
-                if c[i][j] * d[j] != c[j][i] * d[i]:
-                    raise InvalidType("symmetrizer does not symmetrize C")
-
 
 def cartan_from_edges(d: Sequence[int], edges: Iterable[tuple[int, int]]) -> CartanMatrix:
     """The validated Cartan matrix of the diagram with symmetrizer d and
     undirected edges between 1-based nodes: across an edge from a to b,
     C[a][b] = -max(1, d_a / d_b), so only the longer root's entry is below -1.
+
+    The diagonal is 2 and every edge sets a symmetric pair of nonzero
+    entries, so what is left to check is d and each edge alone: min(d) is 1
+    (short roots have d_i = 1), both ends are distinct nodes, and the
+    shorter end's d divides the longer's at most three times, so the entry
+    is -1, -2 or -3 and d symmetrizes C.  Anything else raises InvalidType.
     """
     n = len(d)
+    if not n or min(d) != 1:
+        raise InvalidType("symmetrizer must be normalized with min d_i = 1")
     c = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     for a, b in edges:
-        c[a - 1][b - 1] = -max(1, d[a - 1] // d[b - 1])
-        c[b - 1][a - 1] = -max(1, d[b - 1] // d[a - 1])
-    cm = CartanMatrix(tuple(map(tuple, c)), tuple(d))
-    cm.validate()
-    return cm
+        if a == b or not (1 <= a <= n and 1 <= b <= n):
+            raise InvalidType(f"edge {(a, b)} does not join two of the nodes 1..{n}")
+        da, db = d[a - 1], d[b - 1]
+        ratio, r = divmod(max(da, db), min(da, db))
+        if r or ratio > 3:
+            raise InvalidType(f"symmetrizer entries {da} and {db} across edge {(a, b)} "
+                              f"give no Cartan entry -1, -2 or -3")
+        c[a - 1][b - 1] = -max(1, da // db)
+        c[b - 1][a - 1] = -max(1, db // da)
+    return CartanMatrix(tuple(map(tuple, c)), tuple(d))
 
 
 def cartan_matrix(t: DynkinType) -> CartanMatrix:
@@ -267,15 +263,17 @@ class RootSystem:
 
     def form_weight_root(self, m: Sequence[int], k: Sequence[int]) -> int:
         """(lambda, beta) for lambda in weight coords, beta in root coords."""
-        d = self.cartan.symmetrizer
-        return sum(k[j] * d[j] * m[j] for j in range(self.rank))
+        return sum(map(mul, map(mul, k, self.cartan.symmetrizer), m))
 
     # -- root datum, computed once per instance ---------------------------
 
     @cached_property
     def positive_pairings(self) -> tuple[Vector, ...]:
-        """alpha_j * d_j per positive root, so (lambda, alpha) = lambda . this."""
+        """alpha_j * d_j per positive root, so (lambda, alpha) = lambda . this;
+        positive_roots itself when every d_j is 1, as in types A, D and E."""
         d = self.cartan.symmetrizer
+        if max(d) == 1:
+            return self.positive_roots
         return tuple(tuple(map(mul, a, d)) for a in self.positive_roots)
 
     @cached_property
@@ -387,6 +385,14 @@ class RootSystem:
         (0-based), as (index in positive_roots of the first member, size).
         Memoized per zero set."""
         return self.memoized(_root_classes, zero_nodes)
+
+    def subsystem_roots(self, nodes: Iterable[int]) -> list[Vector]:
+        """The positive roots of the root system of J = nodes (0-based):
+        those whose code has no digit outside J set."""
+        outside = _RADIX ** self.rank - 1  # every digit's bits
+        for j in nodes:
+            outside ^= (_RADIX - 1) * _RADIX ** (self.rank - 1 - j)
+        return [a for c, a in zip(self.root_codes, self.positive_roots) if not c & outside]
 
     def roots_within_support(self, mask: int) -> tuple[int, ...]:
         """Indices in positive_roots of the roots whose weight is positive

@@ -4,7 +4,9 @@ Multiplicities here come from the alternating Weyl sum over a partition-count,
 from the Freudenthal recursion run over the full weight system (every weight
 of the module, not just the dominant ones), or from the dominant-only
 recursion with one root string per positive root, which the engine folds over
-classes of roots.  That recursion closes the dominant weights under every
+classes of roots.  The walked recursion folds as the engine does but walks
+every root string to its end at every dominant weight, where the engine
+memoizes each string's sum from the next dominant weight on it.  That recursion closes the dominant weights under every
 positive root, where the engine tries only the roots positive on the
 support.  Orbits come from explicit group matrices, parabolic ones from
 closing under the chosen generators, dominance tests from a local
@@ -54,7 +56,8 @@ search kernel replaced: each state pairs level i with level n + 1 - i for
 every i in turn and rebuilds its chain of descriptors from its ids.  It
 reads the engine's own bracket masks and defining check, so it checks the
 kernel's position bitsets, mirrors and pair order alone.
-Apart from those, nothing in this module calls the engine's character,
+Apart from those and the walked recursion, which reads the engine's
+dominant weights, nothing in this module calls the engine's character,
 orbit or decomposition code; the decomposition oracles accept a full-table
 character function so that cases too large for the Weyl-group sum can be fed
 characters from elsewhere.
@@ -67,7 +70,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations
 from math import factorial
-from operator import mul
+from operator import add, mul
 
 from lieinduct.deletion import Deletion, EquivalenceClass, GradedComponent, ZeroLevel
 from lieinduct.induction import _SQUARE, _BracketMasks
@@ -83,6 +86,7 @@ from lieinduct.rep_theory import (
     MAX_DOMINANT_WEIGHTS,
     MAX_WEIGHTS,
     ModuleDescriptor,
+    dominant_weights,
     is_defining,
 )
 from lieinduct.root_system import (
@@ -468,6 +472,39 @@ def unfolded_freudenthal(rs: RootSystem, lam) -> dict:
             raise AssertionError(f"unfolded Freudenthal gave {2 * acc}/{den} at {mu}")
         mult[mu] = q
     return mult
+
+
+def walked_freudenthal(rs: RootSystem, lam) -> dict:
+    """Dominant weight -> multiplicity by the folded recursion with every
+    root string walked to its end at every dominant weight, as the engine did
+    before it memoized string sums: quadratic along a long string.  The
+    dominant weights and root classes are the engine's; each string weight
+    off the chamber is looked up through its dominant conjugate, reduced on
+    a tuple."""
+    lam = tuple(lam)
+    n = rs.rank
+    pw, pp, pn = rs.positive_weights, rs.positive_pairings, rs.positive_norms
+    mult = {lam: 1}
+    for mu, diff in list(dominant_weights(rs, lam).items())[1:]:
+        gap = rs.form_weight_root([a + b for a, b in zip(lam, mu)], diff)
+        acc = 0
+        for i, size in rs.positive_root_classes(tuple(j for j in range(n) if not mu[j])):
+            base = sum(x * y for x, y in zip(mu, pp[i]))
+            nu = mu
+            k = 1
+            while 2 * k * base + k * k * pn[i] <= gap:
+                nu = tuple(map(add, nu, pw[i]))
+                m = mult.get(nu if min(nu) >= 0 else _dominant_conjugate(rs, nu))
+                if m is None:
+                    break
+                acc += size * m * (base + k * pn[i])
+                k += 1
+        den = gap + 2 * rs.form_weight_root(rs.rho, diff)
+        q, r = divmod(2 * acc, den)
+        if not (r == 0 and q > 0):
+            raise AssertionError(f"walked Freudenthal gave {2 * acc}/{den} at {mu}")
+        mult[mu] = q
+    return dict(sorted(mult.items()))
 
 
 def _add(table: dict, key, m) -> None:

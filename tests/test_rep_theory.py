@@ -25,11 +25,13 @@ from oracles import (
     tuple_weyl_orbit,
     unfolded_freudenthal,
     unindexed_dominant_weights,
+    walked_freudenthal,
     weight_system_freudenthal,
     weyl_oracle,
 )
 
 import lieinduct
+from lieinduct import rep_theory
 from lieinduct.errors import BudgetExceeded, NotDominant
 from lieinduct.rep_theory import (
     MAX_DOMINANT_WEIGHTS,
@@ -54,6 +56,7 @@ from lieinduct.root_system import (
     DynkinType,
     RootSystem,
     build_root_system,
+    cartan_matrix,
     parse_dynkin,
 )
 from lieinduct.tensor_ops import tensor_decompose, wedge2_decompose
@@ -277,6 +280,69 @@ def test_folded_freudenthal_matches_unfolded_oracle_doubled_symmetrizer():
         for lam in [_sparse_weight(rng, rs, 60) for _ in range(3)]:
             folded = freudenthal_character(rs2, lam).entries
             assert folded == unfolded_freudenthal(rs2, lam) == unfolded_freudenthal(rs, lam)
+
+
+def test_string_sums_match_walked_oracle():
+    # every type to rank 8: fundamental, sparse and (to rank 4) denser
+    # weights, whose strings run longer, against every string walked in full
+    rng = random.Random(20261031)
+    for label in ALL_LABELS:
+        rs = rsys(label)
+        n = rs.rank
+        lams = [tuple(int(j == i) for j in range(n)) for i in rng.sample(range(n), min(n, 2))]
+        lams += [_sparse_weight(rng, rs, 60 if n >= 7 else 100) for _ in range(3)]
+        if n <= 4:
+            lams += [lam for lam in (tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(3))
+                     if len(dominant_weights(rs, lam)) <= 300]
+        for lam in lams:
+            assert freudenthal_character(rs, lam).entries == walked_freudenthal(rs, lam), (
+                label, lam)
+
+
+def test_string_sums_match_walked_oracle_near_the_cap():
+    # the longest string there is, D8 rho with 1,976 dominant weights, and
+    # two rescaled forms
+    for label, lam in [("A1", (4998,)), ("D8", (1,) * 8)]:
+        rs = rsys(label)
+        assert freudenthal_character(rs, lam).entries == walked_freudenthal(rs, lam), label
+    for label in ["B3", "G2"]:
+        rs2 = _doubled(rsys(label))
+        lam = (3, 2) + (0,) * (rs2.rank - 2)
+        assert freudenthal_character(rs2, lam).entries == walked_freudenthal(rs2, lam), label
+
+
+def _cold(label):
+    """A root system of its own, so no memo of build_root_system's is warm."""
+    t = parse_dynkin(label)
+    return RootSystem(t, cartan_matrix(t))
+
+
+def test_string_walk_work_counts(monkeypatch):
+    # every string of A1 stays in the chamber, so no weight is reduced
+    calls = []
+    monkeypatch.setattr(rep_theory, "to_dominant", lambda *a: calls.append(a))
+    freudenthal_character(_cold("A1"), (4999,))
+    assert calls == []
+    monkeypatch.undo()
+
+    # each string step adds the root's weight with operator.add, once per
+    # coordinate: doubling the weight of A2 gives about 4 times the
+    # dominant weights, and so 4 times the steps, where walking every
+    # string to its end gives 8 times
+    def steps(lam):
+        count = [0]
+
+        def counted(a, b):
+            count[0] += 1
+            return a + b
+
+        with monkeypatch.context() as m:
+            m.setattr(rep_theory, "add", counted)
+            freudenthal_character(_cold("A2"), lam)
+        return count[0]
+
+    small, large = steps((30, 30)), steps((60, 60))
+    assert 0 < large <= 4.5 * small, (small, large)
 
 
 def _package_caches():

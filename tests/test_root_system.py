@@ -533,6 +533,29 @@ def test_cartan_from_edges_validates():
         cartan_from_edges((2, 3), [(1, 2)])  # d does not symmetrize C
     with pytest.raises(InvalidType):
         cartan_from_edges((2, 2), [(1, 2)])  # not normalized
+    with pytest.raises(InvalidType):
+        cartan_from_edges((), [])  # no node
+    for edge in [(0, 1), (1, 0), (1, 3), (-1, 2), (1, 1)]:
+        # label 0 would wrap round to the last node, 3 is past it, and a
+        # self-loop would overwrite the diagonal
+        with pytest.raises(InvalidType):
+            cartan_from_edges((1, 1), [edge])
+    with pytest.raises(InvalidType):
+        cartan_from_edges((1, 2, 3), [(1, 2), (2, 3)])  # 3 is not a multiple of 2
+
+
+def test_positive_pairings_scale_roots_by_the_symmetrizer():
+    # every accepted type; the roots themselves, with no copy, exactly when
+    # every d_j is 1
+    count = 0
+    for family, (lo, hi) in RANK_RANGES.items():
+        for rank in range(lo, hi + 1):
+            rs = build_root_system(DynkinType(family, rank))
+            d = rs.cartan.symmetrizer
+            assert rs.positive_pairings == tuple(tuple(map(mul, a, d)) for a in rs.positive_roots)
+            assert (rs.positive_pairings is rs.positive_roots) == (set(d) == {1}), family
+            count += 1
+    assert count == 127
 
 
 def test_weyl_orders():
