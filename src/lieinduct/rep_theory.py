@@ -1,21 +1,21 @@
 """Weight-level representation theory over exact integers.
 
-Dimensions come from the Weyl product formula.  Orbits are walked down from
-the dominant weight, applying a simple reflection s_i only where the i-th
-coordinate is positive (every other s_i either fixes the weight or leads
-back up), on weight codes (root_system.WeightCodes).  orbit_codes is the one
-orbit expansion: it turns a table's dominant entries into their orbits,
-grouped by dominant weight as (the codes of the orbit, its multiplicity),
-so no term carries its own multiplicity.  weyl_orbit and
+Dimensions come from the Weyl product formula.  Orbits are walked on weight
+codes by the table's own walk (root_system.WeightCodes.orbit); no digit of a
+code is read here.  orbit_codes is the one orbit expansion: it turns a
+table's dominant entries into their orbits, grouped by dominant weight as
+(the codes of the orbit, its multiplicity), so no term carries its own
+multiplicity.  weyl_orbit and
 CharacterTable.expand decode the groups, and tensor_ops straightens them
 one group at a time.
 Multiplicities come from the Freudenthal recursion run over the dominant
 weights alone; no full weight system is built.  A root string's sum is
 memoized per character at each dominant weight on it, so a walk stops at
 the next dominant weight whose sum is known and a long string costs its
-length once, not once per dominant weight on it; only the string weights
-off the dominant chamber are looked up through their dominant
-representative.
+length once, not once per dominant weight on it.  Each character binds one
+weight-code table, and a string weight off the dominant chamber is looked
+up through its dominant conjugate, reduced by that table's
+WeightCodes.dominant.
 
 The dominant weights of V(lam) are the closure of lam under subtracting
 positive roots while staying dominant: covers among dominant weights differ
@@ -224,10 +224,20 @@ def _freudenthal(rs: RootSystem, lam: Vector) -> dict[Vector, int]:
     sum S(mu, alpha) of m(mu + k alpha)(mu + k alpha, alpha) over k >= 1.
     Every mu + k alpha lies strictly above mu, so its multiplicity is
     already known: a dominant one is read off directly, any other through
-    its dominant representative, and a miss means it is not a weight, nor
-    is any weight further along the string.  Since every weight has
+    its dominant conjugate, and a miss means it is not a weight, nor is any
+    weight further along the string.  Since every weight has
     (nu, nu) <= (lam, lam), the walk also stops before any lookup once
     2k(mu, alpha) + k^2(alpha, alpha) exceeds (lam + mu, lam - mu).
+
+    The conjugate comes from one weight-code table per character, with
+    digits for coordinate_bound(lam) + 3.  A string weight looked up is one
+    root alpha past a weight nu of V(lam), since the walk stops at the
+    first miss.  Each coordinate of a conjugate w(nu + alpha) is
+    <w nu, alpha_j^vee> + <w alpha, alpha_j^vee>.  The first term is at most
+    coordinate_bound(lam) in absolute value: it is at most coordinate_bound
+    of nu's dominant conjugate, which lies below lam, and the highest
+    coroot pairs nonnegatively with every positive root.  The second is a
+    pairing of two roots, at most 3 in absolute value.
 
     S is memoized per character on (dominant weight, root index): where
     mu + k alpha is dominant, S(mu, alpha) is the terms up to it plus
@@ -238,16 +248,10 @@ def _freudenthal(rs: RootSystem, lam: Vector) -> dict[Vector, int]:
     """
     nodes = range(rs.rank)
     pw, pp, pn = rs.positive_weights, rs.positive_pairings, rs.positive_norms
+    codes = rs.weight_codes(rs.coordinate_bound(lam) + 3)
+    encode, decode, dominant = codes.encode, codes.decode, codes.dominant
     mult: dict[Vector, int] = {lam: 1}
     sums: dict[tuple[Vector, int], int] = {}  # S(mu, alpha) by (mu, index of alpha)
-    dom_cache: dict[Vector, Vector] = {}
-
-    def dom_rep(v: Vector) -> Vector:
-        r = dom_cache.get(v)
-        if r is None:
-            r = to_dominant(rs, v)[0]
-            dom_cache[v] = r
-        return r
 
     def string_sum(mu: Vector, i: int, gap: int) -> int:
         aw, norm = pw[i], pn[i]
@@ -269,7 +273,7 @@ def _freudenthal(rs: RootSystem, lam: Vector) -> dict[Vector, int]:
                     break
                 passed.append((nu, acc))
             else:
-                m = mult.get(dom_rep(nu))
+                m = mult.get(decode(dominant(encode(nu))[0]))
                 if m is None:
                     break
                 acc += m * (base + k * norm)
@@ -339,7 +343,7 @@ def orbit_codes(
         raise BudgetExceeded(
             f"expanding this table gives {size} weights, more than {MAX_WEIGHTS}"
         )
-    groups = [(_walk_orbit(codes, codes.encode(w)), m) for w, m in dominant.items()]
+    groups = [(codes.orbit(codes.encode(w)), m) for w, m in dominant.items()]
     found = sum(len(orbit) for orbit, _ in groups)
     if found != size:
         raise InvariantViolation(f"an orbit walk found {found} weights, not {size}")
@@ -352,42 +356,6 @@ def module_codes(rs: RootSystem, codes: WeightCodes, lam: Vector) -> list[tuple[
     Freudenthal recursion runs."""
     _check_orbit_budget(rs, lam)
     return orbit_codes(rs, codes, freudenthal_character(rs, lam).entries)
-
-
-def _walk_orbit(codes: WeightCodes, c: int) -> set[int]:
-    """The codes of the orbit of the dominant weight coded c, walked down
-    only.  Every other orbit weight v has some v_i < 0, and s_i v is one step
-    nearer the dominant weight with a positive i-th coordinate; so applying
-    s_i only where the coordinate is positive reaches the whole orbit.  The
-    positive coordinates are the digits whose top bit is set in c - ones.
-
-    The codes must hold every coordinate of the orbit (a bound from
-    RootSystem.coordinate_bound of the dominant weight); were they not to,
-    the walk would stop with InvariantViolation rather than run on."""
-    ones, tops, mask, offset = codes.ones, codes.tops, codes.mask, codes.offset
-    steps = codes.steps
-    seen = {c}
-    frontier = [c]
-    # the weights of each frontier are one reflection longer than the last
-    for _ in range(codes.longest + 1):
-        nxt = []
-        for v in frontier:
-            t = (v - ones) & tops
-            while t:
-                low = t & -t
-                t ^= low
-                shift, row = steps[low.bit_length()]
-                r = v - (((v >> shift) & mask) - offset) * row  # s_i
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-        if not frontier:
-            return seen
-    raise InvariantViolation(
-        f"an orbit walk is longer than the longest Weyl group element: a "
-        f"coordinate overflowed its {codes.width}-bit digit"
-    )
 
 
 def orbit_size(rs: RootSystem, weight: Sequence[int]) -> int:

@@ -55,17 +55,20 @@ per node, node 1 the lowest, holding the coordinate plus an offset of half
 the digit's range, so a coordinate is negative exactly when its digit's top
 bit is clear.  A simple reflection is one multiply-subtract of a packed
 Cartan row, and the first negative coordinate is the lowest set bit of the
-complemented code masked to the top bits.  Each table carries the one
-reduction loop, WeightCodes.dominant: a closure that _weight_codes binds
-once to the table's digits, rows and the longest element's length, so a
-call reads no field of the table.  tensor_ops straightens with it;
-to_dominant encodes, runs it and decodes.  The digit width is never fixed:
-it comes from a bound on every coordinate the caller will meet,
-sum_j c_j |v_j| over the highest coroot's coefficients c_j (at most 6),
-since every coordinate of a Weyl conjugate of v is a pairing of v with a
-coroot (RootSystem.coordinate_bound), rounded up to whole bytes.  A weight
-that does not fit its digits raises InvariantViolation when it is encoded
-or decoded, under python -O too.
+complemented code masked to the top bits.  Each table carries both loops
+over reflections, as closures that _weight_codes binds once to the table's
+digits, rows and the longest element's length, so a call reads no field of
+the table: WeightCodes.dominant, the one reduction loop, and
+WeightCodes.orbit, the one orbit walk; no other module reflects a code.
+tensor_ops straightens with dominant, rep_theory's Freudenthal recursion
+reduces string weights with it, and to_dominant encodes, runs it and
+decodes; rep_theory's orbit expansion walks with orbit.  The digit width
+is never fixed: it comes from a bound on every coordinate the caller will
+meet, sum_j c_j |v_j| over the highest coroot's coefficients c_j (at most
+6), since every coordinate of a Weyl conjugate of v is a pairing of v with
+a coroot (RootSystem.coordinate_bound), rounded up to whole bytes.  A
+weight that does not fit its digits raises InvariantViolation when it is
+encoded or decoded, under python -O too.
 """
 
 from __future__ import annotations
@@ -551,18 +554,16 @@ class WeightCodes(NamedTuple):
     """
 
     width: int
-    offset: int
-    mask: int  # one digit's bits
     tops: int  # the top bit of every digit
     ones: int  # 1 in every digit: the step from the code of v to that of v + rho
     size: int  # bytes of a code
-    longest: int  # the number of positive roots, the longest Weyl group element's length
-    steps: dict[int, tuple[int, int]]  # bit_length of digit j's top bit -> (width * j, row_j)
     pack: Callable[..., bytes]  # signed coordinates -> little-endian digits
     unpack: Callable[[bytes], Vector]
-    # code -> (code of its dominant conjugate, simple reflections used): the
-    # one reduction loop, bound to this table by _weight_codes
+    # the two loops over reflections, bound to this table by _weight_codes:
+    # code -> (code of its dominant conjugate, simple reflections used), and
+    # the code of a dominant weight -> the codes of its orbit
     dominant: Callable[[int], tuple[int, int]]
+    orbit: Callable[[int], set[int]]
 
     def encode(self, w: Sequence[int]) -> int:
         try:
@@ -577,7 +578,7 @@ class WeightCodes(NamedTuple):
             return self.unpack((c ^ self.tops).to_bytes(self.size, "little"))
         except OverflowError:
             raise InvariantViolation(
-                f"code {c} carries past its {len(self.steps)} {self.width}-bit digits"
+                f"code {c} carries past its {8 * self.size // self.width} {self.width}-bit digits"
             ) from None
 
 
@@ -627,9 +628,42 @@ def _weight_codes(rs: RootSystem, nbytes: int) -> WeightCodes:
             c -= (((c >> shift) & mask) - offset) * row  # s_j
             count += 1
 
-    return WeightCodes(
-        k, offset, mask, tops, ones, n * nbytes, longest, steps, pack, unpack, dominant
-    )
+    def orbit(c: int) -> set[int]:
+        """The codes of the orbit of the dominant weight coded c, walked down
+        only.  Every other orbit weight v has some v_j < 0, and s_j v is one
+        step nearer the dominant weight with a positive j-th coordinate; so
+        applying s_j only where the coordinate is positive reaches the whole
+        orbit.  The positive coordinates are the digits whose top bit is set
+        in c - ones.
+
+        The caller's bound must cover every coordinate of the orbit
+        (RootSystem.coordinate_bound of the dominant weight); were it not to,
+        the walk would stop with InvariantViolation rather than run on.
+        """
+        seen = {c}
+        frontier = [c]
+        # the weights of each frontier are one reflection longer than the last
+        for _ in range(longest + 1):
+            nxt = []
+            for v in frontier:
+                t = (v - ones) & tops
+                while t:
+                    low = t & -t
+                    t ^= low
+                    shift, row = steps[low.bit_length()]
+                    r = v - (((v >> shift) & mask) - offset) * row  # s_j
+                    if r not in seen:
+                        seen.add(r)
+                        nxt.append(r)
+            frontier = nxt
+            if not frontier:
+                return seen
+        raise InvariantViolation(
+            f"an orbit walk is longer than the longest Weyl group element: a "
+            f"coordinate overflowed its {k}-bit digit"
+        )
+
+    return WeightCodes(k, tops, ones, n * nbytes, pack, unpack, dominant, orbit)
 
 
 def to_dominant(rs: RootSystem, w: Sequence[int]) -> tuple[Vector, int]:

@@ -279,6 +279,8 @@ def test_criterion_7_property_suites():
 def test_criterion_8_deletion_induction_round_trip():
     seen_e8 = seen_g2 = 0
     for row in summary_rows():
+        if not row["residual"]:
+            continue  # A1's empty residual has no module to induce from
         rs = build_root_system(row["ambient"])
         d = delete_node(rs, row["node"], row["iota"])
         res = build_root_system(d.residual[0])

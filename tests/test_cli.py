@@ -130,8 +130,19 @@ def test_out_of_range_node_is_a_domain_error_with_any_iota(capsys):
                 err = capsys.readouterr().err
                 assert f"InvalidType]: node {node} out of range for {typ}" in err
         # a valid node with no summary-table row stays a usage error
-        assert run([verb, "A1", "--node", "1", "--iota", "table2"]) == 2
-        assert "no summary-table row for A1 at node 1" in capsys.readouterr().err
+        assert run([verb, "C4", "--node", "2", "--iota", "table2"]) == 2
+        assert "no summary-table row for C4 at node 2" in capsys.readouterr().err
+
+
+def test_rank_one_table2_row_is_the_canonical_deletion(capsys):
+    # A1 at node 1 is an ordinary summary-table row, with the empty embedding
+    assert run(["delete", "A1", "--node", "1"]) == 0
+    canonical = capsys.readouterr().out
+    assert run(["delete", "A1", "--node", "1", "--iota", "table2"]) == 0
+    assert capsys.readouterr().out == canonical
+    # its residual is empty, so it has no equivalence class
+    assert run(["equivalences", "A1", "--node", "1", "--iota", "table2"]) == 1
+    assert "defined for simple residuals" in capsys.readouterr().err
 
 
 def test_report_e9(capsys):

@@ -81,6 +81,8 @@ def test_check_new_row_rejects_bad_embeddings():
 def test_check_new_row_on_all_deletion_rows():
     # inverse consistency: every summary deletion passes its own row check
     for row in summary_rows():
+        if not row["residual"]:
+            continue  # A1's empty residual has no module to induce from
         rs = build_root_system(row["ambient"])
         d = delete_node(rs, row["node"], row["iota"])
         target = TargetDiagram(str(row["ambient"]), cartan_matrix(row["ambient"]))
@@ -197,6 +199,8 @@ def test_dbos_dimensions_named():
 
 def test_round_trip_all_deletion_rows():
     for row in summary_rows():
+        if not row["residual"]:
+            continue  # A1's empty residual has no module to induce from
         rs = build_root_system(row["ambient"])
         d = delete_node(rs, row["node"], row["iota"])
         res = build_root_system(d.residual[0])

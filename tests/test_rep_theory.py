@@ -311,6 +311,16 @@ def test_string_sums_match_walked_oracle_near_the_cap():
         assert freudenthal_character(rs2, lam).entries == walked_freudenthal(rs2, lam), label
 
 
+def test_string_weights_fit_the_character_table_at_the_digit_edge():
+    # coordinate_bound 126 fits 8-bit digits, but a string weight is one root
+    # past a weight, so its conjugates reach 126 + 3: the character's table
+    # must be bound for that
+    for label, lam in [("B2", (0, 126)), ("G2", (0, 42))]:
+        rs = _cold(label)
+        assert rs.coordinate_bound(lam) == 126
+        assert freudenthal_character(rs, lam).entries == walked_freudenthal(rs, lam), label
+
+
 def _cold(label):
     """A root system of its own, so no memo of build_root_system's is warm."""
     t = parse_dynkin(label)
@@ -318,11 +328,22 @@ def _cold(label):
 
 
 def test_string_walk_work_counts(monkeypatch):
-    # every string of A1 stays in the chamber, so no weight is reduced
+    # the string weights off the chamber are reduced by the character's own
+    # code table; count its reductions
     calls = []
-    monkeypatch.setattr(rep_theory, "to_dominant", lambda *a: calls.append(a))
+    weight_codes = RootSystem.weight_codes
+
+    def counted_codes(rs, bound):
+        codes = weight_codes(rs, bound)
+        return codes._replace(dominant=lambda c: calls.append(c) or codes.dominant(c))
+
+    monkeypatch.setattr(RootSystem, "weight_codes", counted_codes)
+    # every string of A1 stays in the chamber, so no weight is reduced
     freudenthal_character(_cold("A1"), (4999,))
     assert calls == []
+    # every lookup off the chamber is one reduction, with no memo in front
+    freudenthal_character(_cold("F4"), (1, 1, 0, 0))
+    assert len(calls) == 91
     monkeypatch.undo()
 
     # each string step adds the root's weight with operator.add, once per
