@@ -10,6 +10,8 @@ Each verb's handler is a pure function of the namespace and of what run
 resolves from it: the root system of the type positional (for automorphisms,
 the Dynkin type alone), then each weight positional in order, so a bad type
 is reported before a bad weight and the first bad weight before the second.
+A --node is range-checked against the type, and the weights parsed, before
+the root system is built, so a bad argument costs no root closure.
 A handler returns the JSON payload and the text lines, table2 also its exit
 status, and run emits them once.
 """
@@ -78,8 +80,8 @@ def parse_weight(text: str, rank: int) -> tuple[int, ...]:
 
 def parse_iota(text: str, rs: RootSystem, node: int):
     """Embedding syntax: residual:ambient pairs '1:3,2:4', or 'table2'.
-    An out-of-range node is a domain error, as it is without an embedding."""
-    del_mod.check_node(rs, node)
+    run has range-checked the node, so a bad one is a domain error before
+    the summary table is consulted, as it is without an embedding."""
     if text == "table2":
         for row in del_mod.summary_rows():
             if row["ambient"] == rs.type and row["node"] == node:
@@ -588,11 +590,13 @@ def run(argv: Sequence[str] | None = None) -> int:
         resolved = []
         if "type" in vars(ns):
             t = parse_dynkin(ns.type)
-            # automorphisms reads the diagram alone: a root system costs up
-            # to 12 ms (A32)
-            resolved.append(t if handler is _cmd_automorphisms else build_root_system(t))
-            resolved += [parse_weight(getattr(ns, flags[0]), t.rank)
-                         for flags, _ in specs if flags[0].startswith("weight")]
+            if "node" in vars(ns):
+                del_mod.check_node(t, ns.node)
+            weights = [parse_weight(getattr(ns, flags[0]), t.rank)
+                       for flags, _ in specs if flags[0].startswith("weight")]
+            # the node and the weights are checked first, and automorphisms
+            # reads the diagram alone: a root system costs up to 12 ms (A32)
+            resolved = [t if handler is _cmd_automorphisms else build_root_system(t), *weights]
         payload, lines, *status = handler(ns, *resolved)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -98,10 +98,10 @@ def _negated(v: Vector) -> Vector:
     return tuple(map(neg, v))
 
 
-def check_node(rs: RootSystem, d: int) -> None:
-    """InvalidType unless d is a node of rs (1-based)."""
-    if not 1 <= d <= rs.rank:
-        raise InvalidType(f"node {d} out of range for {rs.type}")
+def check_node(t: DynkinType, d: int) -> None:
+    """InvalidType unless d is a node of the diagram of t (1-based)."""
+    if not 1 <= d <= t.rank:
+        raise InvalidType(f"node {d} out of range for {t}")
 
 
 def _residual(
@@ -110,7 +110,7 @@ def _residual(
     """The residual components at node d, and iota as a tuple: the canonical
     embedding when iota is None, else iota validated by check_embedding.
     InvalidType for a node out of range, before anything else."""
-    check_node(rs, d)
+    check_node(rs.type, d)
     residual_nodes = [i for i in range(1, rs.rank + 1) if i != d]
     components = classify_subdiagram(
         rs.cartan.entries, rs.cartan.symmetrizer, residual_nodes

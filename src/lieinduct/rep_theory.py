@@ -2,20 +2,20 @@
 
 Dimensions come from the Weyl product formula.  Orbits are walked on weight
 codes by the table's own walk (root_system.WeightCodes.orbit); no digit of a
-code is read here.  orbit_codes is the one orbit expansion: it turns a
-table's dominant entries into their orbits, grouped by dominant weight as
-(the codes of the orbit, its multiplicity), so no term carries its own
-multiplicity.  weyl_orbit and
-CharacterTable.expand decode the groups, and tensor_ops straightens them
-one group at a time.
+code is read here, only the top bits of all digits at once, which say
+whether a weight is dominant.  orbit_codes is the one orbit expansion: it
+turns a table's dominant entries into their orbits, grouped by dominant
+weight as (the codes of the orbit, its multiplicity), so no term carries
+its own multiplicity.  weyl_orbit and CharacterTable.expand decode the
+groups, and tensor_ops straightens them one group at a time.
 Multiplicities come from the Freudenthal recursion run over the dominant
 weights alone; no full weight system is built.  A root string's sum is
 memoized per character at each dominant weight on it, so a walk stops at
 the next dominant weight whose sum is known and a long string costs its
 length once, not once per dominant weight on it.  Each character binds one
-weight-code table, and a string weight off the dominant chamber is looked
-up through its dominant conjugate, reduced by that table's
-WeightCodes.dominant.
+weight-code table and walks its strings on it: a step is one int add, and
+a string weight off the dominant chamber is looked up through its dominant
+conjugate, reduced by that table's WeightCodes.dominant.
 
 The dominant weights of V(lam) are the closure of lam under subtracting
 positive roots while staying dominant: covers among dominant weights differ
@@ -29,10 +29,13 @@ formula for weight multiplicities", Bull. AMS 7 (1982) 237-242.  At a
 dominant weight mu with zero nodes J, every w in the stabilizer W_J gives
 the root alpha and the root w(alpha) the same term, so the sum over the
 positive roots is a sum over the classes O ∩ Φ⁺ of the W_J-orbits O of roots:
-one root string is walked per class, at its first member, and weighted by
-the class size.  The classes come from RootSystem.positive_root_classes,
+one root string is walked per class, at its J-dominant member, and weighted
+by the class size.  The classes come from RootSystem.positive_root_classes,
 which labels each positive root with the one J-dominant root of its class
-in a single pass from the highest root down.
+in a single pass from the highest root down.  That root is nonnegative on
+J, so every mu + k alpha is too, and only a node outside J can take a
+string weight off the chamber, to be reduced; from the class's lowest
+member, nearly every string weight would be.
 
 Character tables store dominant entries only; full tables are recovered by
 orbit expansion on demand.  An orbit's size is |W| / |W_J|, each order
@@ -59,7 +62,7 @@ of each, so w_i is minuscule exactly when that coefficient is 1.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from math import prod
 from operator import add, mul, not_, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -229,74 +232,96 @@ def _freudenthal(rs: RootSystem, lam: Vector) -> dict[Vector, int]:
     (nu, nu) <= (lam, lam), the walk also stops before any lookup once
     2k(mu, alpha) + k^2(alpha, alpha) exceeds (lam + mu, lam - mu).
 
-    The conjugate comes from one weight-code table per character, with
-    digits for coordinate_bound(lam) + 3.  A string weight looked up is one
-    root alpha past a weight nu of V(lam), since the walk stops at the
-    first miss.  Each coordinate of a conjugate w(nu + alpha) is
-    <w nu, alpha_j^vee> + <w alpha, alpha_j^vee>.  The first term is at most
-    coordinate_bound(lam) in absolute value: it is at most coordinate_bound
-    of nu's dominant conjugate, which lies below lam, and the highest
-    coroot pairs nonnegatively with every positive root.  The second is a
-    pairing of two roots, at most 3 in absolute value.
+    The strings are walked on one weight-code table per character, with
+    digits for bound = coordinate_bound(lam) + 3, and the multiplicities
+    and sums are keyed by code.  A step is one int add of the root's code
+    step, a weight is dominant when every digit's top bit is set, and any
+    other is reduced by the table's WeightCodes.dominant; each dominant
+    weight is encoded once, and the result is keyed by the weights as
+    dominant_weights gave them, so none is decoded.  A string weight is one root alpha past a
+    weight nu of V(lam), since the walk stops at the first miss.  Each
+    coordinate of a conjugate w(nu + alpha) is <w nu, alpha_j^vee> +
+    <w alpha, alpha_j^vee>.  The first term is at most coordinate_bound(lam)
+    in absolute value: it is at most coordinate_bound of nu's dominant
+    conjugate, which lies below lam, and the highest coroot pairs
+    nonnegatively with every positive root.  The second is a pairing of two
+    roots, at most 3 in absolute value.  A coordinate of mu + k alpha lies
+    between -3k and max(mu) + 3k, so a walk that went further than
+    (bound - max(mu)) / 3 steps has its last weight encoded, which raises
+    InvariantViolation if it does not fit the digits.
 
-    S is memoized per character on (dominant weight, root index): where
+    S is memoized per character on (root, dominant weight): where
     mu + k alpha is dominant, S(mu, alpha) is the terms up to it plus
     S(mu + k alpha, alpha), so a walk stops at the first dominant weight
     whose sum is known, and records the sum at every dominant weight it
     passed.  Each step of a string is walked once, and a long string costs
     its length once rather than at every dominant weight on it.
     """
+    dominant = dominant_weights(rs, lam)
+    if len(dominant) == 1:
+        return {lam: 1}
     nodes = range(rs.rank)
     pw, pp, pn = rs.positive_weights, rs.positive_pairings, rs.positive_norms
-    codes = rs.weight_codes(rs.coordinate_bound(lam) + 3)
-    encode, decode, dominant = codes.encode, codes.decode, codes.dominant
-    mult: dict[Vector, int] = {lam: 1}
-    sums: dict[tuple[Vector, int], int] = {}  # S(mu, alpha) by (mu, index of alpha)
+    bound = rs.coordinate_bound(lam) + 3
+    codes = rs.weight_codes(bound)
+    encode, tops, reduce = codes.encode, codes.tops, codes.dominant
+    mult: dict[int, int] = {encode(lam): 1}  # by the code of the dominant weight
+    # root index -> (the code step of its weight, S(mu, alpha) by the code of
+    # mu), for the roots walked
+    walked: dict[int, tuple[int, dict[int, int]]] = {}
 
-    def string_sum(mu: Vector, i: int, gap: int) -> int:
-        aw, norm = pw[i], pn[i]
+    def string_sum(mu: Vector, c: int, i: int, gap: int, room: int) -> int:
+        entry = walked.get(i)
+        if entry is None:
+            entry = walked[i] = (encode(pw[i]) - tops, {})
+        step, sums = entry
+        norm = pn[i]
         base = sum(map(mul, mu, pp[i]))
         passed = []  # (dominant weight on the string, the terms up to it)
         acc = 0
-        nu = mu
+        start = c
         k = 1
         while 2 * k * base + k * k * norm <= gap:
-            nu = tuple(map(add, nu, aw))
-            if min(nu) >= 0:
-                m = mult.get(nu)
+            c += step
+            if ~c & tops:  # off the chamber
+                m = mult.get(reduce(c)[0])
                 if m is None:
                     break
                 acc += m * (base + k * norm)
-                known = sums.get((nu, i))
+            else:
+                m = mult.get(c)
+                if m is None:
+                    break
+                acc += m * (base + k * norm)
+                known = sums.get(c)
                 if known is not None:
                     acc += known
                     break
-                passed.append((nu, acc))
-            else:
-                m = mult.get(decode(dominant(encode(nu))[0]))
-                if m is None:
-                    break
-                acc += m * (base + k * norm)
+                passed.append((c, acc))
             k += 1
+        else:
+            k -= 1  # the last step walked
+        if 3 * k > room:  # raises if the last weight walked overflowed a digit
+            encode(tuple(map(add, mu, map(mul, pw[i], repeat(k)))))
         for nu, part in passed:
-            sums[nu, i] = acc - part
-        sums[mu, i] = acc
+            sums[nu] = acc - part
+        sums[start] = acc
         return acc
 
-    for mu, diff in dominant_weights(rs, lam).items():
-        if mu == lam:
-            continue
+    for mu, diff in islice(dominant.items(), 1, None):
+        c = encode(mu)
         gap = rs.form_weight_root(tuple(map(add, lam, mu)), diff)
+        room = bound - max(mu)
         zero_nodes = tuple(compress(nodes, map(not_, mu)))
         acc = 0
         for i, size in rs.positive_root_classes(zero_nodes):
-            acc += size * string_sum(mu, i, gap)
+            acc += size * string_sum(mu, c, i, gap, room)
         den = gap + 2 * rs.form_weight_root(rs.rho, diff)
         q, r = divmod(2 * acc, den)
         if r or q <= 0:
             raise InvariantViolation(f"Freudenthal recursion gave {2 * acc}/{den} at {mu}")
-        mult[mu] = q
-    return dict(sorted(mult.items()))
+        mult[c] = q
+    return dict(sorted(zip(dominant, mult.values())))  # mult follows dominant's order
 
 
 def freudenthal_character(rs: RootSystem, weight: Sequence[int]) -> CharacterTable:

@@ -385,8 +385,8 @@ class RootSystem:
 
     def positive_root_classes(self, zero_nodes: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
         """The classes O ∩ Φ⁺ of the W_J-orbits O of roots, J = zero_nodes
-        (0-based), as (index in positive_roots of the first member, size).
-        Memoized per zero set."""
+        (0-based), as (index in positive_roots of the J-dominant member,
+        size).  Memoized per zero set."""
         return self.memoized(_root_classes, zero_nodes)
 
     def subsystem_roots(self, nodes: Iterable[int]) -> list[Vector]:
@@ -416,20 +416,17 @@ def _root_classes(rs: RootSystem, zero_nodes: tuple[int, ...]) -> tuple[tuple[in
     j (RootSystem._raising, its rows for J merged so the first wins); any
     other root is J-dominant and labels itself.  Each W_J-orbit of roots
     that meets the positive roots meets them in exactly one J-dominant root,
-    so the labels are the classes, and the last root a label reaches is the
-    class's first member.
+    the class's highest member, so the labels are the classes.
     """
     up: dict[int, int] = {}
     for j in reversed(zero_nodes):
         up.update(rs._raising[j])
     label = list(range(len(rs.positive_roots)))
-    first = {}
     for i in reversed(label):
         k = up.get(i)
         if k is not None:
             label[i] = label[k]
-        first[label[i]] = i
-    return tuple(sorted((first[lab], size) for lab, size in Counter(label).items()))
+    return tuple(sorted(Counter(label).items()))
 
 
 def _roots_within_support(rs: RootSystem, mask: int) -> tuple[int, ...]:

@@ -947,7 +947,7 @@ def tuple_reflection_edges(rs: RootSystem) -> tuple:
 def union_find_root_classes(rs: RootSystem, zero_nodes) -> tuple:
     """RootSystem.positive_root_classes by a union-find over the edges
     alpha - s_j(alpha), j in zero_nodes, of tuple_reflection_edges: the
-    classes as (smallest index, size), sorted."""
+    classes as (largest index, size), sorted."""
     parent = list(range(len(rs.positive_roots)))
 
     def find(i: int) -> int:
@@ -960,8 +960,8 @@ def union_find_root_classes(rs: RootSystem, zero_nodes) -> tuple:
     for j in zero_nodes:
         for i, k in edges[j]:
             a, b = find(i), find(k)
-            if a != b:  # the smaller index stays the class's first member
-                parent[max(a, b)] = min(a, b)
+            if a != b:  # the larger index stays the class's representative
+                parent[min(a, b)] = max(a, b)
     return tuple(sorted(Counter(find(i) for i in range(len(parent))).items()))
 
 

@@ -16,6 +16,7 @@ import pytest
 from lieinduct import cli
 from lieinduct import induction as ind_mod
 from lieinduct.cli import parse_weight, run, weight_label, UsageError
+from lieinduct.root_system import build_root_system
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -132,6 +133,14 @@ def test_out_of_range_node_is_a_domain_error_with_any_iota(capsys):
         # a valid node with no summary-table row stays a usage error
         assert run([verb, "C4", "--node", "2", "--iota", "table2"]) == 2
         assert "no summary-table row for C4 at node 2" in capsys.readouterr().err
+
+
+def test_out_of_range_node_builds_no_root_system(capsys):
+    # the node is range-checked against the type before any root closure
+    build_root_system.cache_clear()
+    assert run(["delete", "A32", "--node", "40"]) == 1
+    assert "InvalidType]: node 40 out of range for A32" in capsys.readouterr().err
+    assert build_root_system.cache_info().currsize == 0
 
 
 def test_rank_one_table2_row_is_the_canonical_deletion(capsys):

@@ -31,7 +31,7 @@ from oracles import (
 )
 
 import lieinduct
-from lieinduct import rep_theory
+from lieinduct import rep_theory, root_system
 from lieinduct.errors import BudgetExceeded, NotDominant
 from lieinduct.rep_theory import (
     MAX_DOMINANT_WEIGHTS,
@@ -221,9 +221,9 @@ def test_freudenthal_scale_invariance():
 
 
 def test_root_classes_match_parabolic_orbits():
-    # each class is the W_J-orbit of its first member cut with the positive
-    # roots; every zero set through rank 4, seeded ones (with the empty and
-    # the full set) beyond
+    # each class is the W_J-orbit of its J-dominant member, its highest,
+    # cut with the positive roots; every zero set through rank 4, seeded
+    # ones (with the empty and the full set) beyond
     rng = random.Random(20261020)
     for label in ALL_LABELS:
         rs = rsys(label)
@@ -240,10 +240,10 @@ def test_root_classes_match_parabolic_orbits():
             classes = rs.positive_root_classes(zero)
             assert sum(size for _, size in classes) == len(rs.positive_roots), (label, zero)
             covered = set()
-            for first, size in classes:
-                orbit = gp.parabolic_orbit(zero, root_to_weight(rs, rs.positive_roots[first]))
+            for top, size in classes:
+                orbit = gp.parabolic_orbit(zero, root_to_weight(rs, rs.positive_roots[top]))
                 members = {positive[v] for v in orbit if v in positive}
-                assert (min(members), len(members)) == (first, size), (label, zero, first)
+                assert (max(members), len(members)) == (top, size), (label, zero, top)
                 covered |= members
             assert covered == set(range(len(rs.positive_roots))), (label, zero)
 
@@ -327,6 +327,16 @@ def _cold(label):
     return RootSystem(t, cartan_matrix(t))
 
 
+def test_one_dominant_weight_binds_no_code_table():
+    # a minuscule weight's character is {lam: 1}, read before any table is
+    # bound; a character that walks strings binds one
+    rs = _cold("E6")
+    assert freudenthal_character(rs, (1, 0, 0, 0, 0, 0)).entries == {(1, 0, 0, 0, 0, 0): 1}
+    assert root_system._weight_codes not in rs._memos
+    freudenthal_character(rs, (0, 1, 0, 0, 0, 0))
+    assert len(rs._memos[root_system._weight_codes]) == 1
+
+
 def test_string_walk_work_counts(monkeypatch):
     # the string weights off the chamber are reduced by the character's own
     # code table; count its reductions
@@ -341,26 +351,41 @@ def test_string_walk_work_counts(monkeypatch):
     # every string of A1 stays in the chamber, so no weight is reduced
     freudenthal_character(_cold("A1"), (4999,))
     assert calls == []
-    # every lookup off the chamber is one reduction, with no memo in front
-    freudenthal_character(_cold("F4"), (1, 1, 0, 0))
-    assert len(calls) == 91
+    # every lookup off the chamber is one reduction, with no memo in front;
+    # a string walked from its class's J-dominant root stays on the chamber
+    # at J
+    for label, lam, count in [
+        ("F4", (1, 1, 0, 0), 37),
+        ("E8", (0, 1, 0, 0, 0, 0, 0, 1), 7),
+        ("D8", (1,) * 8, 37_961),
+        ("E8", (0, 0, 2, 2, 0, 0, 0, 0), 138_530),
+    ]:
+        calls.clear()
+        freudenthal_character(_cold(label), lam)
+        assert len(calls) == count, (label, lam)
     monkeypatch.undo()
 
-    # each string step adds the root's weight with operator.add, once per
-    # coordinate: doubling the weight of A2 gives about 4 times the
-    # dominant weights, and so 4 times the steps, where walking every
-    # string to its end gives 8 times
+    # each string step tests the new weight's dominance once, on the top
+    # bits of the table's digits: doubling the weight of A2 gives about 4
+    # times the dominant weights, and so 4 times the steps, where walking
+    # every string to its end gives 8 times
+    class CountedTops(int):
+        count = 0
+
+        def __rand__(self, other):
+            CountedTops.count += 1
+            return int(self) & other
+
     def steps(lam):
-        count = [0]
+        def counted_codes(rs, bound):
+            codes = weight_codes(rs, bound)
+            return codes._replace(tops=CountedTops(codes.tops))
 
-        def counted(a, b):
-            count[0] += 1
-            return a + b
-
+        CountedTops.count = 0
         with monkeypatch.context() as m:
-            m.setattr(rep_theory, "add", counted)
+            m.setattr(RootSystem, "weight_codes", counted_codes)
             freudenthal_character(_cold("A2"), lam)
-        return count[0]
+        return CountedTops.count
 
     small, large = steps((30, 30)), steps((60, 60))
     assert 0 < large <= 4.5 * small, (small, large)

@@ -479,6 +479,37 @@ def test_root_classes_match_union_find_oracle():
     assert count == 566 + 6 * 106
 
 
+def test_root_class_representative_is_the_highest_and_j_dominant():
+    # each class's label has no negative coordinate on J, and no other
+    # member lies above it: every member is the label minus a sum of simple
+    # roots; the members are closed from the label by the reflections of J
+    rng = random.Random(20261033)
+    for label in ALL_TYPES:
+        rs = rsys(label)
+        n = rs.rank
+        pr, pw = rs.positive_roots, rs.positive_weights
+        edges = tuple_reflection_edges(rs)
+        zero_sets = [(), tuple(range(n))] + [
+            tuple(sorted(rng.sample(range(n), rng.randint(1, n)))) for _ in range(4)
+        ]
+        for zero in zero_sets:
+            linked = {}
+            for j in zero:
+                for i, k in edges[j]:
+                    linked.setdefault(i, []).append(k)
+                    linked.setdefault(k, []).append(i)
+            for top, size in rs.positive_root_classes(zero):
+                assert all(pw[top][j] >= 0 for j in zero), (label, zero, top)
+                members = frontier = {top}
+                while frontier:
+                    frontier = {k for i in frontier for k in linked.get(i, ())} - members
+                    members = members | frontier
+                assert len(members) == size, (label, zero, top)
+                for i in members - {top}:
+                    below = tuple(map(int.__sub__, pr[top], pr[i]))
+                    assert min(below) >= 0 and any(below), (label, zero, top, i)
+
+
 def test_root_closure_refuses_a_matrix_not_of_finite_type():
     # affine A1, A2 and C2 have roots of every height; the closure stops
     # before a coefficient would carry into the next digit of a root code.
